@@ -65,10 +65,12 @@ void ThreadPool::ParallelFor(size_t n,
     for (size_t h = 0; h < helpers; ++h) {
       queue_.emplace_back([&] {
         ParallelForDrive(cursor, n, fn);
+        // Decrement and notify under done_mu: the coordinator can only
+        // observe zero, return and destroy done_mu / done_cv (they live
+        // on its stack) after the last helper has released the lock,
+        // and the notify cannot be lost between its test and its wait.
+        MutexLock done_lock(done_mu);
         if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Lock/unlock pairs with the coordinator's wait-loop check so
-          // the notify cannot be lost between its test and its wait.
-          MutexLock done_lock(done_mu);
           done_cv.NotifyOne();
         }
       });

@@ -3,79 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
-#include <set>
+#include <unordered_set>
 
 #include "common/trace.h"
+#include "query/aggregate.h"
 #include "query/binder.h"
 #include "query/evaluator.h"
 #include "query/vector_eval.h"
 
 namespace fungusdb {
 namespace {
-
-/// Accumulator for one aggregate select item within one group.
-struct AggAccumulator {
-  uint64_t count = 0;
-  int64_t sum_i = 0;
-  double sum_d = 0.0;
-  // Freshness-weighted state (FCOUNT/FSUM/FAVG): each observation
-  // contributes its tuple's current freshness instead of 1.
-  double weighted_count = 0.0;
-  double weighted_sum = 0.0;
-  std::optional<Value> min;
-  std::optional<Value> max;
-
-  Status Observe(const Value& v, double freshness) {
-    if (v.is_null()) return Status::OK();
-    ++count;
-    weighted_count += freshness;
-    if (IsNumeric(v.type())) {
-      FUNGUSDB_ASSIGN_OR_RETURN(double d, v.ToDouble());
-      sum_d += d;
-      weighted_sum += freshness * d;
-      if (v.type() == DataType::kInt64) sum_i += v.AsInt64();
-    }
-    if (!min.has_value()) {
-      min = v;
-      max = v;
-    } else {
-      FUNGUSDB_ASSIGN_OR_RETURN(int cmp_min, v.Compare(*min));
-      if (cmp_min < 0) min = v;
-      FUNGUSDB_ASSIGN_OR_RETURN(int cmp_max, v.Compare(*max));
-      if (cmp_max > 0) max = v;
-    }
-    return Status::OK();
-  }
-
-  Value Finalize(AggFn fn, std::optional<DataType> result_type) const {
-    switch (fn) {
-      case AggFn::kCount:
-        return Value::Int64(static_cast<int64_t>(count));
-      case AggFn::kSum:
-        if (count == 0) return Value::Null();
-        if (result_type == DataType::kInt64) return Value::Int64(sum_i);
-        return Value::Float64(sum_d);
-      case AggFn::kAvg:
-        if (count == 0) return Value::Null();
-        return Value::Float64(sum_d / static_cast<double>(count));
-      case AggFn::kMin:
-        return min.value_or(Value::Null());
-      case AggFn::kMax:
-        return max.value_or(Value::Null());
-      case AggFn::kFCount:
-        return Value::Float64(weighted_count);
-      case AggFn::kFSum:
-        if (count == 0) return Value::Null();
-        return Value::Float64(weighted_sum);
-      case AggFn::kFAvg:
-        if (count == 0 || weighted_count == 0.0) return Value::Null();
-        return Value::Float64(weighted_sum / weighted_count);
-    }
-    return Value::Null();
-  }
-};
 
 // --- Zone-map pruning planner. ---
 //
@@ -257,16 +195,6 @@ std::string ItemName(const SelectItem& item) {
   return item.expr->ToString();
 }
 
-/// Composite group key with a non-printable separator.
-std::string GroupKey(const std::vector<Value>& values) {
-  std::string key;
-  for (const Value& v : values) {
-    key += v.is_null() ? "\x01" : v.ToString();
-    key += '\x1F';
-  }
-  return key;
-}
-
 Status SortRows(ResultSet& result, const OrderBy& order) {
   const int col = result.FindColumn(order.column);
   if (col < 0) {
@@ -389,11 +317,11 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
   //
   // 1. Prune: drop live segments whose zone maps cannot satisfy the
   //    WHERE conjuncts (counted in rows_pruned / segments_pruned).
-  // 2. Filter survivors with the vectorized kernel when the predicate
-  //    compiles (batch-at-a-time over raw column spans, morsel-parallel
-  //    with a pool), else with the row-at-a-time tree walker.
+  // 2. Filter survivors into one selection vector per segment: with the
+  //    vectorized kernel when the predicate compiles (batch-at-a-time,
+  //    morsel-parallel with a pool), else with the row-at-a-time tree
+  //    walker.
   ResultSet result;
-  std::vector<RowId> matched;
   std::vector<const Segment*> segments = table.LiveSegments();
   if (where.has_value() && options_.enable_pruning) {
     PruningPlan plan;
@@ -426,67 +354,62 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
         static_cast<int64_t>(result.stats.rows_pruned));
   }
 
+  std::vector<SegmentSelection> selections(segments.size());
+  for (size_t i = 0; i < segments.size(); ++i) {
+    selections[i].segment = segments[i];
+    result.stats.rows_scanned += segments[i]->live_count();
+  }
   std::optional<VectorPredicate> vec;
   if (where.has_value()) vec = VectorPredicate::Compile(*where);
   if (!where.has_value() || vec.has_value()) {
-    // Batch path: evaluate over raw column spans, no per-row Value
-    // boxing. With a pool and enough segments the scan is
-    // morsel-driven: each surviving segment is one morsel, workers
-    // claim morsels dynamically, and per-morsel outputs merge in
-    // segment order so `matched` is identical to the serial scan.
-    auto scan_segment = [&](const Segment& seg, std::vector<RowId>& out,
-                            uint64_t& decoded) {
+    // Batch path over raw column spans, no per-row Value boxing. With a
+    // pool and enough segments the scan is morsel-driven: each
+    // surviving segment is one morsel whose worker writes that
+    // segment's selection, so the selections equal the serial scan's.
+    auto scan_segment = [&](SegmentSelection& sel, uint64_t& decoded) {
+      const Segment& seg = *sel.segment;
       if (vec.has_value()) {
         thread_local VectorPredicate::Scratch scratch;
-        thread_local std::vector<uint32_t> offsets;
-        offsets.clear();
         const uint64_t decoded_before = scratch.decoded_batches;
-        vec->Match(seg, scratch, offsets);
+        vec->Match(seg, scratch, sel.offsets);
         decoded += scratch.decoded_batches - decoded_before;
-        out.reserve(out.size() + offsets.size());
-        for (uint32_t off : offsets) out.push_back(seg.first_row() + off);
-      } else {
-        // No WHERE: every live row matches. Both tiers go through the
-        // shared decode-to-scratch liveness routine (zero-copy on the
-        // plain tier); fully-dead spans of a frozen segment are skipped
-        // straight off the RLE runs.
-        thread_local std::vector<uint8_t> alive_scratch;
-        constexpr size_t kBatch = VectorPredicate::kBatchSize;
-        alive_scratch.resize(kBatch);
-        const size_t n = seg.num_rows();
-        const bool frozen = seg.is_frozen();
-        out.reserve(out.size() + seg.live_count());
-        for (size_t base = 0; base < n; base += kBatch) {
-          const size_t m = std::min(kBatch, n - base);
-          if (frozen && !seg.AnyLive(base, m)) continue;
-          const uint8_t* alive =
-              seg.DecodeAlive(base, m, alive_scratch.data());
-          if (frozen) ++decoded;
-          for (size_t i = 0; i < m; ++i) {
-            if (alive[i]) out.push_back(seg.first_row() + base + i);
-          }
+        return;
+      }
+      // No WHERE: every live row matches. Both tiers go through the
+      // shared decode-to-scratch liveness routine (zero-copy on the
+      // plain tier); fully-dead spans of a frozen segment are skipped
+      // straight off the RLE runs.
+      thread_local std::vector<uint8_t> alive_scratch;
+      constexpr size_t kBatch = VectorPredicate::kBatchSize;
+      alive_scratch.resize(kBatch);
+      const size_t n = seg.num_rows();
+      const bool frozen = seg.is_frozen();
+      sel.offsets.resize(n);
+      uint32_t* out = sel.offsets.data();
+      size_t m = 0;
+      for (size_t base = 0; base < n; base += kBatch) {
+        const size_t len = std::min(kBatch, n - base);
+        if (frozen && !seg.AnyLive(base, len)) continue;
+        const uint8_t* alive =
+            seg.DecodeAlive(base, len, alive_scratch.data());
+        if (frozen) ++decoded;
+        for (size_t i = 0; i < len; ++i) {
+          out[m] = static_cast<uint32_t>(base + i);
+          m += alive[i];
         }
       }
+      sel.offsets.resize(m);
     };
     uint64_t decode_batches = 0;
     ThreadPool* pool = options_.pool;
     if (pool != nullptr && pool->num_threads() > 1 &&
         segments.size() >= options_.parallel_scan_min_segments) {
-      std::vector<std::vector<RowId>> morsel_matched(segments.size());
       std::vector<uint64_t> morsel_decoded(segments.size(), 0);
       pool->ParallelFor(segments.size(), [&](size_t i) {
         FUNGUS_TRACE_SPAN("scan.morsel", i);
-        scan_segment(*segments[i], morsel_matched[i], morsel_decoded[i]);
+        scan_segment(selections[i], morsel_decoded[i]);
       });
-      size_t total = 0;
-      for (const auto& m : morsel_matched) total += m.size();
-      matched.reserve(total);
-      for (size_t i = 0; i < segments.size(); ++i) {
-        result.stats.rows_scanned += segments[i]->live_count();
-        decode_batches += morsel_decoded[i];
-        matched.insert(matched.end(), morsel_matched[i].begin(),
-                       morsel_matched[i].end());
-      }
+      for (const uint64_t d : morsel_decoded) decode_batches += d;
       if (options_.metrics != nullptr) {
         options_.metrics->IncrementCounter(
             "fungusdb.parallel.morsels_dispatched",
@@ -494,9 +417,8 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
       }
     } else {
       FUNGUS_TRACE_SPAN("scan.serial", segments.size());
-      for (const Segment* seg : segments) {
-        result.stats.rows_scanned += seg->live_count();
-        scan_segment(*seg, matched, decode_batches);
+      for (SegmentSelection& sel : selections) {
+        scan_segment(sel, decode_batches);
       }
     }
     if (options_.metrics != nullptr && decode_batches > 0) {
@@ -510,134 +432,97 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
   } else {
     // Fallback: row-at-a-time tree walker over the surviving segments.
     FUNGUS_TRACE_SPAN("scan.walker", segments.size());
-    size_t surviving_live = 0;
-    for (const Segment* seg : segments) surviving_live += seg->live_count();
-    matched.reserve(surviving_live);
-    Status scan_status;
-    for (const Segment* seg : segments) {
-      const size_t n = seg->num_rows();
+    for (SegmentSelection& sel : selections) {
+      const Segment& seg = *sel.segment;
+      const size_t n = seg.num_rows();
       for (size_t off = 0; off < n; ++off) {
-        if (!seg->IsLive(off)) continue;
-        ++result.stats.rows_scanned;
-        const RowId row = seg->first_row() + off;
-        Result<bool> pass = EvalPredicate(*where, table, row);
-        if (!pass.ok()) {
-          scan_status = pass.status();
-          break;
-        }
-        if (*pass) matched.push_back(row);
+        if (!seg.IsLive(off)) continue;
+        FUNGUSDB_ASSIGN_OR_RETURN(
+            bool pass, EvalPredicate(*where, table, seg.first_row() + off));
+        if (pass) sel.offsets.push_back(static_cast<uint32_t>(off));
       }
-      if (!scan_status.ok()) break;
     }
-    FUNGUSDB_RETURN_IF_ERROR(scan_status);
   }
-  result.stats.rows_matched = matched.size();
+  for (const SegmentSelection& sel : selections) {
+    result.stats.rows_matched += sel.offsets.size();
+  }
   if (options_.metrics != nullptr && result.stats.rows_scanned > 0) {
     options_.metrics->IncrementCounter(
         "fungusdb.scan.rows_scanned", "table=" + table.name(),
         static_cast<int64_t>(result.stats.rows_scanned));
   }
 
+  // Row ids exist only where a caller needs them: access tracking and
+  // the consume kill set.
+  auto matched_rows = [&selections, &result] {
+    std::vector<RowId> rows;
+    rows.reserve(result.stats.rows_matched);
+    for (const SegmentSelection& sel : selections) {
+      const RowId first = sel.segment->first_row();
+      for (const uint32_t off : sel.offsets) rows.push_back(first + off);
+    }
+    return rows;
+  };
   if (options_.record_access && table.options().track_access) {
-    for (RowId row : matched) table.RecordAccess(row);
+    for (const RowId row : matched_rows()) table.RecordAccess(row);
   }
 
-  // --- Project / aggregate. ---
+  // --- Project / aggregate over the selections. ---
   if (!has_aggregate) {
+    std::vector<Operand> operands;
     if (query.items.empty()) {
       // SELECT *: all user columns in schema order.
-      for (const Field& f : schema.fields()) {
-        result.column_names.push_back(f.name);
-      }
-      result.rows.reserve(matched.size());
-      for (RowId row : matched) {
-        std::vector<Value> out_row;
-        out_row.reserve(schema.num_fields());
-        for (size_t c = 0; c < schema.num_fields(); ++c) {
-          FUNGUSDB_ASSIGN_OR_RETURN(Value v, table.GetValue(row, c));
-          out_row.push_back(std::move(v));
-        }
-        result.rows.push_back(std::move(out_row));
+      for (size_t c = 0; c < schema.num_fields(); ++c) {
+        result.column_names.push_back(schema.field(c).name);
+        operands.push_back(Operand::Column(c, schema.field(c).type));
       }
     } else {
       for (const BoundItem& item : items) {
         result.column_names.push_back(item.name);
+        operands.emplace_back(item.expr);
       }
-      result.rows.reserve(matched.size());
-      for (RowId row : matched) {
-        std::vector<Value> out_row;
-        out_row.reserve(items.size());
-        for (const BoundItem& item : items) {
-          FUNGUSDB_ASSIGN_OR_RETURN(Value v,
-                                    EvalScalar(item.expr, table, row));
-          out_row.push_back(std::move(v));
-        }
-        result.rows.push_back(std::move(out_row));
-      }
+    }
+    result.rows.reserve(result.stats.rows_matched);
+    for (const SegmentSelection& sel : selections) {
+      FUNGUSDB_RETURN_IF_ERROR(
+          ForEachBatch(sel, [&](const SelectedBatch& batch) -> Status {
+            for (Operand& op : operands) {
+              FUNGUSDB_RETURN_IF_ERROR(op.Load(table, batch));
+            }
+            for (size_t k = 0; k < batch.m; ++k) {
+              std::vector<Value>& row =
+                  result.rows.emplace_back(operands.size());
+              for (size_t c = 0; c < operands.size(); ++c) {
+                row[c] = operands[c].cells().Box(batch.sel[k]);
+              }
+            }
+            return Status::OK();
+          }));
     }
   } else {
+    std::vector<const BoundExpr*> calls;
     for (const BoundItem& item : items) {
       result.column_names.push_back(item.name);
+      if (item.expr.is_aggregate()) calls.push_back(&item.expr);
     }
-    struct Group {
-      std::vector<Value> key_values;          // one per group_by column
-      std::vector<AggAccumulator> accumulators;  // one per aggregate item
-    };
-    std::map<std::string, Group> groups;
-    const size_t num_aggs = items.size();
-
-    for (RowId row : matched) {
-      std::vector<Value> key_values;
-      key_values.reserve(group_exprs.size());
-      for (const BoundExpr& g : group_exprs) {
-        FUNGUSDB_ASSIGN_OR_RETURN(Value v, EvalScalar(g, table, row));
-        key_values.push_back(std::move(v));
-      }
-      auto [it, inserted] =
-          groups.try_emplace(GroupKey(key_values));
-      if (inserted) {
-        it->second.key_values = key_values;
-        it->second.accumulators.resize(num_aggs);
-      }
-      Group& group = it->second;
-      const double freshness = table.Freshness(row);
-      for (size_t i = 0; i < items.size(); ++i) {
-        const BoundExpr& e = items[i].expr;
-        if (!e.is_aggregate()) continue;
-        if (e.agg_is_star()) {
-          FUNGUSDB_RETURN_IF_ERROR(
-              group.accumulators[i].Observe(Value::Int64(1), freshness));
-        } else {
-          FUNGUSDB_ASSIGN_OR_RETURN(Value v,
-                                    EvalScalar(e.children[0], table, row));
-          FUNGUSDB_RETURN_IF_ERROR(
-              group.accumulators[i].Observe(v, freshness));
-        }
-      }
+    Aggregation aggregation(calls, group_exprs);
+    for (const SegmentSelection& sel : selections) {
+      FUNGUSDB_RETURN_IF_ERROR(aggregation.Add(table, sel));
     }
-
-    // Global aggregation over an empty input still yields one row.
-    if (groups.empty() && query.group_by.empty()) {
-      Group empty;
-      empty.accumulators.resize(num_aggs);
-      groups.emplace("", std::move(empty));
-    }
-
-    for (const auto& [key, group] : groups) {
+    for (const uint32_t group : aggregation.OutputOrder()) {
       std::vector<Value> out_row;
       out_row.reserve(items.size());
-      for (size_t i = 0; i < items.size(); ++i) {
-        const BoundExpr& e = items[i].expr;
-        if (e.is_aggregate()) {
-          out_row.push_back(
-              group.accumulators[i].Finalize(e.agg_fn, e.result_type));
+      size_t call = 0;
+      for (const BoundItem& item : items) {
+        if (item.expr.is_aggregate()) {
+          out_row.push_back(aggregation.Result(group, call++));
         } else {
           // A grouped item: find its position among group_by entries.
           size_t pos = 0;
           for (size_t g = 0; g < query.group_by.size(); ++g) {
-            if (covers(items[i], query.group_by[g])) pos = g;
+            if (covers(item, query.group_by[g])) pos = g;
           }
-          out_row.push_back(group.key_values[pos]);
+          out_row.push_back(aggregation.KeyValue(group, pos));
         }
       }
       result.rows.push_back(std::move(out_row));
@@ -647,19 +532,30 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
   // --- DISTINCT / ORDER BY / LIMIT. ---
   if (query.distinct) {
     // Collapse duplicate output rows, keeping first occurrences in
-    // order. Keys render through Value::ToString (nulls distinct from
-    // every non-null, equal to each other).
-    std::set<std::string> seen;
+    // order. Rows are equal when every cell is the same value
+    // (SameValue: NULL equals NULL, -0.0 equals 0.0, NaN equals NaN).
     std::vector<std::vector<Value>> unique_rows;
+    unique_rows.reserve(result.rows.size());
+    auto hash = [&unique_rows](size_t r) {
+      size_t h = 0;
+      for (const Value& v : unique_rows[r]) {
+        h = h * 0x100000001b3ULL ^ HashValue(v);
+      }
+      return h;
+    };
+    auto equal = [&unique_rows](size_t a, size_t b) {
+      const std::vector<Value>& x = unique_rows[a];
+      const std::vector<Value>& y = unique_rows[b];
+      for (size_t c = 0; c < x.size(); ++c) {
+        if (!SameValue(x[c], y[c])) return false;
+      }
+      return true;
+    };
+    std::unordered_set<size_t, decltype(hash), decltype(equal)> seen(
+        result.rows.size(), hash, equal);
     for (std::vector<Value>& row : result.rows) {
-      std::string key;
-      for (const Value& v : row) {
-        key += v.is_null() ? "\x01" : v.ToString();
-        key += '\x1F';
-      }
-      if (seen.insert(std::move(key)).second) {
-        unique_rows.push_back(std::move(row));
-      }
+      unique_rows.push_back(std::move(row));
+      if (!seen.insert(unique_rows.size() - 1).second) unique_rows.pop_back();
     }
     result.rows = std::move(unique_rows);
   }
@@ -671,8 +567,9 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
   }
 
   // --- Law 2: consume σ_P(R). ---
-  if (query.consuming && !matched.empty()) {
-    for (RowId row : matched) {
+  if (query.consuming && result.stats.rows_matched > 0) {
+    const std::vector<RowId> matched = matched_rows();
+    for (const RowId row : matched) {
       FUNGUSDB_RETURN_IF_ERROR(table.Kill(row));
     }
     result.stats.rows_consumed = matched.size();

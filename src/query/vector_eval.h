@@ -50,9 +50,16 @@ class VectorPredicate {
   struct Scratch {
     std::vector<uint8_t> truth;   // num_nodes x kBatchSize
     std::vector<uint8_t> known;   // num_nodes x kBatchSize
-    std::vector<double> vals;     // 2 x kBatchSize operand staging
-    std::vector<uint8_t> nulls;   // 2 x kBatchSize operand staging
-    std::vector<uint8_t> alive;   // kBatchSize liveness staging
+    std::vector<double> vals;     // num_columns x kBatchSize staging
+    std::vector<uint8_t> nulls;   // num_columns x kBatchSize staging
+    /// Per column slot, the batch's cells in double space and its null
+    /// flags (nullptr when the column has no null in the segment).
+    std::vector<const double*> col_vals;
+    std::vector<const uint8_t*> col_nulls;
+    std::vector<uint8_t> col_ready;  // slot decoded for this batch
+    std::vector<uint32_t> sel;       // kBatchSize selection staging
+    std::vector<int64_t> ints;       // kBatchSize int decode staging
+    std::vector<uint8_t> alive;      // kBatchSize liveness staging
     /// Batches decoded from frozen segments (feeds the
     /// fungusdb.storage.decode_batches metric).
     uint64_t decoded_batches = 0;
@@ -82,6 +89,13 @@ class VectorPredicate {
     OperandKind kind = OperandKind::kNullLit;
     double constant = 0.0;
     size_t col = 0;
+    /// Index into column_operands_ for a column operand: each column
+    /// is decoded once per batch, however many leaves read it.
+    size_t slot = 0;
+
+    bool is_column() const {
+      return kind != OperandKind::kNullLit && kind != OperandKind::kConst;
+    }
   };
 
   enum class NodeKind : uint8_t {
@@ -113,19 +127,42 @@ class VectorPredicate {
   /// spans, dictionary membership) — no decoding, no thawing.
   std::vector<int8_t> DecideFrozenLeaves(const Segment& seg) const;
 
-  static std::optional<Operand> CompileOperand(const BoundExpr& expr);
+  /// Lowers an operand, registering a column operand's slot.
+  std::optional<Operand> CompileOperand(const BoundExpr& expr);
+  static std::optional<Operand> CompileOperandKind(const BoundExpr& expr);
   /// Appends nodes post-order; returns the root index or nullopt.
-  static std::optional<int> CompileNode(const BoundExpr& expr,
-                                        std::vector<Node>& nodes);
+  std::optional<int> CompileNode(const BoundExpr& expr);
 
-  void MaterializeOperand(const Operand& op, const Segment& seg,
-                          size_t base, size_t n, const uint8_t* alive,
-                          double* vals, uint8_t* nulls) const;
-  void EvalBatch(const Segment& seg, size_t base, size_t n,
-                 const uint8_t* alive, const int8_t* decided,
+  /// One conjunct of the root's AND spine: the node range
+  /// [first, root] of its subtree. A `simple` conjunct compares one
+  /// column against a literal (normalized to `column <op> constant`) and
+  /// refines the selection vector directly.
+  struct Conjunct {
+    size_t first = 0;
+    size_t root = 0;
+    bool simple = false;
+    size_t slot = 0;
+    BinaryOp op = BinaryOp::kEq;
+    double constant = 0.0;
+  };
+
+  void CollectConjuncts(int idx);
+
+  /// Decodes column slot `slot` for rows [base, base + n) into
+  /// scratch.col_vals / col_nulls, once per batch.
+  void DecodeColumn(size_t slot, const Segment& seg, size_t base, size_t n,
+                    const uint8_t* alive, Scratch& scratch) const;
+  void EnsureColumn(size_t slot, const Segment& seg, size_t base, size_t n,
+                    const uint8_t* alive, Scratch& scratch) const;
+  /// Evaluates nodes [first, last] (a post-order subtree) over a batch
+  /// into the truth/known rows.
+  void EvalNodes(size_t first, size_t last, const Segment& seg, size_t base,
+                 size_t n, const uint8_t* alive, const int8_t* decided,
                  Scratch& scratch) const;
 
-  std::vector<Node> nodes_;  // post-order; back() is the root
+  std::vector<Node> nodes_;               // post-order; back() is root
+  std::vector<Operand> column_operands_;  // distinct columns, by slot
+  std::vector<Conjunct> conjuncts_;       // simple ones first
 };
 
 }  // namespace fungusdb

@@ -422,18 +422,6 @@ bool Segment::AnyLive(size_t base, size_t n) const {
   return false;
 }
 
-void Segment::DecodeTs(size_t base, size_t n, double* out) const {
-  if (!frozen_) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<double>(ts_[base + i]);
-    }
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<double>(frozen_->ts.Get(base + i));
-  }
-}
-
 void Segment::DecodeStoredFreshness(size_t base, size_t n,
                                     const uint8_t* alive,
                                     double* out) const {
@@ -453,60 +441,84 @@ void Segment::DecodeStoredFreshness(size_t base, size_t n,
             out);
 }
 
-void Segment::DecodeNumericColumn(size_t col, size_t base, size_t n,
-                                  double* vals, uint8_t* nulls) const {
+void Segment::DecodeNulls(size_t col, size_t base, size_t n,
+                          uint8_t* nulls) const {
   if (!frozen_) {
     const Column& c = *columns_[col];
-    switch (c.type()) {
-      case DataType::kInt64: {
-        const auto& data = static_cast<const Int64Column&>(c).data();
-        for (size_t i = 0; i < n; ++i) {
-          vals[i] = static_cast<double>(data[base + i]);
-        }
-        break;
-      }
-      case DataType::kTimestamp: {
-        const auto& data = static_cast<const TimestampColumn&>(c).data();
-        for (size_t i = 0; i < n; ++i) {
-          vals[i] = static_cast<double>(data[base + i]);
-        }
-        break;
-      }
-      case DataType::kFloat64: {
-        const auto& data = static_cast<const Float64Column&>(c).data();
-        std::copy(data.begin() + static_cast<ptrdiff_t>(base),
-                  data.begin() + static_cast<ptrdiff_t>(base + n), vals);
-        break;
-      }
-      default:
-        assert(false);
-    }
-    if (nulls != nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        nulls[i] = c.IsNull(base + i) ? 1 : 0;
-      }
-    }
+    for (size_t i = 0; i < n; ++i) nulls[i] = c.IsNull(base + i) ? 1 : 0;
     return;
   }
-  const encode::FrozenColumn& fc = frozen_->columns[col];
-  switch (fc.type) {
-    case DataType::kInt64:
-    case DataType::kTimestamp:
-      for (size_t i = 0; i < n; ++i) {
-        vals[i] = static_cast<double>(fc.ints.Get(base + i));
-      }
-      break;
-    case DataType::kFloat64:
-      std::copy(fc.doubles.begin() + static_cast<ptrdiff_t>(base),
-                fc.doubles.begin() + static_cast<ptrdiff_t>(base + n), vals);
-      break;
-    default:
-      assert(false);
+  frozen_->columns[col].validity.Decode(base, n, nulls);  // 1 = valid...
+  for (size_t i = 0; i < n; ++i) nulls[i] ^= 1;  // ... flipped to 1 = null
+}
+
+const Timestamp* Segment::DecodeTs(size_t base, size_t n,
+                                   Timestamp* scratch) const {
+  if (!frozen_) return ts_.data() + base;
+  frozen_->ts.Decode(base, n, scratch);
+  return scratch;
+}
+
+const int64_t* Segment::DecodeInt64Column(size_t col, size_t base, size_t n,
+                                          int64_t* scratch) const {
+  if (!frozen_) {
+    const Column& c = *columns_[col];
+    if (c.type() == DataType::kTimestamp) {
+      return static_cast<const TimestampColumn&>(c).data().data() + base;
+    }
+    assert(c.type() == DataType::kInt64);
+    return static_cast<const Int64Column&>(c).data().data() + base;
   }
-  if (nulls != nullptr) {
-    fc.validity.Decode(base, n, nulls);  // 1 = valid...
-    for (size_t i = 0; i < n; ++i) nulls[i] ^= 1;  // ... flipped to 1 = null
+  frozen_->columns[col].ints.Decode(base, n, scratch);
+  return scratch;
+}
+
+const double* Segment::DecodeFloat64Column(size_t col, size_t base,
+                                           size_t n) const {
+  assert(base + n <= num_rows());
+  (void)n;
+  if (!frozen_) {
+    return static_cast<const Float64Column&>(*columns_[col]).data().data() +
+           base;
   }
+  return frozen_->columns[col].doubles.data() + base;
+}
+
+void Segment::DecodeStringColumn(size_t col, size_t base, size_t n,
+                                 std::string_view* out) const {
+  if (!frozen_) {
+    const std::vector<std::string>& data =
+        static_cast<const StringColumn&>(*columns_[col]).data();
+    for (size_t i = 0; i < n; ++i) out[i] = data[base + i];
+    return;
+  }
+  const encode::DictStrings& strings = frozen_->columns[col].strings;
+  const encode::RleCodes& codes = strings.codes;
+  size_t run = codes.RunOf(base);
+  size_t i = 0;
+  while (i < n) {
+    const std::string_view view = strings.dict[codes.values[run]];
+    const size_t run_end = std::min<size_t>(codes.ends[run] - base, n);
+    for (; i < run_end; ++i) out[i] = view;
+    ++run;
+  }
+}
+
+void Segment::DecodeStringCodes(size_t col, size_t base, size_t n,
+                                uint32_t* codes) const {
+  assert(frozen_);
+  frozen_->columns[col].strings.codes.Decode(base, n, codes);
+}
+
+void Segment::DecodeBoolColumn(size_t col, size_t base, size_t n,
+                               uint8_t* out) const {
+  if (!frozen_) {
+    const std::vector<bool>& data =
+        static_cast<const BoolColumn&>(*columns_[col]).data();
+    for (size_t i = 0; i < n; ++i) out[i] = data[base + i] ? 1 : 0;
+    return;
+  }
+  frozen_->columns[col].bools.Decode(base, n, out);
 }
 
 void Segment::MatchStringEq(size_t col, size_t base, size_t n,

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -293,10 +294,10 @@ class Segment {
   // --- Decode-to-scratch scan API (both tiers; never thaws). ---
   //
   // The one routine family every scan path shares (vectorized kernel,
-  // morsel-parallel workers, walker fallback, no-WHERE fast path): on a
-  // plain segment these read the backing vectors directly (liveness is
-  // even zero-copy); on a frozen segment they decode the requested span
-  // into caller scratch.
+  // morsel-parallel workers, no-WHERE fast path, and the aggregate /
+  // projection pipeline after them): on a plain segment these read the
+  // backing vectors directly (zero copy where the type allows); on a
+  // frozen segment they decode the requested span into caller scratch.
 
   /// Liveness bytes for [base, base + n). Returns a pointer into the
   /// plain vector when thawed (zero copy); decodes into `scratch` and
@@ -308,10 +309,6 @@ class Segment {
   /// dead spans of cold data without decoding them.
   bool AnyLive(size_t base, size_t n) const;
 
-  /// Insertion timestamps for [base, base + n) as doubles (the space
-  /// the vector kernel compares in).
-  void DecodeTs(size_t base, size_t n, double* out) const;
-
   /// STORED freshness for [base, base + n) — callers evaluating
   /// `__freshness` must replay pending_decay() on top. `alive` is the
   /// span DecodeAlive returned for the same range (the frozen
@@ -319,13 +316,42 @@ class Segment {
   void DecodeStoredFreshness(size_t base, size_t n, const uint8_t* alive,
                              double* out) const;
 
-  /// Numeric column cells for [base, base + n) as doubles
-  /// (int64/timestamp convert monotonically, float64 copies). When
-  /// `nulls` is non-null it receives 1 per null cell (whose value slot
-  /// is then unspecified); callers may pass nullptr for all-valid
-  /// columns (column_null_count() == 0).
-  void DecodeNumericColumn(size_t col, size_t base, size_t n, double* vals,
-                           uint8_t* nulls) const;
+  /// Null flags of a user column for [base, base + n): nulls[i] = 1
+  /// where the cell is null.
+  void DecodeNulls(size_t col, size_t base, size_t n, uint8_t* nulls) const;
+
+  /// Insertion timestamps for [base, base + n). Zero copy on the plain
+  /// tier; FOR-decoded into `scratch` on a frozen segment.
+  const Timestamp* DecodeTs(size_t base, size_t n, Timestamp* scratch) const;
+
+  /// Exact cells of an int64 or timestamp column for [base, base + n).
+  /// Zero copy on the plain tier. Null cells hold unspecified values;
+  /// read DecodeNulls() for them.
+  const int64_t* DecodeInt64Column(size_t col, size_t base, size_t n,
+                                   int64_t* scratch) const;
+
+  /// Cells of a float64 column for [base, base + n). Zero copy on both
+  /// tiers: the frozen tier stores float64 cells raw.
+  const double* DecodeFloat64Column(size_t col, size_t base,
+                                    size_t n) const;
+
+  /// Cells of a string column for [base, base + n) as views into the
+  /// segment's storage, valid while the segment is neither mutated nor
+  /// freed (i.e. for the reader's pin). On a frozen segment the views
+  /// point into the dictionary, filled run by run — no per-row code
+  /// lookup.
+  void DecodeStringColumn(size_t col, size_t base, size_t n,
+                          std::string_view* out) const;
+
+  /// Dictionary codes of a string column for [base, base + n). Frozen
+  /// tier only: lets grouping map each code to a group once per segment
+  /// instead of hashing every row.
+  void DecodeStringCodes(size_t col, size_t base, size_t n,
+                         uint32_t* codes) const;
+
+  /// Cells of a bool column for [base, base + n) as 0/1 bytes.
+  void DecodeBoolColumn(size_t col, size_t base, size_t n,
+                        uint8_t* out) const;
 
   /// String equality against a literal for [base, base + n): eq[i] = 1
   /// where the cell equals `needle`, nulls[i] = 1 where it is null. On

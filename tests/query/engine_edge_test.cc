@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "query/engine.h"
 #include "query/parser.h"
 
@@ -151,7 +154,6 @@ TEST_F(EngineEdgeTest, EmptyTableAggregates) {
   EXPECT_TRUE(rs.at(0, 2).is_null());
 }
 
-
 TEST_F(EngineEdgeTest, DistinctCollapsesDuplicates) {
   ResultSet rs = Run("SELECT DISTINCT region FROM sales ORDER BY region");
   ASSERT_EQ(rs.num_rows(), 3u);
@@ -190,6 +192,60 @@ TEST_F(EngineEdgeTest, DistinctTreatsNullsAsOneGroup) {
   Query q = ParseQuery("SELECT DISTINCT v FROM t").value();
   ResultSet rs = engine.Execute(q, t, 0).value();
   EXPECT_EQ(rs.num_rows(), 2u);
+}
+
+/// Float keys that Value::ToString's "%.6f" rendering conflates (1e-7,
+/// 2e-7) or separates (-0.0, 0.0), plus NaN and NULL, in this order:
+/// 1e-7, 2e-7, -0.0, NULL, 0.0, NaN, NULL, NaN.
+Table FloatKeyTable() {
+  Table t("t", Schema::Make({{"k", DataType::kFloat64, true}}).value());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const Value& v :
+       {Value::Float64(1e-7), Value::Float64(2e-7), Value::Float64(-0.0),
+        Value::Null(), Value::Float64(0.0), Value::Float64(nan),
+        Value::Null(), Value::Float64(nan)}) {
+    t.Append({v}, 0).value();
+  }
+  return t;
+}
+
+TEST_F(EngineEdgeTest, GroupByFloatKeysUseValueEquality) {
+  Table t = FloatKeyTable();
+  QueryEngine engine;
+  Query q =
+      ParseQuery("SELECT k, count(*) AS n FROM t GROUP BY k").value();
+  ResultSet rs = engine.Execute(q, t, 0).value();
+  // One group per value: 1e-7 and 2e-7 apart, -0.0 with 0.0, NaN with
+  // NaN, NULL with NULL. Groups come out sorted by rendered key (NULL,
+  // "-0.000000", "0.000000" twice, "nan"), ties in first-appearance
+  // order; a group shows its first row's key.
+  ASSERT_EQ(rs.num_rows(), 5u);
+  EXPECT_TRUE(rs.at(0, 0).is_null());
+  EXPECT_EQ(rs.at(0, 1).AsInt64(), 2);
+  EXPECT_EQ(rs.at(1, 0).AsFloat64(), 0.0);
+  EXPECT_TRUE(std::signbit(rs.at(1, 0).AsFloat64()));
+  EXPECT_EQ(rs.at(1, 1).AsInt64(), 2);
+  EXPECT_EQ(rs.at(2, 0).AsFloat64(), 1e-7);
+  EXPECT_EQ(rs.at(2, 1).AsInt64(), 1);
+  EXPECT_EQ(rs.at(3, 0).AsFloat64(), 2e-7);
+  EXPECT_EQ(rs.at(3, 1).AsInt64(), 1);
+  EXPECT_TRUE(std::isnan(rs.at(4, 0).AsFloat64()));
+  EXPECT_EQ(rs.at(4, 1).AsInt64(), 2);
+}
+
+TEST_F(EngineEdgeTest, DistinctFloatKeysUseValueEquality) {
+  Table t = FloatKeyTable();
+  QueryEngine engine;
+  Query q = ParseQuery("SELECT DISTINCT k FROM t").value();
+  ResultSet rs = engine.Execute(q, t, 0).value();
+  // First occurrences, in order: 1e-7, 2e-7, -0.0 (0.0 repeats it),
+  // NULL, NaN.
+  ASSERT_EQ(rs.num_rows(), 5u);
+  EXPECT_EQ(rs.at(0, 0).AsFloat64(), 1e-7);
+  EXPECT_EQ(rs.at(1, 0).AsFloat64(), 2e-7);
+  EXPECT_TRUE(std::signbit(rs.at(2, 0).AsFloat64()));
+  EXPECT_TRUE(rs.at(3, 0).is_null());
+  EXPECT_TRUE(std::isnan(rs.at(4, 0).AsFloat64()));
 }
 
 TEST_F(EngineEdgeTest, DistinctRoundTripsThroughToString) {

@@ -25,9 +25,11 @@ Enforces the repo-specific rules that generic linters cannot:
                   network bytes) plus the two pre-existing binary codec
                   internals (common/buffer_io.h, summary/hashing.cc).
                   Everything else goes through BufferWriter/BufferReader.
-  vector-hot-loop the vectorized scan kernel (src/query/vector_eval.*)
-                  must stay Value-free: no GetValue( calls — boxing a
-                  Value per row is exactly what the kernel exists to
+  vector-hot-loop the batch kernels — the vectorized filter
+                  (src/query/vector_eval.*) and the typed aggregate /
+                  GROUP BY / projection pipeline (src/query/aggregate.*)
+                  — must stay Value-free: no GetValue( calls — boxing a
+                  Value per row is exactly what the kernels exist to
                   avoid; read typed column spans instead.
   encoded-access  outside src/storage/, no code may assume the plain
                   (thawed) representation: the raw span accessors
@@ -106,6 +108,9 @@ PUBLIC_API_ALLOWLIST = {
     "tools/fungusd.cc": {"server/server.h", "server/http_debug.h"},
     "tools/funguscheck.cc": {"persist/fsck.h", "server/wire_format.h"},
 }
+
+# The batch kernels that must read typed column spans, never GetValue(.
+VECTOR_HOT_LOOP_PREFIXES = ("src/query/vector_eval", "src/query/aggregate")
 
 # The corruption seeder writes raw segment state through its friendship
 # by design — it exists to plant exactly the damage fsck must detect.
@@ -282,11 +287,11 @@ def lint_file(root, path, findings):
                              "raw framing primitive outside"
                              " src/server/wire_format.*; use"
                              " BufferWriter/BufferReader"))
-        if (rel.startswith("src/query/vector_eval")
+        if (rel.startswith(VECTOR_HOT_LOOP_PREFIXES)
                 and RE_GET_VALUE.search(line)):
             findings.append((rel, lineno, "vector-hot-loop",
                              "GetValue( boxes a Value per row; the"
-                             " vector kernel must read typed column"
+                             " batch kernels must read typed column"
                              " spans"))
         if (rel.startswith("src/server/http_")
                 and RE_HTTP_HANDLER.search(line)):
