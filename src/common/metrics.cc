@@ -212,6 +212,14 @@ void MetricsRegistry::RecordHistogram(const std::string& name,
   histograms_[name][label].Record(value);
 }
 
+void MetricsRegistry::RecordHistogram(const std::string& name,
+                                      const std::string& label,
+                                      std::span<const int64_t> values) {
+  MutexLock lock(mu_);
+  HistogramMetric& histogram = histograms_[name][label];
+  for (const int64_t value : values) histogram.Record(value);
+}
+
 HistogramMetric& MetricsRegistry::Histogram(const std::string& name) {
   MutexLock lock(mu_);
   return histograms_[name][""];

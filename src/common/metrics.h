@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,10 @@ class MetricsRegistry {
   void RecordHistogram(const std::string& name, int64_t value);
   void RecordHistogram(const std::string& name, const std::string& label,
                        int64_t value);
+  /// A batch of observations under one lock: how a hot path that
+  /// collected samples locally flushes them.
+  void RecordHistogram(const std::string& name, const std::string& label,
+                       std::span<const int64_t> values);
 
   /// Coordinator-thread access to a histogram object. The reference
   /// stays valid for the registry's lifetime, but Record() through it is

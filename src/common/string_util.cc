@@ -68,6 +68,21 @@ std::string_view StripWhitespace(std::string_view s) {
   return s.substr(begin, end - begin);
 }
 
+std::vector<std::string_view> SplitWhitespace(std::string_view s) {
+  auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  std::vector<std::string_view> out;
+  size_t i = 0;
+  while (true) {
+    while (i < s.size() && is_space(s[i])) ++i;
+    if (i == s.size()) return out;
+    const size_t begin = i;
+    while (i < s.size() && !is_space(s[i])) ++i;
+    out.push_back(s.substr(begin, i - begin));
+  }
+}
+
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {

@@ -23,6 +23,10 @@ std::vector<std::string> Split(std::string_view s, char sep);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 
+/// Splits on runs of ASCII whitespace, dropping empty tokens: the words
+/// of a meta command. The views point into `s`.
+std::vector<std::string_view> SplitWhitespace(std::string_view s);
+
 /// ASCII case-insensitive equality (used by the SQL keyword scanner).
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 

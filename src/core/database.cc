@@ -145,11 +145,36 @@ Result<uint64_t> Database::AdvanceTime(Duration d) {
 
 Result<RowId> Database::Insert(const std::string& table_name,
                                const std::vector<Value>& values) {
+  Result<RowId> id = RowId{0};
+  InsertRows(table_name, std::span(&values, 1), std::span(&id, 1));
+  return id;
+}
+
+std::vector<Result<RowId>> Database::Insert(
+    const std::string& table_name, std::span<const std::vector<Value>> rows) {
+  std::vector<Result<RowId>> ids(rows.size(), RowId{0});
+  InsertRows(table_name, rows, ids);
+  return ids;
+}
+
+void Database::InsertRows(const std::string& table_name,
+                          std::span<const std::vector<Value>> rows,
+                          std::span<Result<RowId>> ids) {
   EpochManager::WriteGuard guard(epochs_);
-  FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(table_name));
-  FUNGUSDB_ASSIGN_OR_RETURN(RowId row, table->Append(values, clock_.Now()));
-  metrics_.IncrementCounter("fungusdb.ingest.rows");
-  return row;
+  const Result<Table*> table = MutableTable(table_name);
+  const Timestamp now = clock_.Now();
+  int64_t appended = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!table.ok()) {
+      ids[i] = table.status();
+      continue;
+    }
+    ids[i] = (*table)->Append(rows[i], now);
+    if (ids[i].ok()) ++appended;
+  }
+  if (appended > 0) {
+    metrics_.IncrementCounter("fungusdb.ingest.rows", appended);
+  }
 }
 
 Result<uint64_t> Database::Ingest(const std::string& table_name,

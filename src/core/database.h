@@ -148,6 +148,14 @@ class Database {
   Result<RowId> Insert(const std::string& table_name,
                        const std::vector<Value>& values);
 
+  /// Appends `rows` in order under one write section and one table
+  /// lookup, all stamped with the current time: readers see all of them
+  /// or none, and the batch publishes one epoch. One Result per row; a
+  /// row the table rejects gets its own error and does not stop the
+  /// others. This is the writer's unit for an `\insert` run.
+  std::vector<Result<RowId>> Insert(const std::string& table_name,
+                                    std::span<const std::vector<Value>> rows);
+
   /// Pulls up to `max_records` from `source` into the named table.
   Result<uint64_t> Ingest(const std::string& table_name,
                           RecordSource& source, uint64_t max_records);
@@ -269,6 +277,13 @@ class Database {
   /// the per-table override. <= 0 disables.
   int64_t SlowQueryThresholdFor(const Table* table) const
       FUNGUS_REQUIRES_SHARED(epochs_);
+
+  /// Body of both Insert forms: appends `rows` in one write section and
+  /// stores row i's outcome in ids[i] (ids.size() == rows.size()), so
+  /// the one-row form allocates nothing.
+  void InsertRows(const std::string& table_name,
+                  std::span<const std::vector<Value>> rows,
+                  std::span<Result<RowId>> ids);
 
   /// Body of Execute without the write section (callers hold one
   /// exclusively — CONSUME and \cook mutate through here).

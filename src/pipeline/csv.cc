@@ -6,7 +6,7 @@
 
 namespace fungusdb {
 
-std::vector<std::string> SplitCsvLine(const std::string& line,
+std::vector<std::string> SplitCsvLine(std::string_view line,
                                       char delimiter) {
   std::vector<std::string> fields;
   std::string current;
@@ -82,6 +82,25 @@ Result<Value> ParseCsvField(const std::string& field, DataType type,
       return Value::String(field);
   }
   return Status::Internal("unhandled type");
+}
+
+Result<std::vector<Value>> ParseCsvRow(const Schema& schema,
+                                       std::string_view csv) {
+  const std::vector<std::string> fields = SplitCsvLine(csv, ',');
+  if (fields.size() != schema.num_fields()) {
+    return Status::InvalidArgument(
+        "expected " + std::to_string(schema.num_fields()) + " fields, got " +
+        std::to_string(fields.size()));
+  }
+  std::vector<Value> values;
+  values.reserve(fields.size());
+  for (size_t i = 0; i < fields.size(); ++i) {
+    const Field& field = schema.field(i);
+    FUNGUSDB_ASSIGN_OR_RETURN(
+        Value value, ParseCsvField(fields[i], field.type, field.nullable));
+    values.push_back(std::move(value));
+  }
+  return values;
 }
 
 CsvSource::CsvSource(std::istream* input, Schema schema, CsvOptions options)

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -56,13 +57,20 @@ class CsvSource : public RecordSource {
 
 /// Splits one CSV line into fields (RFC 4180 quoting). Exposed for
 /// tests and tooling.
-std::vector<std::string> SplitCsvLine(const std::string& line,
+std::vector<std::string> SplitCsvLine(std::string_view line,
                                       char delimiter);
 
 /// Parses one CSV field into a Value of the given type; empty fields
 /// become null when `empty_is_null`.
 Result<Value> ParseCsvField(const std::string& field, DataType type,
                             bool empty_is_null);
+
+/// Parses one comma-separated record into typed values against
+/// `schema`: the row of an `\insert`. An empty field is null on a
+/// nullable column. A wrong field count is InvalidArgument
+/// ("expected N fields, got M"); a bad field is ParseCsvField's error.
+Result<std::vector<Value>> ParseCsvRow(const Schema& schema,
+                                       std::string_view csv);
 
 /// Renders one value as a CSV field (quoting strings that need it).
 std::string FormatCsvField(const Value& value, char delimiter);

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <sstream>
+#include <span>
 #include <utility>
 
 #include "common/clock.h"
@@ -22,12 +22,27 @@
 namespace fungusdb::server {
 namespace {
 
-std::vector<std::string> Tokens(const std::string& line) {
-  std::istringstream stream(line);
-  std::vector<std::string> out;
-  std::string token;
-  while (stream >> token) out.push_back(token);
-  return out;
+/// `\insert <table> <csv fields>`, as views into the statement.
+struct InsertStatement {
+  std::string_view table;  // empty when the statement names no table
+  std::string_view csv;    // empty when it has no fields: a usage error
+};
+
+/// Splits `statement` when it is an `\insert`; nullopt otherwise.
+std::optional<InsertStatement> AsInsert(std::string_view statement) {
+  statement = StripWhitespace(statement);
+  if (!statement.starts_with("\\insert")) return std::nullopt;
+  const std::vector<std::string_view> words = SplitWhitespace(statement);
+  if (words[0] != "\\insert") return std::nullopt;
+  InsertStatement insert;
+  if (words.size() >= 2) {
+    insert.table = words[1];
+    const size_t table_end =
+        static_cast<size_t>(words[1].data() - statement.data()) +
+        words[1].size();
+    insert.csv = StripWhitespace(statement.substr(table_end));
+  }
+  return insert;
 }
 
 /// Meta-command output travels as an ordinary single-column ResultSet
@@ -51,8 +66,7 @@ Server::Server(std::unique_ptr<Database> db, ServerOptions options)
     : db_(std::move(db)),
       options_(std::move(options)),
       queue_(options_.queue_capacity),
-      read_queue_(options_.queue_capacity),
-      latency_sketch_(/*lo=*/0.0, /*hi=*/1e7, /*buckets=*/64) {}
+      read_queue_(options_.queue_capacity) {}
 
 Server::~Server() { Stop(); }
 
@@ -331,57 +345,131 @@ void Server::ProcessRequest(PendingRequest pending, int worker) {
   }
   const std::string worker_label =
       read_path ? "worker=read-" + std::to_string(worker) : "worker=writer";
+  const std::vector<std::string>& statements = pending.request.statements;
   std::vector<Result<ResultSet>> results;
-  results.reserve(pending.request.statements.size());
-  bool timed_out = false;
-  for (const std::string& statement : pending.request.statements) {
+  results.reserve(statements.size());
+  // Per-statement accounting stays local and reaches the registry once
+  // per request, below.
+  std::vector<int64_t> latencies_us;
+  latencies_us.reserve(statements.size());
+  while (results.size() < statements.size()) {
     // The deadline is re-checked per statement, so a long batch that
     // blows its budget mid-way stops burning worker time.
-    if (pending.has_deadline &&
-        std::chrono::steady_clock::now() >= pending.deadline) {
-      if (!timed_out) {
-        metrics.IncrementCounter("fungusdb.server.requests_timeout");
-        timed_out = true;
-      }
-      results.push_back(
-          Status::Timeout("deadline exceeded before execution"));
-      continue;
-    }
+    if (pending.Expired()) break;
+    const size_t next = results.size();
     const auto started = std::chrono::steady_clock::now();
     if (read_path) {
       sessions_[static_cast<size_t>(worker)]->set_pending_queue_wait_micros(
           static_cast<int64_t>(queue_wait_us));
       FUNGUS_TRACE_SPAN("server.read_worker", worker);
       results.push_back(ExecuteReadStatement(static_cast<size_t>(worker),
-                                             statement));
+                                             statements[next]));
     } else {
-      db_->set_pending_queue_wait_micros(
-          static_cast<int64_t>(queue_wait_us));
-      FUNGUS_TRACE_SPAN("server.statement");
-      results.push_back(ExecuteStatement(statement));
+      db_->set_pending_queue_wait_micros(static_cast<int64_t>(queue_wait_us));
+      ExecuteWrites(std::span(statements).subspan(next), pending, results);
     }
+    // A run of inserts answers several statements at once; each takes
+    // an equal share of the run's wall time.
+    const size_t answered = results.size() - next;
+    if (answered == 0) continue;  // a run met the deadline at once
     const auto micros =
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - started)
             .count();
-    metrics.IncrementCounter("fungusdb.server.statements_total");
-    metrics.IncrementCounter("fungusdb.server.statements_total",
-                             worker_label);
-    metrics.RecordHistogram("fungusdb.server.statement_latency_us", micros);
-    metrics.RecordHistogram("fungusdb.server.statement_latency_us",
-                            worker_label, micros);
-    {
-      MutexLock lock(latency_mu_);
-      latency_sketch_.Observe(Value::Float64(static_cast<double>(micros)));
-    }
-    if (!results.back().ok()) {
-      metrics.IncrementCounter(
-          "fungusdb.server.errors",
-          "code=" + std::to_string(static_cast<int>(
-                        results.back().status().error_code())));
+    latencies_us.insert(latencies_us.end(), answered,
+                        (micros + static_cast<int64_t>(answered) / 2) /
+                            static_cast<int64_t>(answered));
+  }
+  std::map<int, int64_t> errors_by_code;
+  for (const Result<ResultSet>& result : results) {
+    if (!result.ok()) {
+      ++errors_by_code[static_cast<int>(result.status().error_code())];
     }
   }
+  if (!latencies_us.empty()) {
+    const auto executed = static_cast<int64_t>(latencies_us.size());
+    metrics.IncrementCounter("fungusdb.server.statements_total", executed);
+    metrics.IncrementCounter("fungusdb.server.statements_total",
+                             worker_label, executed);
+    metrics.RecordHistogram("fungusdb.server.statement_latency_us", "",
+                            latencies_us);
+    metrics.RecordHistogram("fungusdb.server.statement_latency_us",
+                            worker_label, latencies_us);
+  }
+  for (const auto& [code, count] : errors_by_code) {
+    metrics.IncrementCounter("fungusdb.server.errors",
+                             "code=" + std::to_string(code), count);
+  }
+  // Past the deadline every remaining statement times out; timeouts
+  // count as neither statements nor errors.
+  if (results.size() < statements.size()) {
+    metrics.IncrementCounter("fungusdb.server.requests_timeout");
+    results.resize(statements.size(),
+                   Status::Timeout("deadline exceeded before execution"));
+  }
   pending.reply.set_value(std::move(results));
+}
+
+void Server::ExecuteWrites(std::span<const std::string> statements,
+                           const PendingRequest& pending,
+                           std::vector<Result<ResultSet>>& results) {
+  const std::optional<InsertStatement> first = AsInsert(statements[0]);
+  if (!first.has_value()) {
+    FUNGUS_TRACE_SPAN("server.statement");
+    results.push_back(ExecuteStatement(statements[0]));
+    return;
+  }
+  std::vector<InsertStatement> run = {*first};
+  while (run.size() < statements.size()) {
+    const std::optional<InsertStatement> insert =
+        AsInsert(statements[run.size()]);
+    if (!insert.has_value() || insert->table != first->table) break;
+    run.push_back(*insert);
+  }
+  FUNGUS_TRACE_SPAN("server.statement", run.size());
+
+  // Parse every row before the write section, so readers wait only for
+  // the appends. Only this thread mutates, so the schema cannot change
+  // in between.
+  const std::string table_name(first->table);
+  const Result<TableHandle> table = db_->GetTable(table_name);
+  std::vector<std::vector<Value>> rows;
+  std::vector<size_t> row_results;  // index in `results` of each row
+  rows.reserve(run.size());
+  row_results.reserve(run.size());
+  for (const InsertStatement& insert : run) {
+    if (pending.Expired()) break;
+    if (insert.csv.empty()) {
+      results.push_back(
+          Status::InvalidArgument("usage: \\insert <table> <csv fields>"));
+      continue;
+    }
+    if (!table.ok()) {
+      results.push_back(table.status());
+      continue;
+    }
+    Result<std::vector<Value>> row = ParseCsvRow(table->schema(), insert.csv);
+    if (!row.ok()) {
+      results.push_back(row.status());
+      continue;
+    }
+    rows.push_back(std::move(row).value());
+    row_results.push_back(results.size());
+    results.emplace_back(ResultSet{});  // the row id, filled in below
+  }
+  if (rows.empty()) return;
+  const std::vector<Result<RowId>> ids = db_->Insert(table_name, rows);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Result<ResultSet>& answer = results[row_results[i]];
+    if (!ids[i].ok()) {
+      answer = ids[i].status();
+      continue;
+    }
+    ResultSet rs;
+    rs.column_names = {"row_id"};
+    rs.rows.push_back({Value::Int64(static_cast<int64_t>(ids[i].value()))});
+    answer = std::move(rs);
+  }
 }
 
 Result<ResultSet> Server::ExecuteStatement(const std::string& statement) {
@@ -411,7 +499,8 @@ Result<ResultSet> Server::ExecuteReadStatement(size_t worker_index,
 }
 
 Result<ResultSet> Server::ExecuteReadMeta(const std::string& line) {
-  const std::vector<std::string> args = Tokens(line);
+  const std::vector<std::string_view> words = SplitWhitespace(line);
+  const std::vector<std::string> args(words.begin(), words.end());
   const std::string& cmd = args[0];
   if (cmd == "\\health") {
     return TextResult("health", db_->Health().ToString());
@@ -426,15 +515,7 @@ Result<ResultSet> Server::ExecuteReadMeta(const std::string& line) {
     if (args.size() != 1) {
       return Status::InvalidArgument("usage: \\metrics [prom]");
     }
-    std::string sketch;
-    {
-      MutexLock lock(latency_mu_);
-      sketch = latency_sketch_.Describe();
-    }
-    return TextResult("metrics",
-                      db_->metrics().Report() +
-                          "fungusdb.server.statement_latency = " + sketch +
-                          "\n");
+    return TextResult("metrics", db_->metrics().Report());
   }
   if (cmd == "\\trace") {
     if (args.size() != 2) {
@@ -523,7 +604,8 @@ Result<ResultSet> Server::ExecuteReadMeta(const std::string& line) {
 }
 
 Result<ResultSet> Server::ExecuteMeta(const std::string& line) {
-  const std::vector<std::string> args = Tokens(line);
+  const std::vector<std::string_view> words = SplitWhitespace(line);
+  const std::vector<std::string> args(words.begin(), words.end());
   const std::string& cmd = args[0];
   if (IsReadOnlyMetaCommand(cmd)) return ExecuteReadMeta(line);
   if (cmd == "\\attach") {
@@ -599,37 +681,6 @@ Result<ResultSet> Server::ExecuteMeta(const std::string& line) {
     FUNGUSDB_RETURN_IF_ERROR(
         db_->CreateTable(args[1], std::move(schema)).status());
     return TextResult("created", args[1]);
-  }
-  if (cmd == "\\insert") {
-    if (args.size() < 3) {
-      return Status::InvalidArgument(
-          "usage: \\insert <table> <csv fields>");
-    }
-    FUNGUSDB_ASSIGN_OR_RETURN(TableHandle table, db_->GetTable(args[1]));
-    const size_t name_end =
-        line.find(args[1], cmd.size()) + args[1].size();
-    const std::string csv(StripWhitespace(line.substr(name_end)));
-    const std::vector<std::string> fields = SplitCsvLine(csv, ',');
-    const Schema& schema = table.schema();
-    if (fields.size() != schema.num_fields()) {
-      return Status::InvalidArgument(
-          "expected " + std::to_string(schema.num_fields()) +
-          " fields, got " + std::to_string(fields.size()));
-    }
-    std::vector<Value> values;
-    values.reserve(fields.size());
-    for (size_t i = 0; i < fields.size(); ++i) {
-      const Field& field = schema.fields()[i];
-      FUNGUSDB_ASSIGN_OR_RETURN(
-          Value value,
-          ParseCsvField(fields[i], field.type, field.nullable));
-      values.push_back(std::move(value));
-    }
-    FUNGUSDB_ASSIGN_OR_RETURN(RowId row, db_->Insert(args[1], values));
-    ResultSet rs;
-    rs.column_names = {"row_id"};
-    rs.rows.push_back({Value::Int64(static_cast<int64_t>(row))});
-    return rs;
   }
   return Status::InvalidArgument(
       "unknown server command " + cmd +

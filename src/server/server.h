@@ -7,6 +7,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "server/request_queue.h"
 #include "server/socket.h"
 #include "server/wire_format.h"
-#include "summary/histogram_sketch.h"
 
 namespace fungusdb::server {
 
@@ -55,6 +55,16 @@ struct ServerOptions {
 /// cooking). Connection threads block on a per-request future for the
 /// answer, which also serializes each connection's request/response
 /// exchange.
+///
+/// The writer takes a run of consecutive `\insert`s into one table as
+/// one unit: it parses every row against the schema first, then appends
+/// them all in one write section, which publishes one epoch. Readers see
+/// all of a run or none of it. A row that fails to parse, or comes past
+/// the deadline, gets its own error and is not appended. Any other
+/// statement, or a different table, ends the run, so the order within a
+/// request is kept. Each statement's statement_latency_us sample is its
+/// share of the run's wall time. Per-statement counters and samples are
+/// kept locally and flushed to the registry once per request.
 ///
 /// Overload answers E:2002 kOverloaded (typed, never a silent drop),
 /// expired deadlines answer E:2003 kTimeout, and a stopping server
@@ -105,6 +115,10 @@ class Server {
     /// queue-wait metric and the "server.queue_wait" trace span.
     uint64_t enqueued_us = 0;
     std::promise<std::vector<Result<ResultSet>>> reply;
+
+    bool Expired() const {
+      return has_deadline && std::chrono::steady_clock::now() >= deadline;
+    }
   };
 
   struct Connection {
@@ -131,6 +145,15 @@ class Server {
   /// the routing predicate for the read queue (connection threads).
   bool BatchIsReadOnly(const std::vector<std::string>& statements);
 
+  /// Writer-thread only. Answers statements[0], or, when it is an
+  /// `\insert`, the run of consecutive `\insert`s into the same table
+  /// that starts there: each row is parsed outside the write section,
+  /// then one Database::Insert appends them all. Appends one result per
+  /// statement answered; stops early at the request's deadline.
+  void ExecuteWrites(std::span<const std::string> statements,
+                     const PendingRequest& pending,
+                     std::vector<Result<ResultSet>>& results);
+
   /// Writer-thread only. Dispatches SQL vs the remote meta subset.
   Result<ResultSet> ExecuteStatement(const std::string& statement);
   Result<ResultSet> ExecuteMeta(const std::string& line);
@@ -152,9 +175,6 @@ class Server {
   ServerOptions options_;
   RequestQueue<PendingRequest> queue_;
   RequestQueue<PendingRequest> read_queue_;
-  /// Written by every worker; HistogramSketch is not thread-safe.
-  Mutex latency_mu_;
-  HistogramSketch latency_sketch_ FUNGUS_GUARDED_BY(latency_mu_);
 
   // Lifecycle state below is written only in Start() (before any worker
   // thread exists) and read by workers afterwards — the thread spawns

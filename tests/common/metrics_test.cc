@@ -70,6 +70,20 @@ TEST(MetricsTest, LabeledGaugesAndHistograms) {
   EXPECT_EQ(m.FindHistogram("fungusdb.decay.tick_duration_us"), nullptr);
 }
 
+TEST(MetricsTest, BatchRecordEqualsOneByOne) {
+  MetricsRegistry batched;
+  MetricsRegistry single;
+  const std::vector<int64_t> samples = {3, 0, 17, 17, 1024, 5};
+  batched.RecordHistogram("fungusdb.server.statement_latency_us",
+                          "worker=writer", samples);
+  for (const int64_t s : samples) {
+    single.RecordHistogram("fungusdb.server.statement_latency_us",
+                           "worker=writer", s);
+  }
+  EXPECT_EQ(batched.Report(), single.Report());
+  EXPECT_EQ(batched.PrometheusReport(), single.PrometheusReport());
+}
+
 TEST(MetricsTest, ReportIsDeterministicallyOrdered) {
   MetricsRegistry m;
   m.IncrementCounter("b.counter");

@@ -50,6 +50,20 @@ TEST(StripWhitespaceTest, StripsBothEnds) {
   EXPECT_EQ(StripWhitespace(""), "");
 }
 
+TEST(SplitWhitespaceTest, DropsRunsOfWhitespace) {
+  const std::string line = "\t\\insert  t\n 1,a b \r";
+  const std::vector<std::string_view> words = SplitWhitespace(line);
+  ASSERT_EQ(words.size(), 4u);
+  EXPECT_EQ(words[0], "\\insert");
+  EXPECT_EQ(words[1], "t");
+  EXPECT_EQ(words[2], "1,a");
+  EXPECT_EQ(words[3], "b");
+  // Views into the input, so callers can locate the rest of the line.
+  EXPECT_EQ(words[1].data(), line.data() + 10);
+  EXPECT_TRUE(SplitWhitespace("").empty());
+  EXPECT_TRUE(SplitWhitespace(" \t\n").empty());
+}
+
 TEST(EqualsIgnoreCaseTest, CaseInsensitive) {
   EXPECT_TRUE(EqualsIgnoreCase("SELECT", "select"));
   EXPECT_TRUE(EqualsIgnoreCase("MiXeD", "mIxEd"));

@@ -39,6 +39,36 @@ TEST(DatabaseTest, InsertStampsVirtualTime) {
   EXPECT_EQ(t.InsertTime(row).value(), 5 * kSecond);
 }
 
+TEST(DatabaseTest, ManyRowInsertIsOneEpochAndKeepsGoodRows) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("r", ReadingSchema()).ok());
+  const std::vector<std::vector<Value>> rows = {
+      {Value::Int64(1), Value::Float64(1.0)},
+      {Value::Int64(2)},                          // wrong arity
+      {Value::Int64(3), Value::String("warm")},   // wrong type
+      {Value::Int64(4), Value::Float64(4.0)},
+  };
+  const uint64_t epoch_before = db.epoch();
+  const std::vector<Result<RowId>> ids = db.Insert("r", rows);
+  EXPECT_EQ(db.epoch(), epoch_before + 1);  // one write section
+  ASSERT_EQ(ids.size(), rows.size());
+  EXPECT_EQ(ids[0].value(), 0u);
+  EXPECT_EQ(ids[1].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ids[2].status().code(), StatusCode::kTypeMismatch);
+  EXPECT_EQ(ids[3].value(), 1u);  // the bad rows took no row id
+  EXPECT_EQ(db.GetTable("r").value().live_rows(), 2u);
+  EXPECT_EQ(db.metrics().GetCounter("fungusdb.ingest.rows"), 2);
+
+  // An unknown table fails every row, still in one section.
+  const std::vector<Result<RowId>> missing = db.Insert("nope", rows);
+  ASSERT_EQ(missing.size(), rows.size());
+  for (const Result<RowId>& id : missing) {
+    EXPECT_EQ(id.status().error_code(), ErrorCode::kTableNotFound);
+  }
+  EXPECT_EQ(db.epoch(), epoch_before + 2);
+  EXPECT_EQ(db.metrics().GetCounter("fungusdb.ingest.rows"), 2);
+}
+
 TEST(DatabaseTest, AdvanceTimeRunsAttachedFungi) {
   Database db;
   ASSERT_TRUE(db.CreateTable("r", ReadingSchema()).ok());

@@ -66,6 +66,27 @@ TEST(ParseCsvFieldTest, MalformedFieldsFail) {
   EXPECT_FALSE(ParseCsvField("maybe", DataType::kBool, true).ok());
 }
 
+TEST(ParseCsvRowTest, TypedRowAgainstTheSchema) {
+  const std::vector<Value> row =
+      ParseCsvRow(MixedSchema(), "7,,\"a,b\",true").value();
+  ASSERT_EQ(row.size(), 4u);
+  EXPECT_EQ(row[0].AsInt64(), 7);
+  EXPECT_TRUE(row[1].is_null());  // nullable column
+  EXPECT_EQ(row[2].AsString(), "a,b");
+  EXPECT_TRUE(row[3].AsBool());
+}
+
+TEST(ParseCsvRowTest, ErrorsNameTheFaultyPart) {
+  const Status count = ParseCsvRow(MixedSchema(), "7,1.5,x").status();
+  EXPECT_EQ(count.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(count.message(), "expected 4 fields, got 3");
+  const Status field = ParseCsvRow(MixedSchema(), "seven,1,x,true").status();
+  EXPECT_EQ(field.code(), StatusCode::kParseError);
+  EXPECT_EQ(field.message(), "not an int64: 'seven'");
+  // Non-nullable: an empty id is not null, it is a bad int64.
+  EXPECT_FALSE(ParseCsvRow(MixedSchema(), ",1,x,true").ok());
+}
+
 TEST(CsvSourceTest, ReadsRecordsSkippingHeader) {
   std::istringstream input(
       "id,score,name,ok\n"

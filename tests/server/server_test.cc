@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -126,14 +127,30 @@ TEST(ServerTest, ExpiredDeadlineAnswersTypedTimeout) {
 
   // A 1-microsecond budget cannot cover 64 statements; the deadline is
   // re-checked before each one, so the tail must come back kTimeout.
-  const std::vector<std::string> statements(64, "SELECT count(*) FROM t");
-  const std::vector<Result<ResultSet>> results =
-      client.Execute(statements, /*deadline_micros=*/1).value();
-  ASSERT_EQ(results.size(), statements.size());
-  EXPECT_EQ(results.back().status().error_code(), ErrorCode::kTimeout);
-  EXPECT_GE(server->database().metrics().GetCounter(
-                "fungusdb.server.requests_timeout"),
-            1);
+  // The insert batch is one run on the writer: the deadline is checked
+  // per row while parsing, and a row past it is not appended.
+  std::vector<std::string> inserts;
+  for (int i = 0; i < 64; ++i) {
+    inserts.push_back("\\insert t " + std::to_string(i));
+  }
+  const std::vector<std::string> selects(64, "SELECT count(*) FROM t");
+  int64_t timeouts = 0;
+  for (const bool insert_batch : {false, true}) {
+    const std::vector<std::string>& statements =
+        insert_batch ? inserts : selects;
+    const std::vector<Result<ResultSet>> results =
+        client.Execute(statements, /*deadline_micros=*/1).value();
+    ASSERT_EQ(results.size(), statements.size());
+    EXPECT_EQ(results.back().status().error_code(), ErrorCode::kTimeout);
+    EXPECT_EQ(server->database().metrics().GetCounter(
+                  "fungusdb.server.requests_timeout"),
+              ++timeouts);
+    int64_t ok = 0;
+    for (const Result<ResultSet>& result : results) ok += result.ok() ? 1 : 0;
+    const ResultSet count =
+        client.ExecuteOne("SELECT count(*) AS n FROM t").value();
+    EXPECT_EQ(count.at(0, 0).AsInt64(), insert_batch ? ok : 0);
+  }
 }
 
 TEST(ServerTest, MalformedPayloadGetsWireFormatAnswer) {
@@ -387,6 +404,146 @@ TEST(ServerReadWorkerTest, ConcurrentReadersSeeMonotoneCounts) {
   const ResultSet final_count =
       writer.ExecuteOne("SELECT count(*) AS n FROM t").value();
   EXPECT_EQ(final_count.at(0, 0).AsInt64(), kWrites);
+}
+
+// One answer, rendered so two servers' answers compare as strings: the
+// error's code and message, or the rows (row ids, counts) of an ok.
+std::string Render(const Result<ResultSet>& result) {
+  if (!result.ok()) {
+    return result.status().ErrorLabel() + " " + result.status().message();
+  }
+  return "ok\n" + result.value().ToString(/*max_rows=*/SIZE_MAX);
+}
+
+// The writer takes consecutive \insert statements into one table as one
+// run. Its answers must equal those of the same statements sent one
+// request each: per statement, the final tables and the server's
+// statement and error counters.
+TEST(ServerInsertRunTest, RunsMatchOneStatementPerRequest) {
+  const std::vector<std::string> setup = {
+      "\\create a (id int64, v float64)",
+      "\\create b (id int64, name string null)"};
+  const std::vector<std::string> batch = {
+      "\\insert a 1,1.5",
+      "\\insert a 2,2.5",
+      "\\insert a 3",          // wrong field count
+      "\\insert a x,1.0",      // unparseable value
+      "\\insert a 4,4.5",
+      "\\insert ghost 1,2",    // unknown table, a run of two
+      "\\insert ghost 3,4",
+      "\\insert b 10,ten",     // alternating tables: runs of one
+      "\\insert a 5,5.5",
+      "\\insert b 11,",        // null name
+      "\\insert a 6,6.5",
+      "\\insert b 12,\"x,y\"",
+      "\\advance 1s",          // ends the run; later rows are newer
+      "\\insert a 7,7.5",
+      "SELECT count(*) AS n FROM a",  // sees exactly the rows before it
+      "\\insert a",            // usage
+      "  \\insert   a   8,8.5  ",
+      "\\insert a 9,nine",
+      "\\insert b 13,thirteen",
+      "SELECT id, name FROM b WHERE id > 11",
+      "\\insert a 10,10.5"};
+
+  std::unique_ptr<Server> batched = StartServer();
+  std::unique_ptr<Server> single = StartServer();
+  Client batched_client = ConnectTo(*batched);
+  Client single_client = ConnectTo(*single);
+  for (Client* client : {&batched_client, &single_client}) {
+    const std::vector<Result<ResultSet>> created =
+        client->Execute(setup).value();
+    for (const Result<ResultSet>& r : created) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+  }
+  const std::vector<Result<ResultSet>> run_answers =
+      batched_client.Execute(batch).value();
+  std::vector<Result<ResultSet>> one_by_one;
+  for (const std::string& statement : batch) {
+    one_by_one.push_back(single_client.ExecuteOne(statement));
+  }
+  ASSERT_EQ(run_answers.size(), batch.size());
+  int errors = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(Render(run_answers[i]), Render(one_by_one[i])) << batch[i];
+    errors += run_answers[i].ok() ? 0 : 1;
+  }
+  EXPECT_EQ(errors, 6);
+
+  batched->Stop();
+  single->Stop();
+  Database& run_db = batched->database();
+  Database& single_db = single->database();
+  for (const char* table : {"a", "b"}) {
+    const std::string sql = std::string("SELECT *, __ts FROM ") + table;
+    EXPECT_EQ(Render(run_db.ExecuteSql(sql)),
+              Render(single_db.ExecuteSql(sql)))
+        << table;
+  }
+  EXPECT_EQ(run_db.GetTable("a").value().live_rows(), 8u);
+  MetricsRegistry& run_metrics = run_db.metrics();
+  MetricsRegistry& single_metrics = single_db.metrics();
+  EXPECT_EQ(run_metrics.GetCounter("fungusdb.server.statements_total"),
+            single_metrics.GetCounter("fungusdb.server.statements_total"));
+  EXPECT_EQ(run_metrics.GetCounter("fungusdb.ingest.rows"),
+            single_metrics.GetCounter("fungusdb.ingest.rows"));
+  for (const ErrorCode code :
+       {ErrorCode::kInvalidArgument, ErrorCode::kParseError,
+        ErrorCode::kTableNotFound}) {
+    const std::string label =
+        "code=" + std::to_string(static_cast<int>(code));
+    EXPECT_GE(run_metrics.GetCounter("fungusdb.server.errors", label), 1)
+        << label;
+    EXPECT_EQ(run_metrics.GetCounter("fungusdb.server.errors", label),
+              single_metrics.GetCounter("fungusdb.server.errors", label))
+        << label;
+  }
+}
+
+// A run is one write section, so it publishes one epoch: a reader sees
+// all of a 500-row batch or none of it, never a prefix.
+TEST(ServerInsertRunTest, ReadersSeeWholeRunsOnly) {
+  constexpr int kBatches = 20;
+  constexpr int kBatchRows = 500;
+  ServerOptions options;
+  options.read_workers = 2;
+  std::unique_ptr<Server> server = StartServer(options);
+  FUNGUSDB_CHECK_OK(
+      server->database().CreateTable("t", SharedSchema()).status());
+
+  std::atomic<bool> writing{true};
+  std::vector<int64_t> seen;
+  std::thread reader([&] {
+    Client client = ConnectTo(*server);
+    while (writing.load()) {
+      const Result<ResultSet> rs =
+          client.ExecuteOne("SELECT count(*) AS n FROM t");
+      if (rs.ok()) seen.push_back(rs.value().at(0, 0).AsInt64());
+    }
+  });
+  Client writer = ConnectTo(*server);
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<std::string> batch;
+    for (int i = 0; i < kBatchRows; ++i) {
+      batch.push_back("\\insert t " + std::to_string(b * kBatchRows + i));
+    }
+    const std::vector<Result<ResultSet>> ids = writer.Execute(batch).value();
+    for (const Result<ResultSet>& r : ids) {
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+    }
+  }
+  writing.store(false);
+  reader.join();
+
+  ASSERT_FALSE(seen.empty());
+  const auto torn = std::find_if(seen.begin(), seen.end(), [](int64_t n) {
+    return n % kBatchRows != 0;
+  });
+  EXPECT_TRUE(torn == seen.end()) << "a reader saw " << *torn << " rows";
+  const ResultSet final_count =
+      writer.ExecuteOne("SELECT count(*) AS n FROM t").value();
+  EXPECT_EQ(final_count.at(0, 0).AsInt64(), kBatches * kBatchRows);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -69,14 +68,6 @@ Anything else is executed as SQL, e.g.
   CONSUME SELECT * FROM t WHERE __freshness < 0.2
 )";
 
-std::vector<std::string> Tokens(const std::string& line) {
-  std::istringstream stream(line);
-  std::vector<std::string> out;
-  std::string token;
-  while (stream >> token) out.push_back(token);
-  return out;
-}
-
 Result<DataType> TypeByName(const std::string& name) {
   for (DataType t : {DataType::kInt64, DataType::kFloat64,
                      DataType::kString, DataType::kBool,
@@ -98,17 +89,17 @@ Result<Schema> ParseSchemaSpec(const std::string& spec) {
   body = body.substr(open + 1, close - open - 1);
   std::vector<Field> fields;
   for (const std::string& part : Split(body, ',')) {
-    std::vector<std::string> words = Tokens(part);
+    const std::vector<std::string_view> words = SplitWhitespace(part);
     if (words.size() < 2 || words.size() > 3) {
       return Status::ParseError("bad column spec '" + part + "'");
     }
     Field f;
-    f.name = words[0];
+    f.name = std::string(words[0]);
     FUNGUSDB_ASSIGN_OR_RETURN(f.type, TypeByName(ToLower(words[1])));
     if (words.size() == 3) {
       if (ToLower(words[2]) != "null") {
-        return Status::ParseError("expected 'null', got '" + words[2] +
-                                  "'");
+        return Status::ParseError("expected 'null', got '" +
+                                  std::string(words[2]) + "'");
       }
       f.nullable = true;
     }
@@ -207,7 +198,7 @@ class Shell {
   Status RunRemote(const std::string& line) {
     // `\trace dump <file>` runs client-side: the server returns the
     // trace JSON as one cell, and the shell writes it to the local file.
-    const std::vector<std::string> words = Tokens(line);
+    const std::vector<std::string_view> words = SplitWhitespace(line);
     if (words.size() == 3 && words[0] == "\\trace" && words[1] == "dump") {
       FUNGUSDB_ASSIGN_OR_RETURN(
           std::vector<Result<ResultSet>> results,
@@ -221,7 +212,7 @@ class Shell {
           rs.rows[0][0].type() != DataType::kString) {
         return Status::Internal("malformed \\trace dump response");
       }
-      return WriteTextFile(words[2], rs.rows[0][0].AsString());
+      return WriteTextFile(std::string(words[2]), rs.rows[0][0].AsString());
     }
     std::vector<std::string> statements;
     if (line[0] == '\\') {
@@ -238,7 +229,8 @@ class Shell {
   }
 
   Status RunMeta(const std::string& line) {
-    const std::vector<std::string> args = Tokens(line);
+    const std::vector<std::string_view> words = SplitWhitespace(line);
+    const std::vector<std::string> args(words.begin(), words.end());
     const std::string& cmd = args[0];
     if (cmd == "\\help") {
       std::printf("%s", kHelp);
@@ -274,25 +266,14 @@ class Shell {
             "usage: \\insert <table> <csv fields>");
       }
       FUNGUSDB_ASSIGN_OR_RETURN(TableHandle table, db_->GetTable(args[1]));
-      const size_t name_end =
-          line.find(args[1], cmd.size()) + args[1].size();
-      const std::string csv(StripWhitespace(line.substr(name_end)));
-      const std::vector<std::string> fields = SplitCsvLine(csv, ',');
-      const Schema& schema = table.schema();
-      if (fields.size() != schema.num_fields()) {
-        return Status::InvalidArgument(
-            "expected " + std::to_string(schema.num_fields()) +
-            " fields, got " + std::to_string(fields.size()));
-      }
-      std::vector<Value> values;
-      values.reserve(fields.size());
-      for (size_t i = 0; i < fields.size(); ++i) {
-        const Field& field = schema.fields()[i];
-        FUNGUSDB_ASSIGN_OR_RETURN(
-            Value value,
-            ParseCsvField(fields[i], field.type, field.nullable));
-        values.push_back(std::move(value));
-      }
+      const size_t table_end =
+          static_cast<size_t>(words[1].data() - line.data()) +
+          words[1].size();
+      FUNGUSDB_ASSIGN_OR_RETURN(
+          std::vector<Value> values,
+          ParseCsvRow(table.schema(),
+                      StripWhitespace(std::string_view(line).substr(
+                          table_end))));
       FUNGUSDB_ASSIGN_OR_RETURN(RowId row, db_->Insert(args[1], values));
       std::printf("inserted row %llu\n",
                   static_cast<unsigned long long>(row));
