@@ -1,7 +1,9 @@
 #ifndef FUNGUSDB_COMMON_STRING_UTIL_H_
 #define FUNGUSDB_COMMON_STRING_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +28,20 @@ std::string_view StripWhitespace(std::string_view s);
 /// Splits on runs of ASCII whitespace, dropping empty tokens: the words
 /// of a meta command. The views point into `s`.
 std::vector<std::string_view> SplitWhitespace(std::string_view s);
+
+/// Parses all of `text` as a base-10 integer of type T: the one checked
+/// parser for integers that arrive from outside (meta-command arguments,
+/// CSV fields, HTTP query parameters). Rejects empty text, any sign on an
+/// unsigned T (so "-1" never wraps to 2^64-1), a value outside T's range
+/// and trailing bytes; nullopt for each.
+template <typename T>
+std::optional<T> ParseInteger(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
 
 /// ASCII case-insensitive equality (used by the SQL keyword scanner).
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

@@ -42,7 +42,13 @@ Result<ResultSet> Session::ExecuteRead(std::string_view sql,
 
 Result<ResultSet> Session::ExecuteRead(const Query& query,
                                        uint64_t* pinned_epoch) {
-  return ExecutePinned(query, query.ToString(), pinned_epoch);
+  return ExecutePinned(query, {}, pinned_epoch);
+}
+
+Result<ResultSet> Session::ExecuteRead(const Query& query,
+                                       std::string_view sql,
+                                       uint64_t* pinned_epoch) {
+  return ExecutePinned(query, sql, pinned_epoch);
 }
 
 Result<ResultSet> Session::ExecutePinned(const Query& query,
@@ -101,7 +107,8 @@ Result<ResultSet> Session::ExecutePinned(const Query& query,
         << " rows_pruned=" << stats.rows_pruned
         << " segments_scanned=" << stats.segments_scanned
         << " segments_pruned=" << stats.segments_pruned
-        << " rows_matched=" << stats.rows_matched << " sql=" << sql;
+        << " rows_matched=" << stats.rows_matched
+        << " sql=" << (sql.empty() ? query.ToString() : std::string(sql));
   }
   return result;
 }

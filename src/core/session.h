@@ -53,6 +53,12 @@ class Session {
   Result<ResultSet> ExecuteRead(const Query& query,
                                 uint64_t* pinned_epoch = nullptr);
 
+  /// Variant over a query already parsed from `sql` (fungusd's read
+  /// workers run what the classifier parsed); the slow-query log quotes
+  /// `sql` as the client sent it.
+  Result<ResultSet> ExecuteRead(const Query& query, std::string_view sql,
+                                uint64_t* pinned_epoch = nullptr);
+
   /// Queue-wait attribution for the next ExecuteRead, reported in its
   /// slow-query log line. One-shot, like the writer-side equivalent.
   void set_pending_queue_wait_micros(int64_t us) {
@@ -62,6 +68,8 @@ class Session {
   Database& database() { return *db_; }
 
  private:
+  /// An empty `sql` logs the query's rendering instead, computed only
+  /// when a slow-query line is written.
   Result<ResultSet> ExecutePinned(const Query& query, std::string_view sql,
                                   uint64_t* pinned_epoch);
 

@@ -1,7 +1,6 @@
 #include "fungus/fungus_factory.h"
 
-#include <cstdlib>
-
+#include "common/string_util.h"
 #include "fungus/egi_fungus.h"
 #include "fungus/exponential_fungus.h"
 #include "fungus/quota_fungus.h"
@@ -13,12 +12,11 @@ namespace {
 
 Result<uint64_t> ParseCount(const std::string& text,
                             const std::string& what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
+  const std::optional<uint64_t> count = ParseInteger<uint64_t>(text);
+  if (!count.has_value()) {
     return Status::ParseError("bad " + what + " '" + text + "'");
   }
-  return static_cast<uint64_t>(v);
+  return *count;
 }
 
 }  // namespace

@@ -11,8 +11,8 @@
 
 namespace fungusdb {
 
-/// Builds a fungus from the `\attach` spec shared by fungusql and the
-/// server meta subset:
+/// Builds a fungus from the spec of the meta-command registry's
+/// `\attach`:
 ///
 ///   retention <duration> | exponential <half-life> | egi |
 ///   window <rows> | quota <bytes>

@@ -46,12 +46,11 @@ Result<Value> ParseCsvField(const std::string& field, DataType type,
   }
   switch (type) {
     case DataType::kInt64: {
-      char* end = nullptr;
-      const long long v = std::strtoll(field.c_str(), &end, 10);
-      if (end == field.c_str() || *end != '\0') {
+      const std::optional<int64_t> v = ParseInteger<int64_t>(field);
+      if (!v.has_value()) {
         return Status::ParseError("not an int64: '" + field + "'");
       }
-      return Value::Int64(v);
+      return Value::Int64(*v);
     }
     case DataType::kFloat64: {
       char* end = nullptr;
@@ -71,12 +70,11 @@ Result<Value> ParseCsvField(const std::string& field, DataType type,
       return Status::ParseError("not a bool: '" + field + "'");
     }
     case DataType::kTimestamp: {
-      char* end = nullptr;
-      const long long v = std::strtoll(field.c_str(), &end, 10);
-      if (end == field.c_str() || *end != '\0') {
+      const std::optional<int64_t> v = ParseInteger<int64_t>(field);
+      if (!v.has_value()) {
         return Status::ParseError("not a timestamp: '" + field + "'");
       }
-      return Value::TimestampVal(v);
+      return Value::TimestampVal(*v);
     }
     case DataType::kString:
       return Value::String(field);

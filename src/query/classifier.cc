@@ -1,40 +1,6 @@
 #include "query/classifier.h"
 
-#include <array>
-#include <cctype>
-
-#include "common/string_util.h"
-#include "query/parser.h"
-
 namespace fungusdb {
-namespace {
-
-/// The read-only meta subset. \trace qualifies because the tracer is a
-/// process-global, thread-safe facility outside the database state
-/// machine; \slowlog does not (it rewrites the database-wide
-/// threshold), and \advance/\create/\insert/\attach obviously do not.
-constexpr std::array<std::string_view, 8> kReadOnlyMeta = {
-    "\\health", "\\now",  "\\metrics", "\\tables",
-    "\\rot",    "\\fsck", "\\trace",   "\\storage",
-};
-
-std::string_view FirstToken(std::string_view text) {
-  size_t end = 0;
-  while (end < text.size() && !std::isspace(static_cast<unsigned char>(
-                                  text[end]))) {
-    ++end;
-  }
-  return text.substr(0, end);
-}
-
-}  // namespace
-
-bool IsReadOnlyMetaCommand(std::string_view command) {
-  for (std::string_view meta : kReadOnlyMeta) {
-    if (command == meta) return true;
-  }
-  return false;
-}
 
 StatementKind ClassifyQuery(const Query& query,
                             const ClassifyContext& context) {
@@ -44,24 +10,6 @@ StatementKind ClassifyQuery(const Query& query,
     return StatementKind::kMutating;
   }
   return StatementKind::kReadOnly;
-}
-
-StatementKind ClassifyStatement(std::string_view statement,
-                                const ClassifyContext& context) {
-  const std::string_view trimmed = StripWhitespace(statement);
-  if (trimmed.empty()) return StatementKind::kMutating;
-  if (trimmed.front() == '\\') {
-    return IsReadOnlyMetaCommand(FirstToken(trimmed))
-               ? StatementKind::kReadOnly
-               : StatementKind::kMutating;
-  }
-  // SQL: only a statement the parser provably accepts as a
-  // non-consuming SELECT is read-only. INSERT/CREATE/DROP/INTO text
-  // (supported or not) fails to parse as a Query and stays with the
-  // writer, which owns error reporting in total order.
-  const Result<Query> parsed = ParseQuery(trimmed);
-  if (!parsed.ok()) return StatementKind::kMutating;
-  return ClassifyQuery(parsed.value(), context);
 }
 
 }  // namespace fungusdb

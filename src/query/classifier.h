@@ -30,24 +30,11 @@ struct ClassifyContext {
 /// Classifies a parsed query. CONSUME (the second natural law removes
 /// every answered tuple from R) and any future INTO / DDL forms are
 /// mutating; a plain SELECT is read-only unless the target table
-/// tracks access (see ClassifyContext).
+/// tracks access (see ClassifyContext). Whole statements of the wire
+/// dialect, meta commands included, are classified by ClassifyStatement
+/// in core/meta_commands.h, beside the meta-command registry.
 StatementKind ClassifyQuery(const Query& query,
                             const ClassifyContext& context = {});
-
-/// Classifies one statement of the wire dialect: SQL text or a
-/// `\`-prefixed meta command. Conservative by construction — anything
-/// that does not parse as a provably read-only form (including unknown
-/// meta commands and malformed SQL) is kMutating, so it is executed by
-/// the writer in total order and the error text is byte-identical to
-/// the single-executor behavior.
-StatementKind ClassifyStatement(std::string_view statement,
-                                const ClassifyContext& context = {});
-
-/// True for the meta commands that never mutate the database (\health,
-/// \now, \metrics, \tables, \rot, \fsck, \trace): the server's read
-/// workers may serve them under a pinned epoch. `command` is the bare
-/// first token including the backslash.
-bool IsReadOnlyMetaCommand(std::string_view command);
 
 }  // namespace fungusdb
 

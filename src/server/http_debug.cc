@@ -335,12 +335,12 @@ HttpDebugServer::Response HttpDebugServer::Tracez(const std::string& query) {
   int64_t ms = 250;
   const std::string arg = QueryParam(query, "ms");
   if (!arg.empty()) {
-    char* end = nullptr;
-    ms = std::strtoll(arg.c_str(), &end, 10);
-    if (end == arg.c_str() || *end != '\0' || ms < 0 || ms > 10000) {
+    const std::optional<int64_t> parsed = ParseInteger<int64_t>(arg);
+    if (!parsed.has_value() || *parsed < 0 || *parsed > 10000) {
       return {400, "text/plain; charset=utf-8",
               "ms must be an integer in [0, 10000]\n"};
     }
+    ms = *parsed;
   }
   // A capture owns the tracer for its window; if a client (or the
   // FUNGUSDB_TRACE env) already enabled tracing, export the live ring

@@ -9,50 +9,13 @@
 #include <span>
 #include <utility>
 
-#include "common/clock.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "fungus/fungus_factory.h"
-#include "fungus/rot_analysis.h"
+#include "core/meta_commands.h"
 #include "persist/snapshot.h"
-#include "pipeline/csv.h"
-#include "query/classifier.h"
-#include "storage/schema.h"
 
 namespace fungusdb::server {
 namespace {
-
-/// `\insert <table> <csv fields>`, as views into the statement.
-struct InsertStatement {
-  std::string_view table;  // empty when the statement names no table
-  std::string_view csv;    // empty when it has no fields: a usage error
-};
-
-/// Splits `statement` when it is an `\insert`; nullopt otherwise.
-std::optional<InsertStatement> AsInsert(std::string_view statement) {
-  statement = StripWhitespace(statement);
-  if (!statement.starts_with("\\insert")) return std::nullopt;
-  const std::vector<std::string_view> words = SplitWhitespace(statement);
-  if (words[0] != "\\insert") return std::nullopt;
-  InsertStatement insert;
-  if (words.size() >= 2) {
-    insert.table = words[1];
-    const size_t table_end =
-        static_cast<size_t>(words[1].data() - statement.data()) +
-        words[1].size();
-    insert.csv = StripWhitespace(statement.substr(table_end));
-  }
-  return insert;
-}
-
-/// Meta-command output travels as an ordinary single-column ResultSet
-/// so the wire protocol has exactly one response shape.
-ResultSet TextResult(std::string column, std::string text) {
-  ResultSet rs;
-  rs.column_names.push_back(std::move(column));
-  rs.rows.push_back({Value::String(std::move(text))});
-  return rs;
-}
 
 size_t ResolveReadWorkers(int configured) {
   if (configured >= 0) return static_cast<size_t>(configured);
@@ -200,7 +163,8 @@ void Server::AcceptLoop() {
   }
 }
 
-bool Server::BatchIsReadOnly(const std::vector<std::string>& statements) {
+bool Server::BatchIsReadOnly(const std::vector<std::string>& statements,
+                             std::vector<std::optional<Query>>& queries) {
   if (statements.empty()) return false;
   ClassifyContext context;
   context.table_tracks_access = [this](std::string_view table) {
@@ -208,8 +172,11 @@ bool Server::BatchIsReadOnly(const std::vector<std::string>& statements) {
     const Result<TableHandle> t = db_->GetTable(std::string(table));
     return t.ok() && t.value().options().track_access;
   };
-  for (const std::string& statement : statements) {
-    if (ClassifyStatement(statement, context) == StatementKind::kMutating) {
+  queries.resize(statements.size());
+  for (size_t i = 0; i < statements.size(); ++i) {
+    if (ClassifyStatement(statements[i], context, &queries[i]) ==
+        StatementKind::kMutating) {
+      queries.clear();
       return false;
     }
   }
@@ -248,14 +215,15 @@ void Server::ServeConnection(uint64_t conn_id, int fd) {
     // Route: a batch that is read-only end to end goes to the read
     // worker pool; one mutating (or unclassifiable) statement sends
     // the whole batch to the writer, preserving intra-batch order.
+    PendingRequest pending;
     const bool read_path =
-        num_read_workers_ > 0 && BatchIsReadOnly(request.statements);
+        num_read_workers_ > 0 &&
+        BatchIsReadOnly(request.statements, pending.queries);
     if (read_path) {
       metrics.IncrementCounter("fungusdb.server.requests_read_path");
     }
     RequestQueue<PendingRequest>& target = read_path ? read_queue_ : queue_;
 
-    PendingRequest pending;
     // A budget too large for steady_clock arithmetic is no budget.
     pending.has_deadline =
         request.deadline_micros != 0 &&
@@ -362,8 +330,8 @@ void Server::ProcessRequest(PendingRequest pending, int worker) {
       sessions_[static_cast<size_t>(worker)]->set_pending_queue_wait_micros(
           static_cast<int64_t>(queue_wait_us));
       FUNGUS_TRACE_SPAN("server.read_worker", worker);
-      results.push_back(ExecuteReadStatement(static_cast<size_t>(worker),
-                                             statements[next]));
+      results.push_back(ExecuteRead(static_cast<size_t>(worker),
+                                    statements[next], pending.queries[next]));
     } else {
       db_->set_pending_queue_wait_micros(static_cast<int64_t>(queue_wait_us));
       ExecuteWrites(std::span(statements).subspan(next), pending, results);
@@ -413,16 +381,16 @@ void Server::ProcessRequest(PendingRequest pending, int worker) {
 void Server::ExecuteWrites(std::span<const std::string> statements,
                            const PendingRequest& pending,
                            std::vector<Result<ResultSet>>& results) {
-  const std::optional<InsertStatement> first = AsInsert(statements[0]);
+  const std::optional<InsertStatement> first = SplitInsert(statements[0]);
   if (!first.has_value()) {
     FUNGUS_TRACE_SPAN("server.statement");
-    results.push_back(ExecuteStatement(statements[0]));
+    results.push_back(ExecuteStatement(*db_, statements[0]));
     return;
   }
   std::vector<InsertStatement> run = {*first};
   while (run.size() < statements.size()) {
     const std::optional<InsertStatement> insert =
-        AsInsert(statements[run.size()]);
+        SplitInsert(statements[run.size()]);
     if (!insert.has_value() || insert->table != first->table) break;
     run.push_back(*insert);
   }
@@ -439,16 +407,7 @@ void Server::ExecuteWrites(std::span<const std::string> statements,
   row_results.reserve(run.size());
   for (const InsertStatement& insert : run) {
     if (pending.Expired()) break;
-    if (insert.csv.empty()) {
-      results.push_back(
-          Status::InvalidArgument("usage: \\insert <table> <csv fields>"));
-      continue;
-    }
-    if (!table.ok()) {
-      results.push_back(table.status());
-      continue;
-    }
-    Result<std::vector<Value>> row = ParseCsvRow(table->schema(), insert.csv);
+    Result<std::vector<Value>> row = ParseInsertRow(insert, table);
     if (!row.ok()) {
       results.push_back(row.status());
       continue;
@@ -461,232 +420,27 @@ void Server::ExecuteWrites(std::span<const std::string> statements,
   const std::vector<Result<RowId>> ids = db_->Insert(table_name, rows);
   for (size_t i = 0; i < ids.size(); ++i) {
     Result<ResultSet>& answer = results[row_results[i]];
-    if (!ids[i].ok()) {
-      answer = ids[i].status();
-      continue;
-    }
-    ResultSet rs;
-    rs.column_names = {"row_id"};
-    rs.rows.push_back({Value::Int64(static_cast<int64_t>(ids[i].value()))});
-    answer = std::move(rs);
-  }
-}
-
-Result<ResultSet> Server::ExecuteStatement(const std::string& statement) {
-  const std::string trimmed(StripWhitespace(statement));
-  if (trimmed.empty()) {
-    return Status::InvalidArgument("empty statement");
-  }
-  if (trimmed[0] == '\\') return ExecuteMeta(trimmed);
-  return db_->ExecuteSql(trimmed);
-}
-
-Result<ResultSet> Server::ExecuteReadStatement(size_t worker_index,
-                                               const std::string& statement) {
-  const std::string trimmed(StripWhitespace(statement));
-  if (trimmed.empty()) {
-    return Status::InvalidArgument("empty statement");
-  }
-  if (trimmed[0] == '\\') {
-    // One outer pin for the whole command: inner facade reads
-    // (GetTable, Health, Fsck, TableNames) re-pin reentrantly, and
-    // scheduler state (\rot) cannot change underneath because the pin
-    // excludes the writer for the duration.
-    EpochManager::ReadPin pin(db_->epochs());
-    return ExecuteReadMeta(trimmed);
-  }
-  return sessions_[worker_index]->ExecuteRead(trimmed);
-}
-
-Result<ResultSet> Server::ExecuteReadMeta(const std::string& line) {
-  const std::vector<std::string_view> words = SplitWhitespace(line);
-  const std::vector<std::string> args(words.begin(), words.end());
-  const std::string& cmd = args[0];
-  if (cmd == "\\health") {
-    return TextResult("health", db_->Health().ToString());
-  }
-  if (cmd == "\\now") {
-    return TextResult("now", FormatDuration(db_->Now()));
-  }
-  if (cmd == "\\metrics") {
-    if (args.size() == 2 && args[1] == "prom") {
-      return TextResult("metrics", db_->metrics().PrometheusReport());
-    }
-    if (args.size() != 1) {
-      return Status::InvalidArgument("usage: \\metrics [prom]");
-    }
-    return TextResult("metrics", db_->metrics().Report());
-  }
-  if (cmd == "\\trace") {
-    if (args.size() != 2) {
-      return Status::InvalidArgument("usage: \\trace on|off|dump");
-    }
-    if (args[1] == "on") {
-      Tracer::Global().Enable();
-      return TextResult("trace", "tracing enabled");
-    }
-    if (args[1] == "off") {
-      Tracer::Global().Disable();
-      return TextResult("trace", "tracing disabled");
-    }
-    if (args[1] == "dump") {
-      return TextResult("trace", Tracer::Global().ExportChromeJson());
-    }
-    return Status::InvalidArgument("usage: \\trace on|off|dump");
-  }
-  if (cmd == "\\rot") {
-    if (args.size() != 2) {
-      return Status::InvalidArgument("usage: \\rot <table>");
-    }
-    FUNGUSDB_ASSIGN_OR_RETURN(TableHandle table, db_->GetTable(args[1]));
-    return TextResult(
-        "rot", BuildRotReport(table.table(), &db_->scheduler()).ToString());
-  }
-  if (cmd == "\\fsck") {
-    const verify::Report report = db_->Fsck();
-    FUNGUSDB_RETURN_IF_ERROR(report.ToStatus());
-    return TextResult("fsck", report.ToString());
-  }
-  if (cmd == "\\tables") {
-    ResultSet rs;
-    rs.column_names = {"table", "schema", "live_rows"};
-    for (const std::string& name : db_->TableNames()) {
-      FUNGUSDB_ASSIGN_OR_RETURN(TableHandle t, db_->GetTable(name));
-      rs.rows.push_back({Value::String(name),
-                         Value::String(t.schema().ToString()),
-                         Value::Int64(static_cast<int64_t>(t.live_rows()))});
-    }
-    return rs;
-  }
-  if (cmd == "\\storage") {
-    if (args.size() > 2) {
-      return Status::InvalidArgument("usage: \\storage [table]");
-    }
-    std::vector<std::string> names;
-    if (args.size() == 2) {
-      // Resolve first so an unknown table reports NotFound, not an
-      // empty result.
-      FUNGUSDB_RETURN_IF_ERROR(db_->GetTable(args[1]).status());
-      names.push_back(args[1]);
+    if (ids[i].ok()) {
+      answer = RowIdResult(ids[i].value());
     } else {
-      names = db_->TableNames();
+      answer = ids[i].status();
     }
-    ResultSet rs;
-    rs.column_names = {"table",
-                       "segments",
-                       "frozen",
-                       "encoded_bytes",
-                       "plain_bytes_before",
-                       "compression_ratio",
-                       "freezes_total",
-                       "thaws_total"};
-    for (const std::string& name : names) {
-      FUNGUSDB_ASSIGN_OR_RETURN(TableHandle t, db_->GetTable(name));
-      const StorageStats st = t.table().GetStorageStats();
-      const double ratio =
-          (st.frozen_segments > 0 && st.encoded_bytes > 0)
-              ? static_cast<double>(st.plain_bytes_before) /
-                    static_cast<double>(st.encoded_bytes)
-              : 0.0;
-      rs.rows.push_back(
-          {Value::String(name),
-           Value::Int64(static_cast<int64_t>(st.total_segments)),
-           Value::Int64(static_cast<int64_t>(st.frozen_segments)),
-           Value::Int64(static_cast<int64_t>(st.encoded_bytes)),
-           Value::Int64(static_cast<int64_t>(st.plain_bytes_before)),
-           Value::Float64(ratio),
-           Value::Int64(static_cast<int64_t>(st.segments_frozen_total)),
-           Value::Int64(static_cast<int64_t>(st.thaw_count))});
-    }
-    return rs;
   }
-  return Status::InvalidArgument("not a read-only server command: " + cmd);
 }
 
-Result<ResultSet> Server::ExecuteMeta(const std::string& line) {
-  const std::vector<std::string_view> words = SplitWhitespace(line);
-  const std::vector<std::string> args(words.begin(), words.end());
-  const std::string& cmd = args[0];
-  if (IsReadOnlyMetaCommand(cmd)) return ExecuteReadMeta(line);
-  if (cmd == "\\attach") {
-    if (args.size() < 4 || args.size() > 5) {
-      return Status::InvalidArgument(
-          "usage: \\attach <fungus> <table> <period> [arg]");
-    }
-    FUNGUSDB_ASSIGN_OR_RETURN(Duration period, ParseDuration(args[3]));
-    std::optional<std::string> arg;
-    if (args.size() == 5) arg = args[4];
-    FUNGUSDB_ASSIGN_OR_RETURN(std::unique_ptr<Fungus> fungus,
-                              MakeFungusFromSpec(args[1], arg, db_->Now()));
-    const std::string description = fungus->Describe();
-    FUNGUSDB_RETURN_IF_ERROR(
-        db_->AttachFungus(args[2], std::move(fungus), period).status());
-    return TextResult("attached", description + " to " + args[2] +
-                                      " every " + FormatDuration(period));
+Result<ResultSet> Server::ExecuteRead(size_t worker_index,
+                                      const std::string& statement,
+                                      const std::optional<Query>& query) {
+  if (query.has_value()) {
+    return sessions_[worker_index]->ExecuteRead(*query,
+                                                StripWhitespace(statement));
   }
-  if (cmd == "\\slowlog") {
-    if (args.size() != 2) {
-      return Status::InvalidArgument("usage: \\slowlog <micros>");
-    }
-    char* end = nullptr;
-    const long long us = std::strtoll(args[1].c_str(), &end, 10);
-    if (end == args[1].c_str() || *end != '\0' || us < 0) {
-      return Status::InvalidArgument("bad threshold '" + args[1] + "'");
-    }
-    db_->set_slow_query_micros(us);
-    return TextResult("slowlog",
-                      us == 0 ? "slow-query log disabled"
-                              : "slow-query threshold " + args[1] + "us");
-  }
-  if (cmd == "\\freeze") {
-    if (args.size() != 3) {
-      return Status::InvalidArgument("usage: \\freeze <table> <idle_ticks>");
-    }
-    char* end = nullptr;
-    const unsigned long long ticks = std::strtoull(args[2].c_str(), &end, 10);
-    if (end == args[2].c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad tick count '" + args[2] + "'");
-    }
-    FUNGUSDB_RETURN_IF_ERROR(
-        db_->SetFreezeAfterIdleTicks(args[1], ticks));
-    return TextResult("freeze",
-                      ticks == 0
-                          ? "freezing disabled on " + args[1]
-                          : args[1] + " freezes after " + args[2] +
-                                " idle ticks");
-  }
-  if (cmd == "\\advance") {
-    if (args.size() != 2) {
-      return Status::InvalidArgument("usage: \\advance <duration>");
-    }
-    FUNGUSDB_ASSIGN_OR_RETURN(Duration d, ParseDuration(args[1]));
-    FUNGUSDB_ASSIGN_OR_RETURN(uint64_t ticks, db_->AdvanceTime(d));
-    ResultSet rs;
-    rs.column_names = {"now", "ticks"};
-    rs.rows.push_back({Value::String(FormatDuration(db_->Now())),
-                       Value::Int64(static_cast<int64_t>(ticks))});
-    return rs;
-  }
-  if (cmd == "\\create") {
-    if (args.size() < 3) {
-      return Status::InvalidArgument(
-          "usage: \\create <name> (<col> <type> [null], ...)");
-    }
-    // Search after the command token — the table name may be a
-    // substring of "\create" itself (e.g. a table called "c").
-    const size_t name_end =
-        line.find(args[1], cmd.size()) + args[1].size();
-    FUNGUSDB_ASSIGN_OR_RETURN(Schema schema,
-                              Schema::Parse(line.substr(name_end)));
-    FUNGUSDB_RETURN_IF_ERROR(
-        db_->CreateTable(args[1], std::move(schema)).status());
-    return TextResult("created", args[1]);
-  }
-  return Status::InvalidArgument(
-      "unknown server command " + cmd +
-      " (remote subset: \\health \\now \\metrics [prom] \\fsck \\tables "
-      "\\storage \\advance \\create \\insert \\attach \\rot \\trace "
-      "\\slowlog \\freeze)");
+  // A read-only meta command. One outer pin for the whole command: inner
+  // facade reads (GetTable, Health, Fsck, TableNames) re-pin reentrantly,
+  // and scheduler state (\rot) cannot change underneath because the pin
+  // excludes the writer for the duration.
+  EpochManager::ReadPin pin(db_->epochs());
+  return ExecuteStatement(*db_, statement);
 }
 
 }  // namespace fungusdb::server

@@ -7,6 +7,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "common/thread_annotations.h"
 #include "core/database.h"
 #include "core/session.h"
+#include "query/query.h"
 #include "server/request_queue.h"
 #include "server/socket.h"
 #include "server/wire_format.h"
@@ -54,7 +56,10 @@ struct ServerOptions {
 /// order over mutations (inserts, DDL, \advance ticks, CONSUME,
 /// cooking). Connection threads block on a per-request future for the
 /// answer, which also serializes each connection's request/response
-/// exchange.
+/// exchange. Meta commands run through the registry in
+/// core/meta_commands.h on both paths; a read worker runs a read-only
+/// one under one outer read pin, and executes a SQL statement from the
+/// parse the classifier already made.
 ///
 /// The writer takes a run of consecutive `\insert`s into one table as
 /// one unit: it parses every row against the schema first, then appends
@@ -109,6 +114,9 @@ class Server {
  private:
   struct PendingRequest {
     StatementRequest request;
+    /// Read path only: the classifier's parse of each statement (nullopt
+    /// for meta commands), so a read worker does not parse it again.
+    std::vector<std::optional<Query>> queries;
     std::chrono::steady_clock::time_point deadline;
     bool has_deadline = false;
     /// Tracer-epoch enqueue time; the worker turns it into the
@@ -143,7 +151,9 @@ class Server {
 
   /// True iff every statement in the batch classifies kReadOnly —
   /// the routing predicate for the read queue (connection threads).
-  bool BatchIsReadOnly(const std::vector<std::string>& statements);
+  /// When true, `queries` holds each statement's parse.
+  bool BatchIsReadOnly(const std::vector<std::string>& statements,
+                       std::vector<std::optional<Query>>& queries);
 
   /// Writer-thread only. Answers statements[0], or, when it is an
   /// `\insert`, the run of consecutive `\insert`s into the same table
@@ -154,19 +164,11 @@ class Server {
                      const PendingRequest& pending,
                      std::vector<Result<ResultSet>>& results);
 
-  /// Writer-thread only. Dispatches SQL vs the remote meta subset.
-  Result<ResultSet> ExecuteStatement(const std::string& statement);
-  Result<ResultSet> ExecuteMeta(const std::string& line);
-
-  /// Read-worker execution: SQL through the worker's Session, the
-  /// read-only meta subset under an explicit epoch pin.
-  Result<ResultSet> ExecuteReadStatement(size_t worker_index,
-                                         const std::string& statement);
-
-  /// The read-only meta subset (\health \now \metrics \tables \rot
-  /// \fsck \trace). Runs on the writer or, under an outer epoch pin,
-  /// on any read worker.
-  Result<ResultSet> ExecuteReadMeta(const std::string& line);
+  /// Read-worker execution: parsed SQL through the worker's Session, a
+  /// read-only registry command under one outer epoch pin.
+  Result<ResultSet> ExecuteRead(size_t worker_index,
+                                const std::string& statement,
+                                const std::optional<Query>& query);
 
   /// Joins connections whose threads have finished (acceptor thread).
   void ReapFinishedConnections();

@@ -46,7 +46,7 @@ struct FrameHeader {
   uint32_t payload_size = 0;
 };
 
-/// A batch of statements (SQL or the remote meta subset, e.g.
+/// A batch of statements (SQL or registry meta commands, e.g.
 /// `\health`).
 struct StatementRequest {
   uint64_t request_id = 0;

@@ -35,8 +35,8 @@ class Schema {
   static Result<Schema> Make(std::vector<Field> fields);
 
   /// Parses the textual form ToString() produces — "(a int64, b
-  /// float64 null)" — used by fungusql \create and the wire \create
-  /// command. Whitespace-tolerant; fails with ParseError.
+  /// float64 null)" — used by the meta-command registry's \create.
+  /// Whitespace-tolerant; fails with ParseError.
   static Result<Schema> Parse(std::string_view spec);
 
   size_t num_fields() const { return fields_.size(); }

@@ -76,5 +76,24 @@ TEST(ToLowerTest, LowercasesAscii) {
   EXPECT_EQ(ToLower(""), "");
 }
 
+TEST(ParseIntegerTest, AcceptsWholeInRangeIntegers) {
+  EXPECT_EQ(ParseInteger<int64_t>("42"), 42);
+  EXPECT_EQ(ParseInteger<int64_t>("-7"), -7);
+  EXPECT_EQ(ParseInteger<int64_t>("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseInteger<uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(ParseInteger<uint64_t>("0"), 0u);
+}
+
+TEST(ParseIntegerTest, RejectsSignsOverflowAndTrailingBytes) {
+  EXPECT_FALSE(ParseInteger<uint64_t>("-1").has_value());
+  EXPECT_FALSE(ParseInteger<uint64_t>("18446744073709551616").has_value());
+  EXPECT_FALSE(ParseInteger<int64_t>("99999999999999999999").has_value());
+  EXPECT_FALSE(ParseInteger<int64_t>("-99999999999999999999").has_value());
+  EXPECT_FALSE(ParseInteger<int64_t>("12x").has_value());
+  EXPECT_FALSE(ParseInteger<int64_t>("1 ").has_value());
+  EXPECT_FALSE(ParseInteger<int64_t>("").has_value());
+  EXPECT_FALSE(ParseInteger<int64_t>("-").has_value());
+}
+
 }  // namespace
 }  // namespace fungusdb

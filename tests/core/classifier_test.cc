@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/meta_commands.h"
 #include "query/parser.h"
 
 namespace fungusdb {
@@ -55,9 +57,11 @@ TEST(ClassifierTest, MalformedAndEmptyStatementsAreMutating) {
 }
 
 TEST(ClassifierTest, ReadOnlyMetaCommands) {
-  for (const char* meta : {"\\health", "\\now", "\\metrics", "\\tables",
-                           "\\rot", "\\fsck", "\\trace"}) {
-    EXPECT_TRUE(IsReadOnlyMetaCommand(meta)) << meta;
+  for (const char* meta :
+       {"\\health", "\\now", "\\metrics", "\\tables", "\\rot", "\\fsck",
+        "\\trace", "\\storage", "\\analyze", "\\cellar"}) {
+    ASSERT_NE(FindMetaCommand(MetaCommands(), meta), nullptr) << meta;
+    EXPECT_TRUE(FindMetaCommand(MetaCommands(), meta)->read_only) << meta;
     EXPECT_EQ(ClassifyStatement(meta), StatementKind::kReadOnly) << meta;
   }
   // Arguments don't change the classification of the command token.
@@ -69,12 +73,36 @@ TEST(ClassifierTest, ReadOnlyMetaCommands) {
 TEST(ClassifierTest, MutatingAndUnknownMetaCommands) {
   for (const char* meta :
        {"\\advance 1h", "\\create t (a int64)", "\\insert t 1",
-        "\\attach retention t 1h 2d", "\\slowlog 100", "\\cellar",
+        "\\attach retention t 1h 2d", "\\slowlog 100", "\\freeze t 2",
         "\\nosuchcommand"}) {
     EXPECT_EQ(ClassifyStatement(meta), StatementKind::kMutating) << meta;
   }
-  EXPECT_FALSE(IsReadOnlyMetaCommand("\\advance"));
-  EXPECT_FALSE(IsReadOnlyMetaCommand("\\slowlog"));
+  EXPECT_FALSE(FindMetaCommand(MetaCommands(), "\\advance")->read_only);
+  EXPECT_FALSE(FindMetaCommand(MetaCommands(), "\\slowlog")->read_only);
+}
+
+TEST(ClassifierTest, MetaCommandsRouteByTheirRegistryEntry) {
+  // Generated from the registry: a command's route is its entry's
+  // read_only flag, with or without arguments.
+  for (const MetaCommand& command : MetaCommands()) {
+    const StatementKind expected = command.read_only
+                                       ? StatementKind::kReadOnly
+                                       : StatementKind::kMutating;
+    const std::string name(command.name);
+    EXPECT_EQ(ClassifyStatement(name), expected) << name;
+    EXPECT_EQ(ClassifyStatement("  " + name + " t 1  "), expected) << name;
+  }
+}
+
+TEST(ClassifierTest, ReadOnlySqlHandsBackItsParse) {
+  std::optional<Query> parsed;
+  EXPECT_EQ(ClassifyStatement("SELECT a FROM t WHERE a < 3", {}, &parsed),
+            StatementKind::kReadOnly);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->table_name, "t");
+  std::optional<Query> meta;
+  EXPECT_EQ(ClassifyStatement("\\now", {}, &meta), StatementKind::kReadOnly);
+  EXPECT_FALSE(meta.has_value());
 }
 
 TEST(ClassifierTest, TrackAccessTablesRouteToTheWriter) {

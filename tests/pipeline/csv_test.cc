@@ -66,6 +66,15 @@ TEST(ParseCsvFieldTest, MalformedFieldsFail) {
   EXPECT_FALSE(ParseCsvField("maybe", DataType::kBool, true).ok());
 }
 
+TEST(ParseCsvFieldTest, OutOfRangeIntegersFail) {
+  // Saturating to INT64_MAX would store a value nobody sent.
+  EXPECT_FALSE(
+      ParseCsvField("99999999999999999999", DataType::kInt64, true).ok());
+  EXPECT_FALSE(
+      ParseCsvField("-99999999999999999999", DataType::kTimestamp, true).ok());
+  EXPECT_FALSE(ParseCsvField("7 ", DataType::kInt64, true).ok());
+}
+
 TEST(ParseCsvRowTest, TypedRowAgainstTheSchema) {
   const std::vector<Value> row =
       ParseCsvRow(MixedSchema(), "7,,\"a,b\",true").value();

@@ -172,6 +172,11 @@ TEST(HttpDebugTest, TracezCapturesAWindowAndRestoresTracerState) {
   EXPECT_NE(trace.body.find("\"traceEvents\""), std::string::npos);
   // The capture window is transient: the tracer is off again after.
   EXPECT_FALSE(Tracer::Global().enabled());
+  // The window is a whole integer in [0, 10000] ms.
+  for (const char* bad : {"/tracez?ms=-1", "/tracez?ms=10001",
+                          "/tracez?ms=99999999999999999999", "/tracez?ms=5x"}) {
+    EXPECT_EQ(Get(http.port(), bad).status, 400) << bad;
+  }
 }
 
 TEST(HttpDebugTest, RejectsUnknownPathsAndMethods) {

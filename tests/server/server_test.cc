@@ -82,7 +82,7 @@ TEST(ServerTest, MetaCommandsRunRemotely) {
   EXPECT_EQ(now.at(0, 0).AsString(), "2h");
 
   EXPECT_TRUE(client.ExecuteOne("\\fsck").ok());
-  const Status unknown = client.ExecuteOne("\\cellar").status();
+  const Status unknown = client.ExecuteOne("\\nosuchcommand").status();
   EXPECT_EQ(unknown.error_code(), ErrorCode::kInvalidArgument);
 }
 
@@ -333,7 +333,7 @@ TEST(ServerReadWorkerTest, ReadOnlyBatchesRouteToTheReadPool) {
       server->database().Insert("t", {Value::Int64(7)}).status());
 
   Client client = ConnectTo(*server);
-  // All read-only: SQL and the read-only meta subset.
+  // All read-only: SQL and read-only registry meta commands.
   const std::vector<Result<ResultSet>> reads =
       client
           .Execute({"SELECT count(*) AS n FROM t", "\\now", "\\health",
