@@ -5,6 +5,12 @@
 
 namespace fungusdb {
 
+int64_t SteadyMicros() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 std::string FormatDuration(Duration d) {
   if (d < 0) {
     // Built via += rather than `"-" + ...` to dodge a GCC 12 -Wrestrict

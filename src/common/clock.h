@@ -30,6 +30,11 @@ std::string FormatDuration(Duration d);
 /// The inverse of FormatDuration.
 Result<Duration> ParseDuration(std::string_view text);
 
+/// Wall-clock microseconds from std::chrono::steady_clock, for timing
+/// real work (statements, ticks, lock waits). Unrelated to the virtual
+/// clock below.
+int64_t SteadyMicros();
+
 /// Source of time. Fungi, schedulers, and ingestion read time only
 /// through this interface so experiments can run on virtual time.
 class Clock {

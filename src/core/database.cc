@@ -1,9 +1,9 @@
 #include "core/database.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -19,18 +19,11 @@ size_t ResolveNumThreads(size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-int64_t SteadyMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 int64_t SlowQueryEnvMicros() {
   const char* env = std::getenv("FUNGUSDB_SLOW_QUERY_US");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  return (end != nullptr && *end == '\0' && v > 0) ? v : 0;
+  if (env == nullptr) return 0;
+  const std::optional<int64_t> us = ParseInteger<int64_t>(env);
+  return us.has_value() && *us > 0 ? *us : 0;
 }
 
 }  // namespace
@@ -44,7 +37,8 @@ Database::Database(DatabaseOptions options)
       kitchen_(&cellar_),
       engine_(QueryEngineOptions{options.record_access, pool_.get(),
                                  &metrics_}),
-      ingestor_(&clock_, &kitchen_) {
+      ingestor_(&clock_, &kitchen_),
+      slow_query_micros_(SlowQueryEnvMicros()) {
   epochs_.set_metrics(&metrics_);
   scheduler_.set_metrics(&metrics_);
   scheduler_.set_thread_pool(pool_.get());
@@ -64,9 +58,6 @@ Database::Database(DatabaseOptions options)
         metrics_.IncrementCounter("fungusdb.query.rows_consumed",
                                   static_cast<int64_t>(rows.size()));
       });
-  int64_t slow_us = options_.slow_query_micros;
-  if (slow_us == 0) slow_us = SlowQueryEnvMicros();
-  slow_query_micros_.store(slow_us, std::memory_order_relaxed);
   const char* check_env = std::getenv("FUNGUSDB_CHECK_AFTER_TICK");
   if (check_env != nullptr && *check_env != '\0' &&
       std::string_view(check_env) != "0") {
@@ -213,73 +204,65 @@ Result<uint64_t> Database::IngestPaced(const std::string& table_name,
   return total;
 }
 
-int64_t Database::SlowQueryThresholdFor(const Table* table) const {
-  int64_t threshold = slow_query_micros_.load(std::memory_order_relaxed);
-  if (table != nullptr && table->options().slow_query_micros > 0) {
-    threshold = table->options().slow_query_micros;
-  }
-  return threshold;
+Result<ResultSet> Database::ExecuteSql(std::string_view sql) {
+  FUNGUSDB_ASSIGN_OR_RETURN(Query query, ParseQuery(sql));
+  return Execute(query, sql);
 }
 
-Result<ResultSet> Database::ExecuteSql(std::string_view sql) {
-  const int64_t queue_wait_us = pending_queue_wait_us_;
-  pending_queue_wait_us_ = 0;
-  FUNGUSDB_ASSIGN_OR_RETURN(Query query, ParseQuery(sql));
+Result<ResultSet> Database::Execute(const Query& query, std::string_view sql,
+                                    int64_t queue_wait_us) {
+  const int64_t lock_begin_us = SteadyMicros();
   EpochManager::WriteGuard guard(epochs_);
+  return ExecuteHeld(engine_, query, sql, queue_wait_us,
+                     SteadyMicros() - lock_begin_us, /*read_pin=*/false);
+}
+
+Result<ResultSet> Database::ExecuteHeld(QueryEngine& engine,
+                                        const Query& query,
+                                        std::string_view sql,
+                                        int64_t queue_wait_us,
+                                        int64_t lock_wait_us, bool read_pin) {
+  FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(query.table_name));
+  if (read_pin) {
+    if (options_.record_access && table->options().track_access) {
+      // Misrouted: a read engine does not bump the access counters that
+      // feed ImportanceFungus. Refuse instead of diverging.
+      return Status::InvalidArgument(
+          "table '" + query.table_name +
+          "' tracks access; its SELECTs belong to the writer");
+    }
+    metrics_.IncrementCounter("fungusdb.exec.read_statements");
+    metrics_.RecordHistogram("fungusdb.query.pin_wait_us", lock_wait_us);
+    metrics_.RecordHistogram("fungusdb.query.pin_wait_us",
+                             "table=" + query.table_name, lock_wait_us);
+  } else if (query.consuming) {
+    metrics_.IncrementCounter("fungusdb.query.consuming");
+  }
+  metrics_.IncrementCounter("fungusdb.query.executed");
   const int64_t begin_us = SteadyMicros();
-  Result<ResultSet> result = ExecuteLocked(query);
+  Result<ResultSet> result = engine.Execute(query, *table, clock_.Now());
   if (!result.ok()) return result;
   const int64_t exec_us = SteadyMicros() - begin_us;
+  ResultSet::Stats& stats = result->stats;
+  stats.epoch = epochs_.epoch();
 
-  // Slow-query log: the table's threshold wins; 0 falls back to the
-  // database-wide one; 0 there too disables logging.
-  const Result<Table*> table = MutableTable(query.table_name);
-  const int64_t threshold =
-      SlowQueryThresholdFor(table.ok() ? *table : nullptr);
+  const int64_t threshold = slow_query_micros();
   if (threshold > 0 && exec_us >= threshold) {
-    const ResultSet::Stats& stats = result->stats;
     metrics_.IncrementCounter("fungusdb.query.slow",
                               "table=" + query.table_name);
     FUNGUSDB_LOG(Warning)
         << "slow-query t=" << clock_.Now() << " table=" << query.table_name
         << " us=" << exec_us << " queue_us=" << queue_wait_us
+        << " lock_wait_us=" << lock_wait_us << " epoch=" << stats.epoch
         << " rows_scanned=" << stats.rows_scanned
         << " rows_pruned=" << stats.rows_pruned
         << " segments_scanned=" << stats.segments_scanned
         << " segments_pruned=" << stats.segments_pruned
-        << " rows_matched=" << stats.rows_matched << " sql=" << sql;
+        << " rows_matched=" << stats.rows_matched
+        << " rows_consumed=" << stats.rows_consumed
+        << " sql=" << (sql.empty() ? query.ToString() : std::string(sql));
   }
   return result;
-}
-
-std::vector<Result<ResultSet>> Database::ExecuteBatch(
-    std::span<const std::string_view> statements) {
-  std::vector<Result<ResultSet>> results;
-  results.reserve(statements.size());
-  for (std::string_view statement : statements) {
-    results.push_back(ExecuteSql(statement));
-  }
-  return results;
-}
-
-std::vector<Result<ResultSet>> Database::ExecuteBatch(
-    std::span<const std::string> statements) {
-  std::vector<std::string_view> views(statements.begin(), statements.end());
-  return ExecuteBatch(std::span<const std::string_view>(views));
-}
-
-Result<ResultSet> Database::Execute(const Query& query) {
-  EpochManager::WriteGuard guard(epochs_);
-  return ExecuteLocked(query);
-}
-
-Result<ResultSet> Database::ExecuteLocked(const Query& query) {
-  FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(query.table_name));
-  metrics_.IncrementCounter("fungusdb.query.executed");
-  if (query.consuming) {
-    metrics_.IncrementCounter("fungusdb.query.consuming");
-  }
-  return engine_.Execute(query, *table, clock_.Now());
 }
 
 Status Database::AddCookSpec(CookSpec spec) {

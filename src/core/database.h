@@ -53,14 +53,6 @@ struct DatabaseOptions {
   /// construction (they may depend on a table's num_shards, which is a
   /// storage property, not an execution property).
   size_t num_threads = 0;
-
-  /// Database-wide slow-query threshold in wall-clock microseconds; a
-  /// statement at or above it is logged with its scan/prune/queue-wait
-  /// breakdown (DESIGN.md §12). 0 disables. A table's
-  /// TableOptions::slow_query_micros overrides this per table. Also
-  /// settable via the FUNGUSDB_SLOW_QUERY_US environment variable, which
-  /// wins when this field is 0.
-  int64_t slow_query_micros = 0;
 };
 
 /// Per-table health snapshot — the paper's "optimal health condition"
@@ -111,6 +103,12 @@ struct HealthReport {
 /// historical single-threaded contract (write sections are uncontended
 /// and cheap); multi-threaded use is: any number of Sessions, plus any
 /// number of threads calling the mutating facade (they serialize).
+///
+/// Every query, written or read, runs through one private body
+/// (ExecuteHeld): ExecuteSql and Execute call it under the WriteGuard,
+/// Session::ExecuteRead under its ReadPin. It counts the statement,
+/// stamps the epoch into ResultSet::Stats and writes the one slow-query
+/// log line (DESIGN.md §12).
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
@@ -167,22 +165,18 @@ class Database {
 
   // --- Queries. ---
 
-  /// Parses and executes one statement of the FungusDB dialect, in the
-  /// writer's total order (read-only statements included — callers who
-  /// want concurrent reads use a Session).
+  /// Parses one statement of the FungusDB dialect and executes it
+  /// through Execute(query, sql).
   Result<ResultSet> ExecuteSql(std::string_view sql);
 
-  /// Executes a batch of statements in order, one Result per statement.
-  /// A failed statement does not stop the batch — later statements
-  /// still run. This is the server's pipelining primitive and the
-  /// engine behind multi-statement fungusql lines.
-  std::vector<Result<ResultSet>> ExecuteBatch(
-      std::span<const std::string_view> statements);
-  std::vector<Result<ResultSet>> ExecuteBatch(
-      std::span<const std::string> statements);
-
-  /// Executes a programmatic query.
-  Result<ResultSet> Execute(const Query& query);
+  /// Executes a parsed query in the writer's total order (read-only
+  /// queries included — callers who want concurrent reads use a
+  /// Session). `sql` is the text it was parsed from, quoted by the
+  /// slow-query log (empty logs the query's rendering); `queue_wait_us`
+  /// is how long the caller's request waited before execution (fungusd
+  /// passes its queue wait), logged as queue_us=.
+  Result<ResultSet> Execute(const Query& query, std::string_view sql = {},
+                            int64_t queue_wait_us = 0);
 
   // --- Cooking. ---
 
@@ -222,16 +216,11 @@ class Database {
   /// enters the exclusive write section like every facade mutation.
   Status SetFreezeAfterIdleTicks(const std::string& name, uint64_t ticks);
 
-  /// Queue-wait attribution for the next ExecuteSql call, reported in
-  /// its slow-query log line (the server sets this to the statement's
-  /// time between enqueue and execution). One-shot: consumed and reset
-  /// by the next ExecuteSql. Writer-thread only, like ExecuteSql.
-  void set_pending_queue_wait_micros(int64_t us) {
-    pending_queue_wait_us_ = us;
-  }
-
-  /// Runtime-adjustable database-wide slow-query threshold (see
-  /// DatabaseOptions::slow_query_micros); 0 disables. Atomic: read by
+  /// The slow-query threshold in wall-clock microseconds: a statement
+  /// whose execution takes at least this long is logged (DESIGN.md §12)
+  /// and counted in fungusdb.query.slow{table=}. 0 disables. Starts at
+  /// the FUNGUSDB_SLOW_QUERY_US environment variable (0 when unset or
+  /// malformed); `\slowlog` sets it at runtime. Atomic: read by
   /// concurrent Sessions.
   void set_slow_query_micros(int64_t us) {
     slow_query_micros_.store(us, std::memory_order_relaxed);
@@ -272,12 +261,6 @@ class Database {
   Result<Table*> MutableTable(const std::string& name)
       FUNGUS_REQUIRES_SHARED(epochs_);
 
-  /// Shared by ExecuteSql (writer path) and Session (read path): the
-  /// slow-query threshold for `table_name`, already resolved against
-  /// the per-table override. <= 0 disables.
-  int64_t SlowQueryThresholdFor(const Table* table) const
-      FUNGUS_REQUIRES_SHARED(epochs_);
-
   /// Body of both Insert forms: appends `rows` in one write section and
   /// stores row i's outcome in ids[i] (ids.size() == rows.size()), so
   /// the one-row form allocates nothing.
@@ -285,10 +268,21 @@ class Database {
                   std::span<const std::vector<Value>> rows,
                   std::span<Result<RowId>> ids);
 
-  /// Body of Execute without the write section (callers hold one
-  /// exclusively — CONSUME and \cook mutate through here).
-  Result<ResultSet> ExecuteLocked(const Query& query)
-      FUNGUS_REQUIRES(epochs_);
+  /// The one statement-execution body. The writer's Execute calls it
+  /// under its WriteGuard with engine_, and Session::ExecuteRead under
+  /// its ReadPin with the session's engine (`read_pin`). It looks up the
+  /// table, counts the statement, runs `engine`, stamps the epoch into
+  /// ResultSet::Stats and writes the slow-query line, whose lock_wait_us=
+  /// is `lock_wait_us`: the pin wait on a read, the WriteGuard
+  /// acquisition on a write. A read also records the pin wait in
+  /// fungusdb.query.pin_wait_us and refuses a table that tracks access.
+  /// Shared suffices for the analysis; a CONSUME mutates through here
+  /// only from the writer, which holds the epoch exclusively (Sessions
+  /// refuse consuming queries before they pin).
+  Result<ResultSet> ExecuteHeld(QueryEngine& engine, const Query& query,
+                                std::string_view sql, int64_t queue_wait_us,
+                                int64_t lock_wait_us, bool read_pin)
+      FUNGUS_REQUIRES_SHARED(epochs_);
 
   DatabaseOptions options_;
   VirtualClock clock_;
@@ -307,8 +301,7 @@ class Database {
   /// exclusive epoch section, everything else reads it under a pin.
   std::map<std::string, std::unique_ptr<Table>> tables_
       FUNGUS_GUARDED_BY(epochs_);
-  std::atomic<int64_t> slow_query_micros_{0};
-  int64_t pending_queue_wait_us_ = 0;
+  std::atomic<int64_t> slow_query_micros_;
 };
 
 }  // namespace fungusdb

@@ -23,6 +23,9 @@ namespace fungusdb {
 /// a fully-applied decay tick or none — never a half-applied one.
 /// `__freshness` predicates, zone-map pruning, and ResultSet::Stats are
 /// therefore exactly as deterministic as the writer-path equivalents.
+/// Under the pin it runs the Database's one execute body, so a read is
+/// counted, stamped with its epoch (ResultSet::Stats::epoch) and
+/// slow-logged exactly like a statement on the writer.
 ///
 /// A Session never mutates storage: consuming queries are refused (the
 /// classifier routes them to the writer), its engine does not bump
@@ -31,9 +34,8 @@ namespace fungusdb {
 /// read concurrency comes from many sessions, not from morsel fan-out
 /// inside one statement.
 ///
-/// Thread contract: one Session per thread (it keeps per-statement
-/// scratch such as queue-wait attribution); any number of Sessions may
-/// run against one Database.
+/// Thread contract: one Session per thread (its engine is not shared);
+/// any number of Sessions may run against one Database.
 class Session {
  public:
   explicit Session(Database* db);
@@ -41,41 +43,25 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Parses and executes one read-only statement. A mutating statement
-  /// (CONSUME, or a SELECT the classifier routes to the writer) is
-  /// refused with InvalidArgument — routing is the caller's job, this
-  /// is the backstop. `pinned_epoch`, when non-null, receives the epoch
-  /// the statement executed against.
-  Result<ResultSet> ExecuteRead(std::string_view sql,
-                                uint64_t* pinned_epoch = nullptr);
+  /// Parses and executes one read-only statement through
+  /// ExecuteRead(query, sql).
+  Result<ResultSet> ExecuteRead(std::string_view sql);
 
-  /// Programmatic variant over a parsed query.
-  Result<ResultSet> ExecuteRead(const Query& query,
-                                uint64_t* pinned_epoch = nullptr);
-
-  /// Variant over a query already parsed from `sql` (fungusd's read
-  /// workers run what the classifier parsed); the slow-query log quotes
-  /// `sql` as the client sent it.
-  Result<ResultSet> ExecuteRead(const Query& query, std::string_view sql,
-                                uint64_t* pinned_epoch = nullptr);
-
-  /// Queue-wait attribution for the next ExecuteRead, reported in its
-  /// slow-query log line. One-shot, like the writer-side equivalent.
-  void set_pending_queue_wait_micros(int64_t us) {
-    pending_queue_wait_us_ = us;
-  }
+  /// Executes a parsed read-only query. A mutating one (CONSUME, or a
+  /// SELECT over a table that tracks access, which the classifier
+  /// routes to the writer) is refused with InvalidArgument — routing is
+  /// the caller's job, this is the backstop. `sql` is the text the
+  /// query was parsed from (fungusd's read workers run what the
+  /// classifier parsed), quoted by the slow-query log; empty logs the
+  /// query's rendering. `queue_wait_us` is logged as queue_us=.
+  Result<ResultSet> ExecuteRead(const Query& query, std::string_view sql = {},
+                                int64_t queue_wait_us = 0);
 
   Database& database() { return *db_; }
 
  private:
-  /// An empty `sql` logs the query's rendering instead, computed only
-  /// when a slow-query line is written.
-  Result<ResultSet> ExecutePinned(const Query& query, std::string_view sql,
-                                  uint64_t* pinned_epoch);
-
   Database* db_;
   QueryEngine engine_;
-  int64_t pending_queue_wait_us_ = 0;
 };
 
 }  // namespace fungusdb

@@ -1,19 +1,11 @@
 #include "fungus/scheduler.h"
 
 #include <algorithm>
-#include <chrono>
 
+#include "common/clock.h"
 #include "common/trace.h"
 
 namespace fungusdb {
-
-namespace {
-int64_t SteadyMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 Result<DecayScheduler::AttachmentId> DecayScheduler::Attach(
     Table* table, std::unique_ptr<Fungus> fungus, Duration period,

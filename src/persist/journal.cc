@@ -239,7 +239,7 @@ Result<uint64_t> JournaledDatabase::AdvanceTime(Duration d) {
 Result<ResultSet> JournaledDatabase::ExecuteSql(std::string_view sql) {
   // Parse first so only statements that actually mutate are journaled.
   FUNGUSDB_ASSIGN_OR_RETURN(Query query, ParseQuery(sql));
-  FUNGUSDB_ASSIGN_OR_RETURN(ResultSet rs, db_.Execute(query));
+  FUNGUSDB_ASSIGN_OR_RETURN(ResultSet rs, db_.Execute(query, sql));
   if (query.consuming) {
     JournalEntry entry;
     entry.kind = JournalEntry::Kind::kSql;

@@ -1,6 +1,7 @@
 #include "query/parser.h"
 
 #include <cstdlib>
+#include <optional>
 
 #include "common/string_util.h"
 #include "query/lexer.h"
@@ -102,8 +103,10 @@ class Parser {
       if (Peek().type != TokenType::kInteger) {
         return Error("expected integer after LIMIT");
       }
-      query.limit = static_cast<uint64_t>(
-          std::strtoull(Peek().text.c_str(), nullptr, 10));
+      query.limit = ParseInteger<uint64_t>(Peek().text);
+      if (!query.limit.has_value()) {
+        return Error("LIMIT '" + Peek().text + "' out of range");
+      }
       Advance();
     }
 
@@ -255,9 +258,12 @@ class Parser {
     const Token& tok = Peek();
     switch (tok.type) {
       case TokenType::kInteger: {
-        const int64_t v = std::strtoll(tok.text.c_str(), nullptr, 10);
+        const std::optional<int64_t> v = ParseInteger<int64_t>(tok.text);
+        if (!v.has_value()) {
+          return Error("integer literal '" + tok.text + "' out of range");
+        }
         Advance();
-        return Expr::Literal(Value::Int64(v));
+        return Expr::Literal(Value::Int64(*v));
       }
       case TokenType::kFloat: {
         const double v = std::strtod(tok.text.c_str(), nullptr);

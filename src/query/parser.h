@@ -27,8 +27,8 @@ Result<Query> ParseQuery(std::string_view sql);
 /// Parses a bare expression (useful for tests and tooling).
 Result<ExprPtr> ParseExpression(std::string_view text);
 
-/// Splits a script into `;`-separated statements for ExecuteBatch,
-/// respecting single-quoted string literals (a ';' inside '...' does
+/// Splits a script into `;`-separated statements (fungusql runs a
+/// multi-statement line one statement at a time), respecting single-quoted string literals (a ';' inside '...' does
 /// not split). Statements are trimmed and empty ones dropped, so a
 /// trailing ';' yields no phantom statement. The views alias `script`.
 std::vector<std::string_view> SplitStatements(std::string_view script);

@@ -16,11 +16,14 @@ struct ResultSet {
     uint64_t rows_scanned = 0;   // live tuples visited
     uint64_t rows_matched = 0;   // tuples satisfying P
     uint64_t rows_consumed = 0;  // tuples removed from R (Law 2)
-    // Zone-map pruning effect. Wire protocol v1 carries only the three
-    // counters above; these stay local to the process.
+    // Wire protocol v1 carries only the three counters above; the
+    // fields below stay local to the process.
     uint64_t rows_pruned = 0;      // live tuples skipped via zone maps
     uint64_t segments_pruned = 0;  // segments skipped via zone maps
     uint64_t segments_scanned = 0;  // segments surviving pruning
+    // The published epoch the statement read: the pinned one on a
+    // Session, the one the write section started from on the writer.
+    uint64_t epoch = 0;
   };
 
   std::vector<std::string> column_names;

@@ -13,6 +13,7 @@
 #include "common/trace.h"
 #include "core/meta_commands.h"
 #include "persist/snapshot.h"
+#include "query/parser.h"
 
 namespace fungusdb::server {
 namespace {
@@ -172,11 +173,9 @@ bool Server::BatchIsReadOnly(const std::vector<std::string>& statements,
     const Result<TableHandle> t = db_->GetTable(std::string(table));
     return t.ok() && t.value().options().track_access;
   };
-  queries.resize(statements.size());
   for (size_t i = 0; i < statements.size(); ++i) {
     if (ClassifyStatement(statements[i], context, &queries[i]) ==
         StatementKind::kMutating) {
-      queries.clear();
       return false;
     }
   }
@@ -216,6 +215,7 @@ void Server::ServeConnection(uint64_t conn_id, int fd) {
     // worker pool; one mutating (or unclassifiable) statement sends
     // the whole batch to the writer, preserving intra-batch order.
     PendingRequest pending;
+    pending.queries.resize(request.statements.size());
     const bool read_path =
         num_read_workers_ > 0 &&
         BatchIsReadOnly(request.statements, pending.queries);
@@ -327,14 +327,13 @@ void Server::ProcessRequest(PendingRequest pending, int worker) {
     const size_t next = results.size();
     const auto started = std::chrono::steady_clock::now();
     if (read_path) {
-      sessions_[static_cast<size_t>(worker)]->set_pending_queue_wait_micros(
-          static_cast<int64_t>(queue_wait_us));
       FUNGUS_TRACE_SPAN("server.read_worker", worker);
       results.push_back(ExecuteRead(static_cast<size_t>(worker),
-                                    statements[next], pending.queries[next]));
+                                    statements[next], pending.queries[next],
+                                    static_cast<int64_t>(queue_wait_us)));
     } else {
-      db_->set_pending_queue_wait_micros(static_cast<int64_t>(queue_wait_us));
-      ExecuteWrites(std::span(statements).subspan(next), pending, results);
+      ExecuteWrites(next, pending, static_cast<int64_t>(queue_wait_us),
+                    results);
     }
     // A run of inserts answers several statements at once; each takes
     // an equal share of the run's wall time.
@@ -378,13 +377,16 @@ void Server::ProcessRequest(PendingRequest pending, int worker) {
   pending.reply.set_value(std::move(results));
 }
 
-void Server::ExecuteWrites(std::span<const std::string> statements,
-                           const PendingRequest& pending,
+void Server::ExecuteWrites(size_t next, const PendingRequest& pending,
+                           int64_t queue_wait_us,
                            std::vector<Result<ResultSet>>& results) {
+  const std::span<const std::string> statements =
+      std::span(pending.request.statements).subspan(next);
   const std::optional<InsertStatement> first = SplitInsert(statements[0]);
   if (!first.has_value()) {
     FUNGUS_TRACE_SPAN("server.statement");
-    results.push_back(ExecuteStatement(*db_, statements[0]));
+    results.push_back(
+        ExecuteWrite(statements[0], pending.queries[next], queue_wait_us));
     return;
   }
   std::vector<InsertStatement> run = {*first};
@@ -428,12 +430,27 @@ void Server::ExecuteWrites(std::span<const std::string> statements,
   }
 }
 
+Result<ResultSet> Server::ExecuteWrite(std::string_view statement,
+                                       const std::optional<Query>& query,
+                                       int64_t queue_wait_us) {
+  statement = StripWhitespace(statement);
+  if (query.has_value()) return db_->Execute(*query, statement, queue_wait_us);
+  if (statement.empty() || statement.front() == '\\') {
+    return ExecuteStatement(*db_, statement);
+  }
+  // SQL the classifier did not parse: it followed the batch's first
+  // mutating statement, or the server runs without read workers.
+  FUNGUSDB_ASSIGN_OR_RETURN(Query parsed, ParseQuery(statement));
+  return db_->Execute(parsed, statement, queue_wait_us);
+}
+
 Result<ResultSet> Server::ExecuteRead(size_t worker_index,
                                       const std::string& statement,
-                                      const std::optional<Query>& query) {
+                                      const std::optional<Query>& query,
+                                      int64_t queue_wait_us) {
   if (query.has_value()) {
-    return sessions_[worker_index]->ExecuteRead(*query,
-                                                StripWhitespace(statement));
+    return sessions_[worker_index]->ExecuteRead(
+        *query, StripWhitespace(statement), queue_wait_us);
   }
   // A read-only meta command. One outer pin for the whole command: inner
   // facade reads (GetTable, Health, Fsck, TableNames) re-pin reentrantly,

@@ -114,8 +114,10 @@ class Server {
  private:
   struct PendingRequest {
     StatementRequest request;
-    /// Read path only: the classifier's parse of each statement (nullopt
-    /// for meta commands), so a read worker does not parse it again.
+    /// The classifier's parse of each statement (one entry per
+    /// statement; nullopt for meta commands, for statements after the
+    /// first mutating one, and with no read workers), so neither a read
+    /// worker nor the writer parses it again.
     std::vector<std::optional<Query>> queries;
     std::chrono::steady_clock::time_point deadline;
     bool has_deadline = false;
@@ -151,24 +153,34 @@ class Server {
 
   /// True iff every statement in the batch classifies kReadOnly —
   /// the routing predicate for the read queue (connection threads).
-  /// When true, `queries` holds each statement's parse.
+  /// Classifies up to the first mutating statement; `queries` (one
+  /// entry per statement) keeps every parse made on the way.
   bool BatchIsReadOnly(const std::vector<std::string>& statements,
                        std::vector<std::optional<Query>>& queries);
 
-  /// Writer-thread only. Answers statements[0], or, when it is an
-  /// `\insert`, the run of consecutive `\insert`s into the same table
+  /// Writer-thread only. Answers the statement at `next`, or, when it is
+  /// an `\insert`, the run of consecutive `\insert`s into the same table
   /// that starts there: each row is parsed outside the write section,
   /// then one Database::Insert appends them all. Appends one result per
   /// statement answered; stops early at the request's deadline.
-  void ExecuteWrites(std::span<const std::string> statements,
-                     const PendingRequest& pending,
+  void ExecuteWrites(size_t next, const PendingRequest& pending,
+                     int64_t queue_wait_us,
                      std::vector<Result<ResultSet>>& results);
+
+  /// Writer execution of one statement that is not an `\insert`: SQL
+  /// through Database::Execute, from the classifier's `query` when it
+  /// made one and parsed here otherwise; a registry command through
+  /// ExecuteStatement.
+  Result<ResultSet> ExecuteWrite(std::string_view statement,
+                                 const std::optional<Query>& query,
+                                 int64_t queue_wait_us);
 
   /// Read-worker execution: parsed SQL through the worker's Session, a
   /// read-only registry command under one outer epoch pin.
   Result<ResultSet> ExecuteRead(size_t worker_index,
                                 const std::string& statement,
-                                const std::optional<Query>& query);
+                                const std::optional<Query>& query,
+                                int64_t queue_wait_us);
 
   /// Joins connections whose threads have finished (acceptor thread).
   void ReapFinishedConnections();

@@ -37,11 +37,6 @@ struct TableOptions {
   /// so decay outcomes never depend on how many threads execute them.
   size_t num_shards = 1;
 
-  /// Statements against this table slower than this (wall-clock
-  /// microseconds) hit the slow-query log; 0 defers to the database-wide
-  /// threshold. Runtime tuning knob only — NOT serialized in snapshots.
-  int64_t slow_query_micros = 0;
-
   /// Fold provably-uniform decay ticks into per-segment pending
   /// decrements instead of rewriting rows (DESIGN.md §14). Observable
   /// state is bit-identical either way — this is purely an execution

@@ -8,8 +8,8 @@
 namespace fungusdb {
 
 /// Binary encoding of a single Value: 1-byte type tag (0 = null) +
-/// payload. Used by the snapshot format and by serialized summaries
-/// that hold raw values (reservoir samples).
+/// payload. Used by the snapshot and journal formats and by wire
+/// result sets.
 void WriteValue(BufferWriter& out, const Value& value);
 Result<Value> ReadValue(BufferReader& in);
 

@@ -1,12 +1,10 @@
 #include "summary/serialize.h"
 
-#include "summary/bloom_filter.h"
 #include "summary/count_min_sketch.h"
 #include "summary/grouped_aggregate.h"
 #include "summary/histogram_sketch.h"
 #include "summary/hyperloglog.h"
 #include "summary/p2_quantile.h"
-#include "summary/reservoir_sample.h"
 
 namespace fungusdb {
 
@@ -23,14 +21,6 @@ Result<std::unique_ptr<Summary>> DeserializeSummary(BufferReader& in) {
   }
   if (kind == "hyperloglog") {
     FUNGUSDB_ASSIGN_OR_RETURN(auto s, HyperLogLog::Deserialize(in));
-    return std::unique_ptr<Summary>(std::move(s));
-  }
-  if (kind == "bloom") {
-    FUNGUSDB_ASSIGN_OR_RETURN(auto s, BloomFilter::Deserialize(in));
-    return std::unique_ptr<Summary>(std::move(s));
-  }
-  if (kind == "reservoir") {
-    FUNGUSDB_ASSIGN_OR_RETURN(auto s, ReservoirSample::Deserialize(in));
     return std::unique_ptr<Summary>(std::move(s));
   }
   if (kind == "histogram") {

@@ -44,8 +44,7 @@ class Summary {
 
   /// Appends the complete state (parameters + counters) to `out`; the
   /// inverse is the kind-dispatched DeserializeSummary() in
-  /// summary/serialize.h. Reservoir samples regain a fresh PRNG stream
-  /// on load (their sampled contents are preserved exactly).
+  /// summary/serialize.h.
   virtual void Serialize(BufferWriter& out) const = 0;
 
  protected:

@@ -34,6 +34,9 @@ TEST(MetricsConcurrencyTest, LabeledWritesRaceCleanlyWithReaders) {
 
   std::atomic<bool> done{false};
   std::thread reader([&m, &done] {
+    // An empty registry correctly reports nothing, so snapshot only once
+    // the first write is visible.
+    while (m.GetCounter("fungusdb.test.ops") == 0) std::this_thread::yield();
     while (!done.load(std::memory_order_relaxed)) {
       const std::string prom = m.PrometheusReport();
       EXPECT_NE(prom.find("# TYPE fungusdb_test_ops counter"),

@@ -86,15 +86,15 @@ TEST(SessionConcurrencyTest, ReadersRacingDecayMatchSerialReplay) {
     readers.emplace_back([&, r] {
       Session session(db.get());
       while (!writer_done.load(std::memory_order_acquire)) {
-        uint64_t epoch = 0;
         const Result<ResultSet> rs =
-            session.ExecuteRead("SELECT count(*) AS n FROM t", &epoch);
+            session.ExecuteRead("SELECT count(*) AS n FROM t");
         if (!rs.ok()) {
           failures.fetch_add(1);
           return;
         }
         observed[r].emplace_back(
-            epoch, static_cast<uint64_t>(rs.value().at(0, 0).AsInt64()));
+            rs.value().stats.epoch,
+            static_cast<uint64_t>(rs.value().at(0, 0).AsInt64()));
       }
     });
   }

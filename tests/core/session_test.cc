@@ -94,17 +94,14 @@ TEST(SessionTest, PinnedEpochAdvancesWithDecayTicks) {
                         .status());
   Session session(db.get());
 
-  uint64_t before = 0;
-  FUNGUSDB_CHECK_OK(
-      session.ExecuteRead("SELECT count(*) AS n FROM r", &before)
-          .status());
+  const uint64_t before =
+      session.ExecuteRead("SELECT count(*) AS n FROM r").value().stats.epoch;
   EXPECT_EQ(before, db->epoch());
 
   // 5 ticks publish 5 per-tick epochs plus the section's own.
   FUNGUSDB_CHECK_OK(db->AdvanceTime(5 * kSecond).status());
-  uint64_t after = 0;
-  FUNGUSDB_CHECK_OK(
-      session.ExecuteRead("SELECT count(*) AS n FROM r", &after).status());
+  const uint64_t after =
+      session.ExecuteRead("SELECT count(*) AS n FROM r").value().stats.epoch;
   EXPECT_EQ(after, db->epoch());
   EXPECT_GE(after, before + 6);
 }

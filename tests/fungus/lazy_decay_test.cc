@@ -217,8 +217,7 @@ TEST(LazyDecayConcurrencyTest, ReadersRaceFoldingTicks) {
       Session session(&db);
       while (!writer_done.load(std::memory_order_acquire)) {
         const Result<ResultSet> rs = session.ExecuteRead(
-            "SELECT count(*) AS n FROM r WHERE __freshness > 0.1",
-            /*epoch=*/nullptr);
+            "SELECT count(*) AS n FROM r WHERE __freshness > 0.1");
         // Nothing ever dies and effective freshness stays near 1.0, so
         // every pinned snapshot must see the full table.
         if (!rs.ok() || rs.value().at(0, 0).AsInt64() != kRows) {

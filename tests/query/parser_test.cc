@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace fungusdb {
 namespace {
 
@@ -129,6 +132,30 @@ TEST(ParserTest, OrderByDesc) {
 TEST(ParserTest, Limit) {
   Query q = ParseQuery("SELECT * FROM t LIMIT 10").value();
   EXPECT_EQ(q.limit.value(), 10u);
+}
+
+TEST(ParserTest, LimitOverflowIsAParseError) {
+  EXPECT_EQ(ParseQuery("SELECT * FROM t LIMIT 18446744073709551615")
+                .value()
+                .limit.value(),
+            UINT64_MAX);
+  const Result<Query> q =
+      ParseQuery("SELECT * FROM t LIMIT 18446744073709551616");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+}
+
+TEST(ParserTest, IntegerLiteralOverflowIsAParseError) {
+  // INT64_MAX + 1 used to saturate silently to INT64_MAX.
+  const Result<Query> q =
+      ParseQuery("SELECT * FROM t WHERE a = 9223372036854775808");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  EXPECT_NE(q.status().message().find("9223372036854775808"),
+            std::string::npos);
+  EXPECT_TRUE(
+      ParseQuery("SELECT * FROM t WHERE a = 9223372036854775807").ok());
+  EXPECT_FALSE(ParseExpression("99999999999999999999999 + 1").ok());
 }
 
 TEST(ParserTest, FullClauseOrder) {

@@ -323,6 +323,65 @@ TEST(ServerReadWorkerTest, ZeroWorkersFallsBackToTheWriter) {
             0);
 }
 
+// Both executors hand the statement text and their queue wait to the
+// one execute body: every SQL statement of a batch logs one slow-query
+// line quoting it, whether a read worker, the writer running the
+// classifier's parse or the writer parsing it itself ran it.
+TEST(ServerReadWorkerTest, EveryExecutorWritesTheSlowQueryLine) {
+  for (const int read_workers : {0, 2}) {
+    ServerOptions options;
+    options.read_workers = read_workers;
+    auto server =
+        std::make_unique<Server>(std::make_unique<Database>(), options);
+    Database& db = server->database();
+    FUNGUSDB_CHECK_OK(db.CreateTable("t", SharedSchema()).status());
+    std::vector<std::vector<Value>> rows;
+    for (int64_t i = 0; i < 20000; ++i) rows.push_back({Value::Int64(i)});
+    for (const Result<RowId>& id : db.Insert("t", rows)) {
+      FUNGUSDB_CHECK_OK(id.status());
+    }
+    db.set_slow_query_micros(1);
+    FUNGUSDB_CHECK_OK(server->Start());
+
+    const std::vector<std::string> read = {
+        "SELECT count(*) AS n FROM t WHERE a >= 0"};
+    const std::vector<std::string> mixed = {
+        "SELECT count(*) AS n FROM t WHERE a >= 1",
+        "CONSUME SELECT * FROM t WHERE a < 10",
+        "SELECT count(*) AS n FROM t WHERE a >= 2"};
+    testing::internal::CaptureStderr();
+    {
+      Client client = ConnectTo(*server);
+      const std::vector<Result<ResultSet>> read_answers =
+          client.Execute(read).value();
+      const std::vector<Result<ResultSet>> mixed_answers =
+          client.Execute(mixed).value();
+      ASSERT_TRUE(read_answers[0].ok());
+      EXPECT_EQ(read_answers[0]->at(0, 0).AsInt64(), 20000);
+      ASSERT_EQ(mixed_answers.size(), 3u);
+      for (const Result<ResultSet>& answer : mixed_answers) {
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      }
+      EXPECT_EQ(mixed_answers[0]->at(0, 0).AsInt64(), 19999);
+      EXPECT_EQ(mixed_answers[1]->num_rows(), 10u);
+      EXPECT_EQ(mixed_answers[2]->at(0, 0).AsInt64(), 19990);
+    }
+    server->Stop();
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(db.metrics().GetCounter("fungusdb.query.slow", "table=t"), 4)
+        << "read_workers=" << read_workers;
+    for (const std::vector<std::string>* batch : {&read, &mixed}) {
+      for (const std::string& sql : *batch) {
+        const size_t at = log.find(" sql=" + sql + "\n");
+        ASSERT_NE(at, std::string::npos) << sql << "\n" << log;
+        const size_t line = log.rfind("slow-query ", at);
+        ASSERT_NE(line, std::string::npos);
+        EXPECT_NE(log.find(" queue_us=", line), std::string::npos);
+      }
+    }
+  }
+}
+
 TEST(ServerReadWorkerTest, ReadOnlyBatchesRouteToTheReadPool) {
   ServerOptions options;
   options.read_workers = 2;

@@ -522,8 +522,7 @@ TEST(TieredStorageConcurrencyTest, ReadersRaceFreezeThawTicks) {
         // Nothing in `stable` ever dies: every pinned snapshot must see
         // the full table no matter how many segments froze since.
         const Result<ResultSet> stable = session.ExecuteRead(
-            "SELECT count(*) AS n FROM stable WHERE k >= 0",
-            /*epoch=*/nullptr);
+            "SELECT count(*) AS n FROM stable WHERE k >= 0");
         if (!stable.ok() ||
             stable.value().at(0, 0).AsInt64() != kRows) {
           failures.fetch_add(1);
@@ -532,8 +531,7 @@ TEST(TieredStorageConcurrencyTest, ReadersRaceFreezeThawTicks) {
         // `churn` shrinks tick by tick; a pinned read sees some
         // published epoch's prefix-free suffix, never a torn mix.
         const Result<ResultSet> churn = session.ExecuteRead(
-            "SELECT count(*) AS n FROM churn WHERE s = 'unit-1'",
-            /*epoch=*/nullptr);
+            "SELECT count(*) AS n FROM churn WHERE s = 'unit-1'");
         if (!churn.ok() ||
             churn.value().at(0, 0).AsInt64() > kRows / 3 + 1) {
           failures.fetch_add(1);

@@ -42,6 +42,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -64,6 +65,15 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Parses a flag's value into `out`; false on malformed, signed-unsigned
+/// or out-of-range text, so the caller answers with the usage line.
+template <typename T>
+bool ParseFlag(const char* text, T& out) {
+  const std::optional<T> value = fungusdb::ParseInteger<T>(text);
+  if (value.has_value()) out = *value;
+  return value.has_value();
+}
+
 bool WritePortFile(const std::string& path, uint16_t port) {
   std::ofstream out(path, std::ios::trunc);
   out << port << "\n";
@@ -76,9 +86,9 @@ int main(int argc, char** argv) {
   fungusdb::server::ServerOptions options;
   options.port = 7464;
   std::string port_file;
-  int http_port = -1;  // -1 = HTTP plane disabled
+  std::optional<uint16_t> http_port;  // nullopt = HTTP plane disabled
   std::string http_port_file;
-  long long drain_grace_ms = 0;
+  uint32_t drain_grace_ms = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -86,27 +96,27 @@ int main(int argc, char** argv) {
     if (arg == "--host" && has_value) {
       options.host = argv[++i];
     } else if (arg == "--port" && has_value) {
-      options.port = static_cast<uint16_t>(std::atoi(argv[++i]));
+      if (!ParseFlag(argv[++i], options.port)) return Usage(argv[0]);
     } else if (arg == "--port-file" && has_value) {
       port_file = argv[++i];
     } else if (arg == "--queue-capacity" && has_value) {
-      options.queue_capacity =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!ParseFlag(argv[++i], options.queue_capacity)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--max-connections" && has_value) {
-      options.max_connections =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!ParseFlag(argv[++i], options.max_connections)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--read-workers" && has_value) {
-      options.read_workers = std::atoi(argv[++i]);
+      if (!ParseFlag(argv[++i], options.read_workers)) return Usage(argv[0]);
     } else if (arg == "--snapshot" && has_value) {
       options.snapshot_path = argv[++i];
     } else if (arg == "--http-port" && has_value) {
-      http_port = std::atoi(argv[++i]);
-      if (http_port < 0 || http_port > 65535) return Usage(argv[0]);
+      if (!ParseFlag(argv[++i], http_port.emplace())) return Usage(argv[0]);
     } else if (arg == "--http-port-file" && has_value) {
       http_port_file = argv[++i];
     } else if (arg == "--drain-grace-ms" && has_value) {
-      drain_grace_ms = std::strtoll(argv[++i], nullptr, 10);
-      if (drain_grace_ms < 0) return Usage(argv[0]);
+      if (!ParseFlag(argv[++i], drain_grace_ms)) return Usage(argv[0]);
     } else {
       return Usage(argv[0]);
     }
@@ -129,10 +139,10 @@ int main(int argc, char** argv) {
   // The HTTP plane comes up BEFORE snapshot replay so /healthz answers
   // (and /readyz reports "starting") while a large snapshot loads.
   std::unique_ptr<fungusdb::server::HttpDebugServer> http;
-  if (http_port >= 0) {
+  if (http_port.has_value()) {
     fungusdb::server::HttpDebugOptions http_options;
     http_options.host = options.host;
-    http_options.port = static_cast<uint16_t>(http_port);
+    http_options.port = *http_port;
     http_options.snapshot_path = options.snapshot_path;
     http = std::make_unique<fungusdb::server::HttpDebugServer>(http_options);
     const fungusdb::Status http_started = http->Start();
