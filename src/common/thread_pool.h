@@ -13,18 +13,24 @@
 
 namespace fungusdb {
 
-/// A small fixed-size worker pool for shard-parallel phases (decay ticks,
-/// morsel scans). The calling thread always participates in ParallelFor,
-/// so a pool of size N uses N-1 background workers; size <= 1 spawns no
-/// threads at all and every call runs inline — which is also the
-/// determinism baseline the parallel tests compare against.
+/// A small fixed-size worker pool for shard-parallel phases (decay ticks)
+/// and morsel-driven scans. One pool serves a whole Database: the writer,
+/// the decay scheduler and every read worker call ParallelFor on it.
+/// Concurrent Sessions are coordinators of the same pool at once; the
+/// writer's statements and decay ticks exclude reads under the epoch.
 ///
-/// FungusDB's parallel phases are structured fork/join: the single
-/// coordinator thread calls ParallelFor and blocks until every index has
-/// been processed. Work distribution is morsel-style (a shared atomic
-/// cursor), so uneven shards load-balance automatically, while all
-/// outputs are indexed by morsel so merge order never depends on which
-/// worker ran what.
+/// ParallelFor is caller-runs. The calling thread (the coordinator)
+/// drives the job's shared cursor itself, and idle pool workers join in
+/// by claiming indices from the same cursor. The coordinator waits only
+/// for indices some helper has already claimed, never for a helper that
+/// has not started: when every worker is busy elsewhere, the coordinator
+/// simply runs all n indices alone. A size-1 pool spawns no threads and
+/// runs everything inline, which is also the determinism baseline the
+/// parallel tests compare against.
+///
+/// Work distribution is morsel-style (a shared atomic cursor), so uneven
+/// shards load-balance automatically, while all outputs are indexed by
+/// morsel so merge order never depends on which thread ran what.
 class ThreadPool {
  public:
   /// `num_threads` counts the calling thread; the pool spawns
@@ -39,18 +45,21 @@ class ThreadPool {
   /// Total execution width including the caller.
   size_t num_threads() const { return workers_.size() + 1; }
 
-  /// Runs fn(i) for every i in [0, n), distributing indices over the
-  /// workers and the calling thread; returns after all n calls finished.
-  /// fn must not call back into the same pool (no nested forks) and must
-  /// not throw.
+  /// Runs fn(i) for every i in [0, n) on the calling thread and any idle
+  /// workers; returns after all n calls finished. Safe to call from
+  /// several threads at once. fn must not throw.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Microseconds the coordinator spent blocked waiting for stragglers
-  /// after finishing its own share, summed over all ParallelFor calls.
-  uint64_t barrier_wait_micros() const { return barrier_wait_micros_; }
+  /// Microseconds coordinators spent blocked on indices a helper had
+  /// claimed but not finished, summed over all ParallelFor calls.
+  uint64_t barrier_wait_micros() const {
+    return barrier_wait_micros_.load(std::memory_order_relaxed);
+  }
 
   /// Total ParallelFor indices dispatched (morsels + shard tasks).
-  uint64_t tasks_dispatched() const { return tasks_dispatched_; }
+  uint64_t tasks_dispatched() const {
+    return tasks_dispatched_.load(std::memory_order_relaxed);
+  }
 
  private:
   void WorkerLoop();
@@ -60,12 +69,16 @@ class ThreadPool {
   CondVar work_cv_;
   std::deque<std::function<void()>> queue_ FUNGUS_GUARDED_BY(mu_);
   bool stopping_ FUNGUS_GUARDED_BY(mu_) = false;
-  // Coordinator-thread bookkeeping: written only inside ParallelFor and
-  // read between calls, so the fork/join structure (not mu_) orders it.
-  // capability_audit.py carries the justified-allowlist entries.
-  uint64_t barrier_wait_micros_ = 0;
-  uint64_t tasks_dispatched_ = 0;
+  std::atomic<uint64_t> barrier_wait_micros_{0};
+  std::atomic<uint64_t> tasks_dispatched_{0};
 };
+
+/// CPUs the calling thread may run on: the count of its scheduler
+/// affinity mask (a process pinned with taskset or a cpuset sees its
+/// pinned CPUs, not the host's); hardware_concurrency() where the mask
+/// cannot be read. At least 1. Sizes the Database pool and fungusd's
+/// automatic read-worker count.
+size_t AvailableCpus();
 
 }  // namespace fungusdb
 

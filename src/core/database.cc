@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -14,9 +13,7 @@ namespace fungusdb {
 namespace {
 
 size_t ResolveNumThreads(size_t requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return requested > 0 ? requested : AvailableCpus();
 }
 
 int64_t SlowQueryEnvMicros() {

@@ -46,12 +46,14 @@ struct DatabaseOptions {
   /// Bump access counters on query matches (feeds ImportanceFungus).
   bool record_access = true;
 
-  /// Execution threads for shard-parallel decay ticks and morsel-driven
-  /// scans (including the coordinating thread). 0 picks the hardware
-  /// concurrency. 1 runs everything inline — same results, one core:
-  /// parallel outcomes are deterministic in the thread count by
-  /// construction (they may depend on a table's num_shards, which is a
-  /// storage property, not an execution property).
+  /// Width of the Database's one pool (including the coordinating
+  /// thread), shared by shard-parallel decay ticks and the morsel-driven
+  /// scans of the writer and every Session. 0 picks the CPUs the process
+  /// may run on (its affinity mask). 1 runs everything inline — same
+  /// results, one core: parallel outcomes are deterministic in the
+  /// thread count by construction (they may depend on a table's
+  /// num_shards, which is a storage property, not an execution
+  /// property).
   size_t num_threads = 0;
 };
 

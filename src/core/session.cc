@@ -12,11 +12,12 @@ QueryEngineOptions ReadPathEngineOptions(Database* db) {
   // plain (non-atomic) storage, and the classifier keeps SELECTs over
   // track_access tables on the writer precisely so this stays false.
   options.record_access = false;
-  // Serial scans: concurrency comes from many sessions. Sharing the
-  // decay pool's fork/join from N reader threads at once would nest
-  // coordinators; per-statement serial execution is also the right
-  // throughput trade for a worker-pool server.
-  options.pool = nullptr;
+  // Morsels run on the Database's one pool, shared with the other
+  // Sessions (and, outside read pins, the writer and decay ticks).
+  // ParallelFor is caller-runs: this read worker drives its own
+  // statement's morsels and idle pool threads join in, so a reader never
+  // waits for a pool thread busy in another Session's statement.
+  options.pool = &db->thread_pool();
   options.metrics = &db->metrics();
   return options;
 }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "query/evaluator.h"
 
@@ -39,7 +40,7 @@ Value Cells::Box(size_t i) const {
     case Kind::kFloat64:
       return Value::Float64(doubles[i]);
     case Kind::kString:
-      return Value::String(std::string(strings[i]));
+      return Value::String(std::string(String(i)));
     case Kind::kBool:
       return Value::Bool(bools[i] != 0);
     case Kind::kValue:
@@ -126,15 +127,20 @@ Status Operand::Load(const Table& table, const SelectedBatch& batch) {
           cells_.doubles = seg.DecodeFloat64Column(col_, base, n);
           break;
         case DataType::kString:
-          strings_.resize(kPipelineBatch);
           cells_.kind = Cells::Kind::kString;
-          seg.DecodeStringColumn(col_, base, n, strings_.data());
-          cells_.strings = strings_.data();
-          cells_.codes = nullptr;
           if (seg.is_frozen()) {
             codes_.resize(kPipelineBatch);
             seg.DecodeStringCodes(col_, base, n, codes_.data());
             cells_.codes = codes_.data();
+            cells_.dict = seg.StringDictionary(col_).data();
+            cells_.strings = nullptr;
+          } else {
+            strings_.resize(kPipelineBatch);
+            seg.DecodeStringCells(col_, base, batch.sel, batch.m,
+                                  strings_.data());
+            cells_.strings = strings_.data();
+            cells_.codes = nullptr;
+            cells_.dict = nullptr;
           }
           break;
         case DataType::kBool:
@@ -206,31 +212,49 @@ size_t HashValue(const Value& v) {
 
 // --- AggState. ---
 
-Value AggState::Finalize(AggFn fn,
-                         std::optional<DataType> result_type) const {
+Value AggState::Finalize(AggFn fn, std::optional<DataType> result_type,
+                         const FloatSums& total) const {
   switch (fn) {
     case AggFn::kCount:
       return Value::Int64(static_cast<int64_t>(count));
     case AggFn::kSum:
       if (count == 0) return Value::Null();
       if (result_type == DataType::kInt64) return Value::Int64(sum_i);
-      return Value::Float64(sum_d);
+      return Value::Float64(total.sum);
     case AggFn::kAvg:
       if (count == 0) return Value::Null();
-      return Value::Float64(sum_d / static_cast<double>(count));
+      return Value::Float64(total.sum / static_cast<double>(count));
     case AggFn::kMin:
     case AggFn::kMax:
+      if (first_is_nan) return Value::Float64(first_nan);
       return has_extreme ? extreme : Value::Null();
     case AggFn::kFCount:
-      return Value::Float64(weighted_count);
+      return Value::Float64(total.weighted_count);
     case AggFn::kFSum:
       if (count == 0) return Value::Null();
-      return Value::Float64(weighted_sum);
+      return Value::Float64(total.weighted_sum);
     case AggFn::kFAvg:
-      if (count == 0 || weighted_count == 0.0) return Value::Null();
-      return Value::Float64(weighted_sum / weighted_count);
+      if (count == 0 || total.weighted_count == 0.0) return Value::Null();
+      return Value::Float64(total.weighted_sum / total.weighted_count);
   }
   return Value::Null();
+}
+
+bool HasFloatSums(const BoundExpr& call) {
+  switch (call.agg_fn) {
+    case AggFn::kSum:
+      return call.result_type != DataType::kInt64;
+    case AggFn::kAvg:
+    case AggFn::kFCount:
+    case AggFn::kFSum:
+    case AggFn::kFAvg:
+      return true;
+    case AggFn::kCount:
+    case AggFn::kMin:
+    case AggFn::kMax:
+      return false;
+  }
+  return false;
 }
 
 // --- Aggregate kernels. ---
@@ -238,7 +262,8 @@ Value AggState::Finalize(AggFn fn,
 // One kernel per aggregate function, each a loop over the selected rows
 // of a batch in offset order. `slots` maps a selected row to its group's
 // state (nullptr: the single global group); `f` holds the batch's
-// effective freshness (F-aggregates only).
+// effective freshness (F-aggregates only); `pos` is the segment's
+// position in the scan (MIN/MAX only).
 
 namespace {
 
@@ -248,6 +273,7 @@ struct KernelArgs {
   AggState* states;
   size_t stride;  // states per group
   const double* f;
+  uint32_t pos;
 };
 
 /// Calls fn(state, i) for every selected row.
@@ -298,8 +324,20 @@ void AddExact(AggState& s, int64_t v) {
                                  static_cast<uint64_t>(v));
 }
 
+/// Notes a MIN/MAX state's first non-null cell, `d` its double image
+/// (0 for non-numeric cells).
+void ObserveFirst(AggState& s, uint32_t pos, double d) {
+  if (s.first_pos != kNoPosition) return;
+  s.first_pos = pos;
+  if (std::isnan(d)) {
+    s.first_is_nan = true;
+    s.first_nan = d;
+  }
+}
+
 /// Folds one walker Value the way the typed kernels fold a cell.
-Status ObserveValue(AggFn fn, AggState& s, const Value& v, double f) {
+Status ObserveValue(AggFn fn, AggState& s, const Value& v, double f,
+                    uint32_t pos) {
   if (v.is_null()) return Status::OK();
   const bool numeric = IsNumeric(v.type());
   switch (fn) {
@@ -307,35 +345,39 @@ Status ObserveValue(AggFn fn, AggState& s, const Value& v, double f) {
       ++s.count;
       return Status::OK();
     case AggFn::kFCount:
-      s.weighted_count += f;
+      s.sums.weighted_count += f;
       return Status::OK();
     case AggFn::kMin:
     case AggFn::kMax: {
-      if (!s.has_extreme) {
-        s.has_extreme = true;
-        s.extreme = v;
-        return Status::OK();
+      const double d = numeric ? v.ToDouble().value() : 0.0;
+      ObserveFirst(s, pos, d);
+      if (std::isnan(d)) return Status::OK();  // never an extreme
+      if (s.has_extreme) {
+        FUNGUSDB_ASSIGN_OR_RETURN(int cmp, v.Compare(s.extreme));
+        if (fn == AggFn::kMin ? cmp >= 0 : cmp <= 0) return Status::OK();
       }
-      FUNGUSDB_ASSIGN_OR_RETURN(int cmp, v.Compare(s.extreme));
-      if (fn == AggFn::kMin ? cmp < 0 : cmp > 0) s.extreme = v;
+      s.has_extreme = true;
+      s.extreme_pos = pos;
+      s.extreme_key = d;
+      s.extreme = v;
       return Status::OK();
     }
     default:
       break;
   }
   ++s.count;
-  if (fn == AggFn::kFAvg) s.weighted_count += f;
+  if (fn == AggFn::kFAvg) s.sums.weighted_count += f;
   if (!numeric) return Status::OK();
   FUNGUSDB_ASSIGN_OR_RETURN(double d, v.ToDouble());
   switch (fn) {
     case AggFn::kSum:
     case AggFn::kAvg:
-      s.sum_d += d;
+      s.sums.sum += d;
       if (v.type() == DataType::kInt64) AddExact(s, v.AsInt64());
       break;
     case AggFn::kFSum:
     case AggFn::kFAvg:
-      s.weighted_sum += f * d;
+      s.sums.weighted_sum += f * d;
       break;
     default:
       break;
@@ -345,16 +387,20 @@ Status ObserveValue(AggFn fn, AggState& s, const Value& v, double f) {
 
 /// MIN/MAX over typed cells: double-space comparison for numerics,
 /// lexicographic for strings, false < true for bools; a tie keeps the
-/// earlier value.
+/// earlier value, and NaN is never an extreme (see AggState). Only
+/// numeric cells can be NaN, so only they note the first cell.
 void FoldExtreme(const KernelArgs& a, const Cells& c, bool is_min) {
+  const uint32_t pos = a.pos;
   switch (c.kind) {
     case Cells::Kind::kInt64:
     case Cells::Kind::kTimestamp:
     case Cells::Kind::kFloat64:
       ForNumeric(a, c, [&](AggState& s, uint32_t i, double d) {
-        if (!s.has_extreme || (is_min ? d < s.extreme_key
-                                      : d > s.extreme_key)) {
+        ObserveFirst(s, pos, d);
+        if (s.has_extreme ? (is_min ? d < s.extreme_key : d > s.extreme_key)
+                          : !std::isnan(d)) {
           s.has_extreme = true;
+          s.extreme_pos = pos;
           s.extreme_key = d;
           s.extreme = c.Box(i);
         }
@@ -363,10 +409,11 @@ void FoldExtreme(const KernelArgs& a, const Cells& c, bool is_min) {
     case Cells::Kind::kString:
       ForSelected(a, [&](AggState& s, uint32_t i) {
         if (c.IsNull(i)) return;
-        const std::string_view v = c.strings[i];
+        const std::string_view v = c.String(i);
         if (!s.has_extreme ||
             (is_min ? v < s.extreme.AsString() : v > s.extreme.AsString())) {
           s.has_extreme = true;
+          s.extreme_pos = pos;
           s.extreme = Value::String(std::string(v));
         }
       });
@@ -378,6 +425,7 @@ void FoldExtreme(const KernelArgs& a, const Cells& c, bool is_min) {
         if (!s.has_extreme ||
             (is_min ? v < s.extreme.AsBool() : v > s.extreme.AsBool())) {
           s.has_extreme = true;
+          s.extreme_pos = pos;
           s.extreme = Value::Bool(v);
         }
       });
@@ -399,7 +447,7 @@ Status FoldCall(AggFn fn, const Cells* arg, const KernelArgs& a) {
       }
     } else {
       ForSelected(a, [f](AggState& s, uint32_t i) {
-        s.weighted_count += f[i];
+        s.sums.weighted_count += f[i];
       });
     }
     return Status::OK();
@@ -409,7 +457,8 @@ Status FoldCall(AggFn fn, const Cells* arg, const KernelArgs& a) {
     Status status;
     ForSelected(a, [&](AggState& s, uint32_t i) {
       if (!status.ok()) return;
-      status = ObserveValue(fn, s, c.values[i], f == nullptr ? 0.0 : f[i]);
+      status = ObserveValue(fn, s, c.values[i], f == nullptr ? 0.0 : f[i],
+                            a.pos);
     });
     return status;
   }
@@ -421,7 +470,7 @@ Status FoldCall(AggFn fn, const Cells* arg, const KernelArgs& a) {
       break;
     case AggFn::kFCount:
       ForSelected(a, [&c, f](AggState& s, uint32_t i) {
-        if (!c.IsNull(i)) s.weighted_count += f[i];
+        if (!c.IsNull(i)) s.sums.weighted_count += f[i];
       });
       break;
     case AggFn::kSum:
@@ -430,27 +479,27 @@ Status FoldCall(AggFn fn, const Cells* arg, const KernelArgs& a) {
         const int64_t* x = c.ints;
         ForNumeric(a, c, [x](AggState& s, uint32_t i, double d) {
           ++s.count;
-          s.sum_d += d;
+          s.sums.sum += d;
           AddExact(s, x[i]);
         });
       } else {
         ForNumeric(a, c, [](AggState& s, uint32_t, double d) {
           ++s.count;
-          s.sum_d += d;
+          s.sums.sum += d;
         });
       }
       break;
     case AggFn::kFSum:
       ForNumeric(a, c, [f](AggState& s, uint32_t i, double d) {
         ++s.count;
-        s.weighted_sum += f[i] * d;
+        s.sums.weighted_sum += f[i] * d;
       });
       break;
     case AggFn::kFAvg:
       ForNumeric(a, c, [f](AggState& s, uint32_t i, double d) {
         ++s.count;
-        s.weighted_count += f[i];
-        s.weighted_sum += f[i] * d;
+        s.sums.weighted_count += f[i];
+        s.sums.weighted_sum += f[i] * d;
       });
       break;
     case AggFn::kMin:
@@ -498,12 +547,12 @@ void IdTable::Grow() {
 
 // --- KeyDictionary. ---
 
-uint32_t Aggregation::KeyDictionary::NullId() {
+uint32_t AggregateFolder::KeyDictionary::NullId() {
   if (null_id_ < 0) null_id_ = next_id_++;
   return static_cast<uint32_t>(null_id_);
 }
 
-uint32_t Aggregation::KeyDictionary::WordId(uint64_t word) {
+uint32_t AggregateFolder::KeyDictionary::WordId(uint64_t word) {
   bool inserted = false;
   const uint32_t entry = words_.FindOrInsert(
       MixWord(word), [](uint32_t) { return true; }, &inserted);
@@ -511,7 +560,7 @@ uint32_t Aggregation::KeyDictionary::WordId(uint64_t word) {
   return word_ids_[entry];
 }
 
-uint32_t Aggregation::KeyDictionary::StringId(std::string_view s) {
+uint32_t AggregateFolder::KeyDictionary::StringId(std::string_view s) {
   bool inserted = false;
   const uint32_t entry = strings_.FindOrInsert(
       std::hash<std::string_view>{}(s),
@@ -523,9 +572,9 @@ uint32_t Aggregation::KeyDictionary::StringId(std::string_view s) {
   return string_ids_[entry];
 }
 
-void Aggregation::KeyDictionary::Assign(const Cells& cells,
-                                        const SelectedBatch& batch,
-                                        uint32_t* ids) {
+void AggregateFolder::KeyDictionary::Assign(const Cells& cells,
+                                            const SelectedBatch& batch,
+                                            uint32_t* ids) {
   const uint32_t* sel = batch.sel;
   const size_t m = batch.m;
   auto each = [&](auto&& id_of) {
@@ -559,14 +608,12 @@ void Aggregation::KeyDictionary::Assign(const Cells& cells,
         each([&](uint32_t i) {
           const uint32_t code = cells.codes[i];
           if (code >= code_ids_.size()) code_ids_.resize(code + 1, -1);
-          if (code_ids_[code] < 0) {
-            code_ids_[code] = StringId(cells.strings[i]);
-          }
+          if (code_ids_[code] < 0) code_ids_[code] = StringId(cells.String(i));
           return static_cast<uint32_t>(code_ids_[code]);
         });
         return;
       }
-      each([&](uint32_t i) { return StringId(cells.strings[i]); });
+      each([&](uint32_t i) { return StringId(cells.String(i)); });
       return;
     case Cells::Kind::kValue:
       each([&](uint32_t i) {
@@ -578,10 +625,10 @@ void Aggregation::KeyDictionary::Assign(const Cells& cells,
   }
 }
 
-// --- Aggregation. ---
+// --- AggregateFolder. ---
 
-Aggregation::Aggregation(const std::vector<const BoundExpr*>& calls,
-                         const std::vector<BoundExpr>& keys) {
+AggregateFolder::AggregateFolder(const std::vector<const BoundExpr*>& calls,
+                                 const std::vector<BoundExpr>& keys) {
   for (const BoundExpr* call : calls) {
     Call c;
     c.expr = call;
@@ -589,25 +636,28 @@ Aggregation::Aggregation(const std::vector<const BoundExpr*>& calls,
     if (IsFreshnessWeighted(call->agg_fn) && !freshness_.has_value()) {
       freshness_ = Operand::Freshness();
     }
+    if (HasFloatSums(*call)) float_calls_.push_back(calls_.size());
     calls_.push_back(std::move(c));
   }
   for (const BoundExpr& key : keys) key_operands_.emplace_back(key);
   key_dicts_.resize(keys.size());
   if (keys.size() > 1) links_.resize(keys.size() - 1);
   key_ids_.resize(keys.size() * kPipelineBatch);
-  slots_.resize(kPipelineBatch);
+  groups_.resize(kPipelineBatch);
   if (keys.empty()) {
     num_groups_ = 1;
     states_.resize(calls_.size());
   }
 }
 
-void Aggregation::AssignGroups(const SelectedBatch& batch) {
+void AggregateFolder::AssignGroups(const SelectedBatch& batch,
+                                   SegmentPartial& out) {
   const size_t num_keys = key_operands_.size();
   for (size_t j = 0; j < num_keys; ++j) {
     key_dicts_[j].Assign(key_operands_[j].cells(), batch,
                          key_ids_.data() + j * kPipelineBatch);
   }
+  const bool list_groups = !float_calls_.empty();
   for (size_t k = 0; k < batch.m; ++k) {
     // Chain the key ids into one group id.
     uint32_t id = key_ids_[k];
@@ -623,53 +673,226 @@ void Aggregation::AssignGroups(const SelectedBatch& batch) {
     }
     if (is_new) {
       ++num_groups_;
-      states_.resize(num_groups_ * calls_.size());
+      if (list_groups) stamp_.push_back(0);
       for (size_t j = 0; j < num_keys; ++j) {
-        group_keys_.push_back(key_operands_[j].cells().Box(batch.sel[k]));
+        out.new_keys.push_back(key_operands_[j].cells().Box(batch.sel[k]));
       }
     }
-    slots_[k] = id;
+    if (list_groups && stamp_[id] != generation_) {  // first row here
+      stamp_[id] = generation_;
+      out.groups.push_back(id);
+    }
+    groups_[k] = id;
+  }
+  states_.resize(num_groups_ * calls_.size());
+}
+
+Status AggregateFolder::FoldBatch(const Table& table,
+                                  const SelectedBatch& batch,
+                                  uint32_t position, SegmentPartial& out) {
+  const uint32_t* slots = nullptr;
+  if (!key_operands_.empty()) {
+    for (Operand& key : key_operands_) {
+      FUNGUSDB_RETURN_IF_ERROR(key.Load(table, batch));
+    }
+    AssignGroups(batch, out);
+    slots = groups_.data();
+  }
+  const double* f = nullptr;
+  if (freshness_.has_value()) {
+    FUNGUSDB_RETURN_IF_ERROR(freshness_->Load(table, batch));
+    f = freshness_->cells().doubles;
+  }
+  for (size_t c = 0; c < calls_.size(); ++c) {
+    Call& call = calls_[c];
+    const Cells* arg = nullptr;
+    if (call.arg.has_value()) {
+      FUNGUSDB_RETURN_IF_ERROR(call.arg->Load(table, batch));
+      arg = &call.arg->cells();
+    }
+    const KernelArgs args{&batch,         slots, states_.data() + c,
+                          calls_.size(), f,     position};
+    FUNGUSDB_RETURN_IF_ERROR(FoldCall(call.expr->agg_fn, arg, args));
+  }
+  return Status::OK();
+}
+
+Status AggregateFolder::Fold(const Table& table,
+                             const SegmentSelection& selection,
+                             uint32_t position, SegmentPartial& out) {
+  out.folder = this;
+  out.groups.clear();
+  out.sums.clear();
+  out.first_new_group = static_cast<uint32_t>(num_groups_);
+  out.new_keys.clear();
+  // The previous segment's count of new groups is a fair guess at this
+  // one's: it spares regrowing the keys of a high-cardinality GROUP BY.
+  out.new_keys.reserve(last_new_groups_ * key_operands_.size());
+  ++generation_;
+  if (key_operands_.empty() && !float_calls_.empty()) out.groups.push_back(0);
+  FUNGUSDB_RETURN_IF_ERROR(
+      ForEachBatch(selection, [&](const SelectedBatch& batch) {
+        return FoldBatch(table, batch, position, out);
+      }));
+  last_new_groups_ = num_groups_ - out.first_new_group;
+  // Hand the segment's float sums over and start the next segment's
+  // from zero.
+  out.sums.reserve(out.groups.size() * float_calls_.size());
+  for (const uint32_t group : out.groups) {
+    AggState* states = states_.data() + group * calls_.size();
+    for (const size_t c : float_calls_) {
+      out.sums.push_back(states[c].sums);
+      states[c].sums = FloatSums{};
+    }
+  }
+  return Status::OK();
+}
+
+// --- Aggregation. ---
+
+namespace {
+
+/// Folds `other`'s running state into `into`; `sums` are left alone.
+Status MergeState(AggFn fn, AggState& into, AggState& other) {
+  into.count += other.count;
+  AddExact(into, other.sum_i);
+  if (other.first_pos < into.first_pos) {
+    into.first_pos = other.first_pos;
+    into.first_is_nan = other.first_is_nan;
+    into.first_nan = other.first_nan;
+  }
+  if (!other.has_extreme) return Status::OK();
+  if (into.has_extreme) {
+    FUNGUSDB_ASSIGN_OR_RETURN(int cmp, other.extreme.Compare(into.extreme));
+    const bool better = fn == AggFn::kMin ? cmp < 0 : cmp > 0;
+    if (!better && (cmp != 0 || other.extreme_pos > into.extreme_pos)) {
+      return Status::OK();
+    }
+  }
+  into.has_extreme = true;
+  into.extreme_pos = other.extreme_pos;
+  into.extreme_key = other.extreme_key;
+  into.extreme = std::move(other.extreme);
+  return Status::OK();
+}
+
+void AddSums(FloatSums& into, const FloatSums& later) {
+  into.sum += later.sum;
+  into.weighted_count += later.weighted_count;
+  into.weighted_sum += later.weighted_sum;
+}
+
+}  // namespace
+
+Aggregation::Aggregation(const std::vector<const BoundExpr*>& calls,
+                         const std::vector<BoundExpr>& keys)
+    : calls_(calls), num_keys_(keys.size()) {
+  for (size_t c = 0; c < calls_.size(); ++c) {
+    if (HasFloatSums(*calls_[c])) float_calls_.push_back(c);
+  }
+  if (keys.empty()) {
+    num_groups_ = 1;
+    sums_.resize(float_calls_.size());
+    states_.resize(calls_.size());
   }
 }
 
-Status Aggregation::Add(const Table& table,
-                        const SegmentSelection& selection) {
-  return ForEachBatch(selection, [&](const SelectedBatch& batch) -> Status {
-    const uint32_t* slots = nullptr;
-    if (!key_operands_.empty()) {
-      for (Operand& key : key_operands_) {
-        FUNGUSDB_RETURN_IF_ERROR(key.Load(table, batch));
-      }
-      AssignGroups(batch);
-      slots = slots_.data();
+std::vector<uint32_t>& Aggregation::GroupsOf(const AggregateFolder* folder) {
+  for (auto& [f, groups] : folder_groups_) {
+    if (f == folder) return groups;
+  }
+  return folder_groups_.emplace_back(folder, std::vector<uint32_t>{}).second;
+}
+
+uint32_t Aggregation::FindOrOpenGroup(Value* key) {
+  auto hash_of = [this](const Value* k) {
+    uint64_t hash = 0;
+    for (size_t j = 0; j < num_keys_; ++j) {
+      hash = hash * 0x100000001b3ULL ^ HashValue(k[j]);
     }
-    const double* f = nullptr;
-    if (freshness_.has_value()) {
-      FUNGUSDB_RETURN_IF_ERROR(freshness_->Load(table, batch));
-      f = freshness_->cells().doubles;
+    return MixWord(hash);
+  };
+  if (!indexed_ && folder_groups_.size() > 1) {
+    // A second folder: its groups may already be open.
+    indexed_ = true;
+    for (uint32_t g = 0; g < num_groups_; ++g) {
+      bool inserted = false;
+      index_.FindOrInsert(
+          hash_of(&group_keys_[g * num_keys_]),
+          [](uint32_t) { return false; }, &inserted);
     }
-    for (size_t c = 0; c < calls_.size(); ++c) {
-      Call& call = calls_[c];
-      const Cells* arg = nullptr;
-      if (call.arg.has_value()) {
-        FUNGUSDB_RETURN_IF_ERROR(call.arg->Load(table, batch));
-        arg = &call.arg->cells();
-      }
-      const KernelArgs args{&batch, slots, states_.data() + c, calls_.size(),
-                            f};
-      FUNGUSDB_RETURN_IF_ERROR(FoldCall(call.expr->agg_fn, arg, args));
+  }
+  uint32_t g = static_cast<uint32_t>(num_groups_);
+  if (indexed_) {
+    bool inserted = false;
+    g = index_.FindOrInsert(
+        hash_of(key),
+        [&](uint32_t id) {
+          for (size_t j = 0; j < num_keys_; ++j) {
+            if (!SameValue(group_keys_[id * num_keys_ + j], key[j])) {
+              return false;
+            }
+          }
+          return true;
+        },
+        &inserted);
+    if (!inserted) return g;
+  }
+  ++num_groups_;
+  std::move(key, key + num_keys_, std::back_inserter(group_keys_));
+  return g;
+}
+
+void Aggregation::Merge(SegmentPartial&& partial) {
+  std::vector<uint32_t>& to_group = GroupsOf(partial.folder);
+  // The folder met these groups first in this segment. Segments merge
+  // in order, so a group new here too opens with this row's keys.
+  for (size_t k = 0; k < partial.new_keys.size(); k += num_keys_) {
+    to_group.push_back(FindOrOpenGroup(partial.new_keys.data() + k));
+  }
+  const size_t num_floats = float_calls_.size();
+  sums_.resize(num_groups_ * num_floats);
+  for (size_t k = 0; k < partial.groups.size(); ++k) {
+    const uint32_t g = num_keys_ == 0 ? 0 : to_group[partial.groups[k]];
+    for (size_t f = 0; f < num_floats; ++f) {
+      AddSums(sums_[g * num_floats + f], partial.sums[k * num_floats + f]);
     }
+  }
+}
+
+Status Aggregation::MergeStates(AggregateFolder& folder) {
+  std::vector<AggState>& from = folder.states();
+  const size_t num_calls = calls_.size();
+  if (num_calls == 0) return Status::OK();
+  const std::vector<uint32_t>& to_group = GroupsOf(&folder);
+  bool identity = states_.empty() && to_group.size() == num_groups_;
+  for (uint32_t k = 0; identity && k < to_group.size(); ++k) {
+    identity = to_group[k] == k;
+  }
+  if (identity) {
+    // The first folder met every group, in the same order (a serial
+    // scan): its states are the merge.
+    states_ = std::move(from);
     return Status::OK();
-  });
+  }
+  states_.resize(num_groups_ * num_calls);
+  for (size_t k = 0; k < from.size(); ++k) {
+    const size_t folder_group = k / num_calls;
+    const size_t c = k % num_calls;
+    const uint32_t g = num_keys_ == 0 ? 0 : to_group[folder_group];
+    FUNGUSDB_RETURN_IF_ERROR(
+        MergeState(calls_[c]->agg_fn, states_[g * num_calls + c], from[k]));
+  }
+  return Status::OK();
 }
 
 std::vector<uint32_t> Aggregation::OutputOrder() const {
   std::vector<uint32_t> order(num_groups_);
   for (uint32_t g = 0; g < num_groups_; ++g) order[g] = g;
-  if (key_operands_.empty()) return order;
+  if (num_keys_ == 0) return order;
   std::vector<std::string> rendered(num_groups_);
   for (uint32_t g = 0; g < num_groups_; ++g) {
-    for (size_t j = 0; j < key_operands_.size(); ++j) {
+    for (size_t j = 0; j < num_keys_; ++j) {
       const Value& v = KeyValue(g, j);
       rendered[g] += v.is_null() ? "\x01" : v.ToString();
       rendered[g] += '\x1F';
@@ -683,13 +906,18 @@ std::vector<uint32_t> Aggregation::OutputOrder() const {
 }
 
 const Value& Aggregation::KeyValue(uint32_t group, size_t key) const {
-  return group_keys_[group * key_operands_.size() + key];
+  return group_keys_[group * num_keys_ + key];
 }
 
 Value Aggregation::Result(uint32_t group, size_t call) const {
-  const BoundExpr& expr = *calls_[call].expr;
-  return states_[group * calls_.size() + call].Finalize(expr.agg_fn,
-                                                        expr.result_type);
+  const BoundExpr& expr = *calls_[call];
+  const auto f = std::find(float_calls_.begin(), float_calls_.end(), call);
+  const FloatSums total =
+      f == float_calls_.end()
+          ? FloatSums{}
+          : sums_[group * float_calls_.size() + (f - float_calls_.begin())];
+  return states_[group * calls_.size() + call].Finalize(
+      expr.agg_fn, expr.result_type, total);
 }
 
 }  // namespace fungusdb

@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -62,18 +63,25 @@ struct Cells {
   Kind kind = Kind::kValue;
   const int64_t* ints = nullptr;              // kInt64, kTimestamp
   const double* doubles = nullptr;            // kFloat64
-  const std::string_view* strings = nullptr;  // kString
   const uint8_t* bools = nullptr;             // kBool
   const Value* values = nullptr;              // kValue
   /// 1 = null cell; nullptr when the batch holds no null cell.
   const uint8_t* nulls = nullptr;
-  /// kString on a frozen segment: the dictionary codes behind
-  /// `strings` (equal codes, equal strings within one segment).
+  /// kString on a plain segment: views into the segment's storage.
+  const std::string_view* strings = nullptr;
+  /// kString on a frozen segment: dictionary codes (equal codes, equal
+  /// strings within one segment) and the dictionary they index.
   const uint32_t* codes = nullptr;
+  const std::string* dict = nullptr;
 
   bool IsNull(size_t i) const {
     if (kind == Kind::kValue) return values[i].is_null();
     return nulls != nullptr && nulls[i] != 0;
+  }
+
+  /// A kString cell.
+  std::string_view String(size_t i) const {
+    return codes != nullptr ? std::string_view(dict[codes[i]]) : strings[i];
   }
 
   /// The cell as a result Value.
@@ -133,27 +141,54 @@ bool SameValue(const Value& a, const Value& b);
 /// Hash consistent with SameValue.
 size_t HashValue(const Value& v);
 
+/// The float sums of one aggregate call in one group: the only part of
+/// an aggregate whose value depends on the order cells are added in.
+struct FloatSums {
+  double sum = 0.0;             // every numeric cell, as double
+  double weighted_count = 0.0;  // F-aggregates: effective freshness
+  double weighted_sum = 0.0;    // F-aggregates: freshness x cell
+};
+
+/// Segment position of a MIN/MAX state that has not seen its cell yet.
+inline constexpr uint32_t kNoPosition = UINT32_MAX;
+
 /// The one aggregate state, for one aggregate call within one group.
-/// Cells are accumulated in row order (segments in LiveSegments()
-/// order, offsets ascending), which fixes the floating-point sums:
-///  * `sum_d` sums every numeric cell as double, `sum_i` only int64
-///    cells, exactly (wrapping);
-///  * the F-variants weight each cell by its effective freshness;
-///  * MIN/MAX compare in double space for numeric cells, as
-///    Value::Compare does, and keep the first value on a tie — which
-///    decides NaN cells and int64 values beyond 2^53.
+/// An AggregateFolder keeps one per (group, call) across all the
+/// segments it folds, cells in offset order; the Aggregation merges the
+/// folders' states. That fixes the answer whatever the thread count:
+///  * `count`, and `sum_i` over int64 cells (exact, wrapping), add in
+///    any order;
+///  * float sums depend on order, so `sums` hold only the segment the
+///    folder is folding; each segment hands its sums over in a
+///    SegmentPartial, and the Aggregation adds them in LiveSegments()
+///    order, so a float SUM or AVG is the segment-ordered sum of
+///    per-segment partial sums; Finalize takes that total as an
+///    argument;
+///  * MIN/MAX is the row-at-a-time answer in scan order: NaN when the
+///    group's first non-null cell is NaN, otherwise the first cell no
+///    later cell beats. Numeric cells compare in double space, as
+///    Value::Compare does, so int64 values beyond 2^53 can tie. The
+///    positions (the segment's index in the scan) of the first cell and
+///    of the extreme let states from different folders merge to the
+///    same answer.
 struct AggState {
   uint64_t count = 0;
   int64_t sum_i = 0;
-  double sum_d = 0.0;
-  double weighted_count = 0.0;
-  double weighted_sum = 0.0;
-  bool has_extreme = false;
+  FloatSums sums;
+  uint32_t first_pos = kNoPosition;  // first non-null MIN/MAX cell
+  bool first_is_nan = false;
+  double first_nan = 0.0;  // that cell, when it is NaN
+  bool has_extreme = false;  // a non-NaN MIN/MAX cell was seen
+  uint32_t extreme_pos = kNoPosition;
   double extreme_key = 0.0;  // double image of a numeric `extreme`
   Value extreme;             // current MIN or MAX
 
-  Value Finalize(AggFn fn, std::optional<DataType> result_type) const;
+  Value Finalize(AggFn fn, std::optional<DataType> result_type,
+                 const FloatSums& total) const;
 };
+
+/// Whether aggregate call `call` reads FloatSums.
+bool HasFloatSums(const BoundExpr& call);
 
 /// Open-addressing table from a 64-bit key hash to a dense id. The
 /// caller supplies key equality for ids whose hash matches; for keys
@@ -195,31 +230,47 @@ class IdTable {
   size_t size_ = 0;
 };
 
-/// GROUP BY plus aggregation for one query. Groups are keyed by typed
-/// values under SameValue; on frozen segments each dictionary code of
-/// a string key is mapped to its key id once per segment. Without GROUP
-/// BY there is exactly one group, present even over empty input.
-class Aggregation {
+class AggregateFolder;
+
+/// What one segment contributes that must merge in segment order: the
+/// float sums of the groups its selected rows formed, and the groups
+/// the folder first met in it, with their key values as the segment's
+/// first row of the group has them. The merge never reads the folder,
+/// which may be folding a later segment meanwhile.
+struct SegmentPartial {
+  const AggregateFolder* folder = nullptr;
+  /// Folder ids of the groups with float sums here, in first-appearance
+  /// order; empty when no call has float sums.
+  std::vector<uint32_t> groups;
+  std::vector<FloatSums> sums;  // groups x calls with float sums
+  uint32_t first_new_group = 0;  // folder ids from here on are new
+  std::vector<Value> new_keys;   // new groups x keys, in folder id order
+};
+
+/// Folds segments for one query. Groups are keyed by typed values under
+/// SameValue, with ids in first-appearance order; on frozen segments
+/// each dictionary code of a string key is mapped to its group once per
+/// segment. A folder keeps its running states, operands, batch scratch
+/// and key dictionaries from one segment to the next, so it serves one
+/// thread at a time, and the segments it folds must come in
+/// LiveSegments() order (gaps allowed).
+class AggregateFolder {
  public:
   /// `calls` are the aggregate select items in select-list order and
   /// `keys` the GROUP BY expressions; both must outlive this object.
-  Aggregation(const std::vector<const BoundExpr*>& calls,
-              const std::vector<BoundExpr>& keys);
+  AggregateFolder(const std::vector<const BoundExpr*>& calls,
+                  const std::vector<BoundExpr>& keys);
 
-  /// Folds the selected rows of one segment in. Segments must arrive in
-  /// LiveSegments() order.
-  Status Add(const Table& table, const SegmentSelection& selection);
+  /// Folds the selected rows of the segment at `position` in the scan
+  /// into the running states, and hands its float sums and new groups
+  /// over in `out`, which it overwrites. Without GROUP BY there is one
+  /// group, present even when no row is selected.
+  Status Fold(const Table& table, const SegmentSelection& selection,
+              uint32_t position, SegmentPartial& out);
 
-  /// Group ids in output order: sorted by the rendered key (each key
-  /// Value::ToString, NULL as \x01, joined by \x1F), ties broken by
-  /// first appearance.
-  std::vector<uint32_t> OutputOrder() const;
-
-  /// Value of GROUP BY key `key` in the first row of group `group`.
-  const Value& KeyValue(uint32_t group, size_t key) const;
-
-  /// Finalized value of aggregate call `call` in group `group`.
-  Value Result(uint32_t group, size_t call) const;
+  /// Running states, folder groups x calls, in folder id order. Final
+  /// once the folder's last Fold returned.
+  std::vector<AggState>& states() { return states_; }
 
  private:
   /// Dense ids for the values of one GROUP BY key under SameValue, in
@@ -263,24 +314,88 @@ class Aggregation {
     std::optional<Operand> arg;  // empty for COUNT(*) / FCOUNT(*)
   };
 
-  /// Writes the group id of every selected row of `batch` to slots_,
-  /// creating groups (and their states) on first appearance.
-  void AssignGroups(const SelectedBatch& batch);
+  Status FoldBatch(const Table& table, const SelectedBatch& batch,
+                   uint32_t position, SegmentPartial& out);
+
+  /// Writes the group of every selected row of `batch` to groups_,
+  /// creating groups on first appearance and listing the segment's
+  /// groups in `out` when float sums are kept.
+  void AssignGroups(const SelectedBatch& batch, SegmentPartial& out);
 
   std::vector<Call> calls_;
+  std::vector<size_t> float_calls_;  // indices of calls with float sums
   std::vector<Operand> key_operands_;
   std::vector<KeyDictionary> key_dicts_;
   // Multi-key chaining: links_[j] maps (prefix id, id of key j + 1) to
   // the id of the longer prefix; the last level's ids are group ids.
   std::vector<IdTable> links_;
+  size_t num_groups_ = 0;
+  size_t last_new_groups_ = 0;    // groups the last Fold met first
+  std::vector<AggState> states_;  // num_groups_ x calls_
+  // Group -> the last Fold that listed it in its partial.
+  std::vector<uint32_t> stamp_;
+  uint32_t generation_ = 0;
+  std::optional<Operand> freshness_;  // only when an F-aggregate is present
+  std::vector<uint32_t> groups_;      // per selected row of a batch
+  std::vector<uint32_t> key_ids_;     // keys x kPipelineBatch
+};
+
+/// GROUP BY plus aggregation for one query, merged from its folders.
+/// Without GROUP BY there is exactly one group, present even over empty
+/// input. Folders can run on any threads; the merge order of the
+/// partials alone fixes the answer.
+class Aggregation {
+ public:
+  /// `calls` are the aggregate select items in select-list order, and
+  /// each must outlive this object; `keys` the GROUP BY expressions.
+  Aggregation(const std::vector<const BoundExpr*>& calls,
+              const std::vector<BoundExpr>& keys);
+
+  /// Merges the partial of the next segment. Its new groups join in
+  /// their first-appearance order with their first row's key values,
+  /// and its float sums add to their groups' sums.
+  void Merge(SegmentPartial&& partial);
+
+  /// Merges (and may take) `folder`'s running states, once every
+  /// partial it folded has merged. Every folder whose partials merged
+  /// must be merged before Result. Fails only when two extremes do not
+  /// compare.
+  Status MergeStates(AggregateFolder& folder);
+
+  /// Group ids in output order: sorted by the rendered key (each key
+  /// Value::ToString, NULL as \x01, joined by \x1F), ties broken by
+  /// first appearance.
+  std::vector<uint32_t> OutputOrder() const;
+
+  /// Value of GROUP BY key `key` in the first row of group `group`.
+  const Value& KeyValue(uint32_t group, size_t key) const;
+
+  /// Finalized value of aggregate call `call` in group `group`.
+  Value Result(uint32_t group, size_t call) const;
+
+ private:
+  /// The group whose keys are `key`, opened with them if it is new.
+  uint32_t FindOrOpenGroup(Value* key);
+
+  /// Folder id -> group id of `folder`, created on first use.
+  std::vector<uint32_t>& GroupsOf(const AggregateFolder* folder);
+
+  std::vector<const BoundExpr*> calls_;
+  std::vector<size_t> float_calls_;
+  size_t num_keys_;
   // Each group's key values as its first row had them: num_groups_ x
   // keys. (Rows of one group can differ, e.g. -0.0 and 0.0.)
   std::vector<Value> group_keys_;
   size_t num_groups_ = 0;
-  std::optional<Operand> freshness_;  // only when an F-aggregate is present
-  std::vector<AggState> states_;      // num_groups_ x calls_
-  std::vector<uint32_t> slots_;       // per selected row of a batch
-  std::vector<uint32_t> key_ids_;     // keys x kPipelineBatch
+  std::vector<FloatSums> sums_;   // num_groups_ x float_calls_
+  std::vector<AggState> states_;  // num_groups_ x calls_, once merged
+  // Hash of a group's keys -> group id. While one folder has merged,
+  // its new groups are new here too and the index stays empty; the
+  // second folder's first partial builds it.
+  IdTable index_;
+  bool indexed_ = false;
+  std::vector<std::pair<const AggregateFolder*, std::vector<uint32_t>>>
+      folder_groups_;
 };
 
 }  // namespace fungusdb

@@ -1,11 +1,13 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <unordered_set>
 
+#include "common/mutex.h"
 #include "common/trace.h"
 #include "query/aggregate.h"
 #include "query/binder.h"
@@ -361,76 +363,49 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
   }
   std::optional<VectorPredicate> vec;
   if (where.has_value()) vec = VectorPredicate::Compile(*where);
-  if (!where.has_value() || vec.has_value()) {
-    // Batch path over raw column spans, no per-row Value boxing. With a
-    // pool and enough segments the scan is morsel-driven: each
-    // surviving segment is one morsel whose worker writes that
-    // segment's selection, so the selections equal the serial scan's.
-    auto scan_segment = [&](SegmentSelection& sel, uint64_t& decoded) {
-      const Segment& seg = *sel.segment;
-      if (vec.has_value()) {
-        thread_local VectorPredicate::Scratch scratch;
-        const uint64_t decoded_before = scratch.decoded_batches;
-        vec->Match(seg, scratch, sel.offsets);
-        decoded += scratch.decoded_batches - decoded_before;
-        return;
-      }
-      // No WHERE: every live row matches. Both tiers go through the
-      // shared decode-to-scratch liveness routine (zero-copy on the
-      // plain tier); fully-dead spans of a frozen segment are skipped
-      // straight off the RLE runs.
-      thread_local std::vector<uint8_t> alive_scratch;
-      constexpr size_t kBatch = VectorPredicate::kBatchSize;
-      alive_scratch.resize(kBatch);
-      const size_t n = seg.num_rows();
-      const bool frozen = seg.is_frozen();
-      sel.offsets.resize(n);
-      uint32_t* out = sel.offsets.data();
-      size_t m = 0;
-      for (size_t base = 0; base < n; base += kBatch) {
-        const size_t len = std::min(kBatch, n - base);
-        if (frozen && !seg.AnyLive(base, len)) continue;
-        const uint8_t* alive =
-            seg.DecodeAlive(base, len, alive_scratch.data());
-        if (frozen) ++decoded;
-        for (size_t i = 0; i < len; ++i) {
-          out[m] = static_cast<uint32_t>(base + i);
-          m += alive[i];
-        }
-      }
-      sel.offsets.resize(m);
-    };
-    uint64_t decode_batches = 0;
-    ThreadPool* pool = options_.pool;
-    if (pool != nullptr && pool->num_threads() > 1 &&
-        segments.size() >= options_.parallel_scan_min_segments) {
-      std::vector<uint64_t> morsel_decoded(segments.size(), 0);
-      pool->ParallelFor(segments.size(), [&](size_t i) {
-        FUNGUS_TRACE_SPAN("scan.morsel", i);
-        scan_segment(selections[i], morsel_decoded[i]);
-      });
-      for (const uint64_t d : morsel_decoded) decode_batches += d;
-      if (options_.metrics != nullptr) {
-        options_.metrics->IncrementCounter(
-            "fungusdb.parallel.morsels_dispatched",
-            static_cast<int64_t>(segments.size()));
-      }
-    } else {
-      FUNGUS_TRACE_SPAN("scan.serial", segments.size());
-      for (SegmentSelection& sel : selections) {
-        scan_segment(sel, decode_batches);
+  const bool vectorized = !where.has_value() || vec.has_value();
+  // Batch path over raw column spans, no per-row Value boxing: filters
+  // one surviving segment into its own selection.
+  auto scan_segment = [&](SegmentSelection& sel, uint64_t& decoded) {
+    const Segment& seg = *sel.segment;
+    if (vec.has_value()) {
+      thread_local VectorPredicate::Scratch scratch;
+      const uint64_t decoded_before = scratch.decoded_batches;
+      vec->Match(seg, scratch, sel.offsets);
+      decoded += scratch.decoded_batches - decoded_before;
+      return;
+    }
+    // No WHERE: every live row matches. Both tiers go through the
+    // shared decode-to-scratch liveness routine (zero-copy on the
+    // plain tier); fully-dead spans of a frozen segment are skipped
+    // straight off the RLE runs.
+    thread_local std::vector<uint8_t> alive_scratch;
+    constexpr size_t kBatch = VectorPredicate::kBatchSize;
+    alive_scratch.resize(kBatch);
+    const size_t n = seg.num_rows();
+    const bool frozen = seg.is_frozen();
+    sel.offsets.resize(n);
+    uint32_t* out = sel.offsets.data();
+    size_t m = 0;
+    for (size_t base = 0; base < n; base += kBatch) {
+      const size_t len = std::min(kBatch, n - base);
+      if (frozen && !seg.AnyLive(base, len)) continue;
+      const uint8_t* alive = seg.DecodeAlive(base, len, alive_scratch.data());
+      if (frozen) ++decoded;
+      for (size_t i = 0; i < len; ++i) {
+        out[m] = static_cast<uint32_t>(base + i);
+        m += alive[i];
       }
     }
-    if (options_.metrics != nullptr && decode_batches > 0) {
-      options_.metrics->IncrementCounter(
-          "fungusdb.storage.decode_batches",
-          static_cast<int64_t>(decode_batches));
-      options_.metrics->IncrementCounter(
-          "fungusdb.storage.decode_batches", "table=" + table.name(),
-          static_cast<int64_t>(decode_batches));
-    }
-  } else {
-    // Fallback: row-at-a-time tree walker over the surviving segments.
+    sel.offsets.resize(m);
+  };
+  std::vector<const BoundExpr*> calls;
+  for (const BoundItem& item : items) {
+    if (item.expr.is_aggregate()) calls.push_back(&item.expr);
+  }
+  if (!vectorized) {
+    // Fallback: row-at-a-time tree walker over the surviving segments,
+    // serially; the morsels below then only fold.
     FUNGUS_TRACE_SPAN("scan.walker", segments.size());
     for (SegmentSelection& sel : selections) {
       const Segment& seg = *sel.segment;
@@ -442,6 +417,85 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
         if (pass) sel.offsets.push_back(static_cast<uint32_t>(off));
       }
     }
+  }
+  // Each participant — the calling thread, plus any idle pool thread
+  // that joins in — claims segments off one cursor, in increasing
+  // order. For an aggregate query it folds each segment with its own
+  // AggregateFolder, which hands the segment's float sums over in that
+  // segment's partial; partials merge in segment order as soon as every
+  // earlier one has, so the answer does not depend on which thread
+  // folded what, and a merged partial's memory is freed while later
+  // segments are still being folded. The folders' running states merge
+  // at the end.
+  ThreadPool* pool = options_.pool;
+  const bool fan_out = vectorized && pool != nullptr &&
+                       pool->num_threads() > 1 &&
+                       segments.size() >= options_.parallel_scan_min_segments;
+  const size_t participants = fan_out ? pool->num_threads() : 1;
+  Aggregation aggregation(calls, group_exprs);
+  std::vector<AggregateFolder> folders;
+  std::vector<SegmentPartial> partials;
+  // Under merge_mu: each segment's fold status once it is folded, the
+  // partials merged so far, and the first error in segment order.
+  std::vector<std::optional<Status>> folded;
+  size_t merged = 0;
+  Status aggregate_status;
+  Mutex merge_mu;
+  if (has_aggregate) {
+    for (size_t p = 0; p < participants; ++p) {
+      folders.emplace_back(calls, group_exprs);
+    }
+    partials.resize(segments.size());
+    folded.resize(segments.size());
+  }
+  auto fold = [&](size_t p, size_t i) {
+    Status status = folders[p].Fold(table, selections[i],
+                                    static_cast<uint32_t>(i), partials[i]);
+    MutexLock lock(merge_mu);
+    folded[i] = std::move(status);
+    for (; merged < segments.size() && folded[merged].has_value(); ++merged) {
+      if (!folded[merged]->ok()) {
+        if (aggregate_status.ok()) aggregate_status = *folded[merged];
+      } else if (aggregate_status.ok()) {
+        aggregation.Merge(std::move(partials[merged]));
+      }
+      partials[merged] = SegmentPartial{};
+    }
+  };
+  std::vector<uint64_t> morsel_decoded(segments.size(), 0);
+  std::atomic<size_t> next_segment{0};
+  auto participate = [&](size_t p) {
+    for (size_t i; (i = next_segment.fetch_add(
+                        1, std::memory_order_relaxed)) < segments.size();) {
+      FUNGUS_TRACE_SPAN("scan.morsel", i);
+      if (vectorized) scan_segment(selections[i], morsel_decoded[i]);
+      if (has_aggregate) fold(p, i);
+    }
+  };
+  if (fan_out) {
+    pool->ParallelFor(participants, participate);
+    if (options_.metrics != nullptr) {
+      options_.metrics->IncrementCounter(
+          "fungusdb.parallel.morsels_dispatched",
+          static_cast<int64_t>(segments.size()));
+    }
+  } else {
+    FUNGUS_TRACE_SPAN("scan.serial", segments.size());
+    participate(0);
+  }
+  FUNGUSDB_RETURN_IF_ERROR(aggregate_status);
+  for (AggregateFolder& folder : folders) {
+    FUNGUSDB_RETURN_IF_ERROR(aggregation.MergeStates(folder));
+  }
+  uint64_t decode_batches = 0;
+  for (const uint64_t d : morsel_decoded) decode_batches += d;
+  if (options_.metrics != nullptr && decode_batches > 0) {
+    options_.metrics->IncrementCounter(
+        "fungusdb.storage.decode_batches",
+        static_cast<int64_t>(decode_batches));
+    options_.metrics->IncrementCounter(
+        "fungusdb.storage.decode_batches", "table=" + table.name(),
+        static_cast<int64_t>(decode_batches));
   }
   for (const SegmentSelection& sel : selections) {
     result.stats.rows_matched += sel.offsets.size();
@@ -500,14 +554,8 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
           }));
     }
   } else {
-    std::vector<const BoundExpr*> calls;
     for (const BoundItem& item : items) {
       result.column_names.push_back(item.name);
-      if (item.expr.is_aggregate()) calls.push_back(&item.expr);
-    }
-    Aggregation aggregation(calls, group_exprs);
-    for (const SegmentSelection& sel : selections) {
-      FUNGUSDB_RETURN_IF_ERROR(aggregation.Add(table, sel));
     }
     for (const uint32_t group : aggregation.OutputOrder()) {
       std::vector<Value> out_row;

@@ -18,10 +18,12 @@ struct QueryEngineOptions {
   /// ImportanceFungus). No-op on tables without track_access.
   bool record_access = true;
 
-  /// Worker pool for morsel-driven parallel scans (not owned). With no
-  /// pool — or one execution thread — scans run serially; results are
-  /// byte-identical either way because morsel outputs merge in segment
-  /// order.
+  /// Worker pool for morsel-driven scans (not owned): each surviving
+  /// segment is one morsel that filters it and folds its partial
+  /// aggregate. Engines on several threads may share one pool. With no
+  /// pool — or one execution thread — the morsels run serially; results
+  /// are byte-identical either way because morsel outputs merge in
+  /// segment order.
   ThreadPool* pool = nullptr;
 
   /// Sink for "fungusdb.parallel.*" counters (not owned).

@@ -248,6 +248,18 @@ class Parser {
   Result<ExprPtr> ParseUnary() {
     if (Peek().IsOperator("-")) {
       Advance();
+      // INT64_MIN has no positive literal to negate: read a minus and
+      // the integer right after it as one literal when only the signed
+      // text fits in int64. Every other `-` stays a negation.
+      if (Peek().type == TokenType::kInteger &&
+          !ParseInteger<int64_t>(Peek().text).has_value()) {
+        const std::optional<int64_t> v =
+            ParseInteger<int64_t>("-" + Peek().text);
+        if (v.has_value()) {
+          Advance();
+          return Expr::Literal(Value::Int64(*v));
+        }
+      }
       FUNGUSDB_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
       return Expr::Unary(UnaryOp::kNeg, std::move(operand));
     }

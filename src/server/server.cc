@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/meta_commands.h"
 #include "persist/snapshot.h"
@@ -20,8 +21,7 @@ namespace {
 
 size_t ResolveReadWorkers(int configured) {
   if (configured >= 0) return static_cast<size_t>(configured);
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 4u : std::min(8u, hw);
+  return std::min<size_t>(8, AvailableCpus());
 }
 
 }  // namespace

@@ -38,7 +38,8 @@ struct ServerOptions {
   /// When non-empty, Stop() snapshots the database here after draining
   /// in-flight requests (the SIGTERM contract).
   std::string snapshot_path;
-  /// Read worker pool size: -1 sizes from the hardware (capped at 8),
+  /// Read worker pool size: -1 sizes from the CPUs the process may run
+  /// on (AvailableCpus, capped at 8),
   /// 0 disables the read path entirely (every statement runs on the
   /// writer, the pre-split behavior), N > 0 spawns exactly N workers,
   /// each owning one Session.

@@ -484,30 +484,23 @@ const double* Segment::DecodeFloat64Column(size_t col, size_t base,
   return frozen_->columns[col].doubles.data() + base;
 }
 
-void Segment::DecodeStringColumn(size_t col, size_t base, size_t n,
-                                 std::string_view* out) const {
-  if (!frozen_) {
-    const std::vector<std::string>& data =
-        static_cast<const StringColumn&>(*columns_[col]).data();
-    for (size_t i = 0; i < n; ++i) out[i] = data[base + i];
-    return;
-  }
-  const encode::DictStrings& strings = frozen_->columns[col].strings;
-  const encode::RleCodes& codes = strings.codes;
-  size_t run = codes.RunOf(base);
-  size_t i = 0;
-  while (i < n) {
-    const std::string_view view = strings.dict[codes.values[run]];
-    const size_t run_end = std::min<size_t>(codes.ends[run] - base, n);
-    for (; i < run_end; ++i) out[i] = view;
-    ++run;
-  }
+void Segment::DecodeStringCells(size_t col, size_t base, const uint32_t* sel,
+                                size_t m, std::string_view* out) const {
+  assert(!frozen_);
+  const std::vector<std::string>& data =
+      static_cast<const StringColumn&>(*columns_[col]).data();
+  for (size_t k = 0; k < m; ++k) out[sel[k]] = data[base + sel[k]];
 }
 
 void Segment::DecodeStringCodes(size_t col, size_t base, size_t n,
                                 uint32_t* codes) const {
   assert(frozen_);
   frozen_->columns[col].strings.codes.Decode(base, n, codes);
+}
+
+const std::vector<std::string>& Segment::StringDictionary(size_t col) const {
+  assert(frozen_);
+  return frozen_->columns[col].strings.dict;
 }
 
 void Segment::DecodeBoolColumn(size_t col, size_t base, size_t n,

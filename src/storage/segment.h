@@ -335,19 +335,23 @@ class Segment {
   const double* DecodeFloat64Column(size_t col, size_t base,
                                     size_t n) const;
 
-  /// Cells of a string column for [base, base + n) as views into the
-  /// segment's storage, valid while the segment is neither mutated nor
-  /// freed (i.e. for the reader's pin). On a frozen segment the views
-  /// point into the dictionary, filled run by run — no per-row code
-  /// lookup.
-  void DecodeStringColumn(size_t col, size_t base, size_t n,
-                          std::string_view* out) const;
+  /// Selected cells of a string column, out[sel[k]] for k < m, as views
+  /// into row `base + sel[k]` of the segment's storage, valid while the
+  /// segment is neither mutated nor freed (i.e. for the reader's pin).
+  /// Plain tier only: a frozen column is read as DecodeStringCodes over
+  /// StringDictionary.
+  void DecodeStringCells(size_t col, size_t base, const uint32_t* sel,
+                         size_t m, std::string_view* out) const;
 
   /// Dictionary codes of a string column for [base, base + n). Frozen
-  /// tier only: lets grouping map each code to a group once per segment
-  /// instead of hashing every row.
+  /// tier only: the aggregate pipeline reads frozen strings as codes,
+  /// so grouping maps each code to a group once per segment instead of
+  /// hashing every row.
   void DecodeStringCodes(size_t col, size_t base, size_t n,
                          uint32_t* codes) const;
+
+  /// The dictionary DecodeStringCodes' codes index. Frozen tier only.
+  const std::vector<std::string>& StringDictionary(size_t col) const;
 
   /// Cells of a bool column for [base, base + n) as 0/1 bytes.
   void DecodeBoolColumn(size_t col, size_t base, size_t n,

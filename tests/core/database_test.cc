@@ -1,6 +1,7 @@
 #include "core/database.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include "fungus/retention_fungus.h"
 #include "summary/count_min_sketch.h"
@@ -210,6 +211,28 @@ TEST(DatabaseTest, StartTimeOption) {
   opts.start_time = 42 * kDay;
   Database db(opts);
   EXPECT_EQ(db.Now(), 42 * kDay);
+}
+
+TEST(DatabaseTest, DefaultPoolWidthFollowsTheAffinityMask) {
+  // Pinned to one CPU, num_threads = 0 must build a 1-wide pool, not
+  // one as wide as the host.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  size_t width = 0;
+  {
+    DatabaseOptions opts;
+    opts.num_threads = 0;
+    Database db(opts);
+    width = db.thread_pool().num_threads();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(width, 1u);
 }
 
 }  // namespace

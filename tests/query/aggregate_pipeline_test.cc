@@ -1,11 +1,12 @@
 // Randomized differential test of the engine's batch pipeline (selection
 // vectors -> typed column batches -> aggregate / GROUP BY / projection)
-// against a deliberately simple reference: the row-at-a-time tail the
-// engine ran before it, kept here as a test-only oracle. The reference
-// evaluates every cell through the tree walker (EvalScalar), folds
-// aggregates through a Value-based accumulator, and keys groups and
-// DISTINCT rows by typed value equality in first-appearance order,
-// emitting groups sorted by their rendered key.
+// against a deliberately simple reference: a row-at-a-time tail kept
+// here as a test-only oracle. The reference evaluates every cell through
+// the tree walker (EvalScalar), folds aggregates row by row through a
+// Value-based accumulator whose float sums add up per segment and then
+// in segment order (the summation rule of DESIGN.md §11), and keys
+// groups and DISTINCT rows by typed value equality in first-appearance
+// order, emitting groups sorted by their rendered key.
 //
 // Tables mix every column type (nullable), NaN, +-0.0 and |int64| > 2^53,
 // plain segments, frozen segments and segments with pending lazy decay.
@@ -22,6 +23,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,7 +43,9 @@ namespace {
 // Reference tail.
 
 /// The per-row aggregate accumulator: every observation goes through
-/// Value::Compare for MIN/MAX and Value::ToDouble for the sums.
+/// Value::Compare for MIN/MAX and Value::ToDouble for the sums. Float
+/// sums start afresh in each segment and add to the totals when the
+/// next segment's first row arrives, or at Finalize.
 struct RefAccumulator {
   uint64_t count = 0;
   int64_t sum_i = 0;
@@ -49,15 +54,27 @@ struct RefAccumulator {
   double weighted_sum = 0.0;
   std::optional<Value> min;
   std::optional<Value> max;
+  // The segment being summed, and its sums.
+  std::optional<size_t> segment;
+  double seg_sum_d = 0.0;
+  double seg_weighted_count = 0.0;
+  double seg_weighted_sum = 0.0;
 
-  Status Observe(const Value& v, double freshness) {
+  Status Observe(const Value& v, double freshness, size_t seg) {
     if (v.is_null()) return Status::OK();
+    if (segment != seg) {
+      sum_d += seg_sum_d;
+      weighted_count += seg_weighted_count;
+      weighted_sum += seg_weighted_sum;
+      seg_sum_d = seg_weighted_count = seg_weighted_sum = 0.0;
+      segment = seg;
+    }
     ++count;
-    weighted_count += freshness;
+    seg_weighted_count += freshness;
     if (IsNumeric(v.type())) {
       FUNGUSDB_ASSIGN_OR_RETURN(double d, v.ToDouble());
-      sum_d += d;
-      weighted_sum += freshness * d;
+      seg_sum_d += d;
+      seg_weighted_sum += freshness * d;
       if (v.type() == DataType::kInt64) sum_i += v.AsInt64();
     }
     if (!min.has_value()) {
@@ -73,28 +90,31 @@ struct RefAccumulator {
   }
 
   Value Finalize(AggFn fn, std::optional<DataType> result_type) const {
+    const double total_d = sum_d + seg_sum_d;
+    const double total_wc = weighted_count + seg_weighted_count;
+    const double total_ws = weighted_sum + seg_weighted_sum;
     switch (fn) {
       case AggFn::kCount:
         return Value::Int64(static_cast<int64_t>(count));
       case AggFn::kSum:
         if (count == 0) return Value::Null();
         if (result_type == DataType::kInt64) return Value::Int64(sum_i);
-        return Value::Float64(sum_d);
+        return Value::Float64(total_d);
       case AggFn::kAvg:
         if (count == 0) return Value::Null();
-        return Value::Float64(sum_d / static_cast<double>(count));
+        return Value::Float64(total_d / static_cast<double>(count));
       case AggFn::kMin:
         return min.value_or(Value::Null());
       case AggFn::kMax:
         return max.value_or(Value::Null());
       case AggFn::kFCount:
-        return Value::Float64(weighted_count);
+        return Value::Float64(total_wc);
       case AggFn::kFSum:
         if (count == 0) return Value::Null();
-        return Value::Float64(weighted_sum);
+        return Value::Float64(total_ws);
       case AggFn::kFAvg:
-        if (count == 0 || weighted_count == 0.0) return Value::Null();
-        return Value::Float64(weighted_sum / weighted_count);
+        if (count == 0 || total_wc == 0.0) return Value::Null();
+        return Value::Float64(total_ws / total_wc);
     }
     return Value::Null();
   }
@@ -247,34 +267,41 @@ Result<ResultSet> ReferenceExecute(const Query& query, const Table& table,
       std::vector<RefAccumulator> accumulators;
     };
     std::vector<Group> groups;  // first-appearance order
-    for (const RowId row : *matched) {
-      std::vector<Value> key;
-      for (const BoundExpr& g : group_exprs) {
-        FUNGUSDB_ASSIGN_OR_RETURN(Value v, EvalScalar(g, table, row));
-        key.push_back(std::move(v));
-      }
-      Group* group = nullptr;
-      for (Group& candidate : groups) {
-        if (RefSameRow(candidate.key, key)) group = &candidate;
-      }
-      if (group == nullptr) {
-        groups.push_back({key, std::vector<RefAccumulator>(items.size())});
-        group = &groups.back();
-      }
-      const double freshness = table.Freshness(row);
-      for (size_t i = 0; i < items.size(); ++i) {
-        const BoundExpr& e = items[i].expr;
-        if (!e.is_aggregate()) continue;
-        if (e.agg_is_star()) {
-          FUNGUSDB_RETURN_IF_ERROR(
-              group->accumulators[i].Observe(Value::Int64(1), freshness));
-        } else {
-          FUNGUSDB_ASSIGN_OR_RETURN(Value v,
-                                    EvalScalar(e.children[0], table, row));
-          FUNGUSDB_RETURN_IF_ERROR(
-              group->accumulators[i].Observe(v, freshness));
+    size_t next = 0;            // into *matched, which is in row order
+    size_t seg_pos = 0;
+    for (const auto& [seg_no, seg] : table.segment_index()) {
+      const RowId end = seg->first_row() + seg->num_rows();
+      for (; next < matched->size() && (*matched)[next] < end; ++next) {
+        const RowId row = (*matched)[next];
+        std::vector<Value> key;
+        for (const BoundExpr& g : group_exprs) {
+          FUNGUSDB_ASSIGN_OR_RETURN(Value v, EvalScalar(g, table, row));
+          key.push_back(std::move(v));
+        }
+        Group* group = nullptr;
+        for (Group& candidate : groups) {
+          if (RefSameRow(candidate.key, key)) group = &candidate;
+        }
+        if (group == nullptr) {
+          groups.push_back({key, std::vector<RefAccumulator>(items.size())});
+          group = &groups.back();
+        }
+        const double freshness = table.Freshness(row);
+        for (size_t i = 0; i < items.size(); ++i) {
+          const BoundExpr& e = items[i].expr;
+          if (!e.is_aggregate()) continue;
+          if (e.agg_is_star()) {
+            FUNGUSDB_RETURN_IF_ERROR(group->accumulators[i].Observe(
+                Value::Int64(1), freshness, seg_pos));
+          } else {
+            FUNGUSDB_ASSIGN_OR_RETURN(Value v,
+                                      EvalScalar(e.children[0], table, row));
+            FUNGUSDB_RETURN_IF_ERROR(
+                group->accumulators[i].Observe(v, freshness, seg_pos));
+          }
         }
       }
+      ++seg_pos;
     }
     if (groups.empty() && query.group_by.empty()) {
       groups.push_back({{}, std::vector<RefAccumulator>(items.size())});
@@ -750,6 +777,96 @@ TEST(AggregatePipelineTest, EveryAggregateOverEveryOperand) {
 TEST(AggregatePipelineTest, MultiBatchSegmentsMatchReference) {
   // Segments wider than one 1024-row batch, with a short tail batch.
   RunDifferential(11, {2500, 5300}, 60);
+}
+
+/// Engine against engine: the same answer, bit for bit, and the same
+/// scan statistics.
+void ExpectSameAnswer(const ResultSet& want, const ResultSet& got,
+                      const std::string& label) {
+  EXPECT_EQ(want.stats.rows_scanned, got.stats.rows_scanned) << label;
+  EXPECT_EQ(want.stats.rows_pruned, got.stats.rows_pruned) << label;
+  ResultSet as_reference = want;
+  as_reference.stats.rows_scanned += want.stats.rows_pruned;
+  ExpectIdentical(as_reference, got, label);
+}
+
+/// An aggregate query over `r`: GROUP BY `keys` (each also selected),
+/// then one select item per call.
+Query AggQuery(const std::vector<std::string>& keys,
+               std::vector<std::pair<AggFn, ExprPtr>> calls,
+               ExprPtr where = nullptr) {
+  Query q;
+  q.table_name = "r";
+  q.where = std::move(where);
+  for (const std::string& key : keys) {
+    q.items.push_back({Col(key), key});
+    q.group_by.push_back(key);
+  }
+  for (size_t c = 0; c < calls.size(); ++c) {
+    q.items.push_back({Expr::Aggregate(calls[c].first, calls[c].second),
+                       "a" + std::to_string(c)});
+  }
+  return q;
+}
+
+TEST(AggregatePipelineTest, SerialAndPooledAgreeAtEveryWidth) {
+  // Float sums over values whose rounding depends on the order they are
+  // added in (0.1, 1e-7, 1e300, -inf, NaN), int64 extremes past 2^53
+  // that tie in double space, -0.0/0.0 and NaN group keys, multi-key
+  // groups and every F-aggregate. Each width runs the queries from two
+  // threads at once on one shared pool.
+  std::unique_ptr<Table> table = MakeTable(23, 16, 900);
+  std::vector<Query> queries = {
+      AggQuery({}, {{AggFn::kSum, Col("f")},
+                    {AggFn::kAvg, Col("f")},
+                    {AggFn::kFSum, Col("f")},
+                    {AggFn::kFAvg, Col("i")},
+                    {AggFn::kFCount, nullptr}}),
+      AggQuery({"b"}, {{AggFn::kSum, Col("f")},
+                       {AggFn::kAvg, Col("i")},
+                       {AggFn::kMin, Col("i")},
+                       {AggFn::kMax, Col("i")},
+                       {AggFn::kMin, Col("t")},
+                       {AggFn::kMax, Col("f")}}),
+      AggQuery({"s", "b"}, {{AggFn::kCount, nullptr},
+                            {AggFn::kSum, Col("f")},
+                            {AggFn::kFSum, Col("i")},
+                            {AggFn::kMin, Col("s")},
+                            {AggFn::kMax, Col("s")}}),
+      AggQuery({"f"}, {{AggFn::kCount, Col("i")}, {AggFn::kAvg, Col("t")}}),
+      AggQuery({"i", "t"}, {{AggFn::kSum, Col("i")},
+                            {AggFn::kFAvg, Col("f")},
+                            {AggFn::kMax, Col("b")}}),
+      AggQuery({"s"}, {{AggFn::kSum, Mul(Col("f"), Lit(2.0))},
+                       {AggFn::kMin, Col("__freshness")}},
+               Gt(Col("__freshness"), Lit(0.5))),
+  };
+  Rng rng(4242);
+  while (queries.size() < 60) {
+    Query q = RandomQuery(rng);
+    if (!q.consuming) queries.push_back(std::move(q));
+  }
+  QueryEngine serial;
+  std::vector<Result<ResultSet>> want;
+  for (const Query& q : queries) want.push_back(serial.Execute(q, *table, 0));
+
+  for (const size_t width : {1u, 2u, 4u}) {
+    ThreadPool pool(width);
+    auto run = [&](int coordinator) {
+      QueryEngine pooled(PooledOptions(&pool));
+      for (size_t n = 0; n < queries.size(); ++n) {
+        const std::string label =
+            "width " + std::to_string(width) + " coordinator " +
+            std::to_string(coordinator) + ": " + queries[n].ToString();
+        const Result<ResultSet> got = pooled.Execute(queries[n], *table, 0);
+        ASSERT_EQ(want[n].ok(), got.ok()) << label;
+        if (got.ok()) ExpectSameAnswer(*want[n], *got, label);
+      }
+    };
+    std::thread other(run, 1);
+    run(0);
+    other.join();
+  }
 }
 
 }  // namespace

@@ -158,6 +158,43 @@ TEST(ParserTest, IntegerLiteralOverflowIsAParseError) {
   EXPECT_FALSE(ParseExpression("99999999999999999999999 + 1").ok());
 }
 
+TEST(ParserTest, Int64MinLiteralParses) {
+  // 9223372036854775808 alone overflows, so the minus in front of it is
+  // part of the literal.
+  const Result<Query> q =
+      ParseQuery("SELECT * FROM t WHERE a > -9223372036854775808");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const Expr& lit = *q->where->child(1);
+  ASSERT_EQ(lit.kind(), Expr::Kind::kLiteral);
+  EXPECT_TRUE(lit.literal().Equals(Value::Int64(INT64_MIN)));
+
+  const Result<ExprPtr> below = ParseExpression("-9223372036854775809");
+  ASSERT_FALSE(below.ok());
+  EXPECT_EQ(below.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(ParseExpression("a - 9223372036854775808").ok());
+}
+
+TEST(ParserTest, OtherMinusFormsParseAsBefore) {
+  ExprPtr paren = ParseExpression("-(5)").value();
+  EXPECT_EQ(paren->kind(), Expr::Kind::kUnary);
+  EXPECT_EQ(paren->unary_op(), UnaryOp::kNeg);
+  EXPECT_TRUE(paren->child(0)->literal().Equals(Value::Int64(5)));
+
+  ExprPtr column = ParseExpression("- x").value();
+  EXPECT_EQ(column->kind(), Expr::Kind::kUnary);
+  EXPECT_EQ(column->unary_op(), UnaryOp::kNeg);
+  EXPECT_EQ(column->child(0)->column_name(), "x");
+
+  ExprPtr minus = ParseExpression("a - 5").value();
+  EXPECT_EQ(minus->kind(), Expr::Kind::kBinary);
+  EXPECT_EQ(minus->binary_op(), BinaryOp::kSub);
+  EXPECT_TRUE(minus->child(1)->literal().Equals(Value::Int64(5)));
+
+  ExprPtr small = ParseExpression("-5").value();
+  EXPECT_EQ(small->unary_op(), UnaryOp::kNeg);
+  EXPECT_TRUE(small->child(0)->literal().Equals(Value::Int64(5)));
+}
+
 TEST(ParserTest, FullClauseOrder) {
   Query q = ParseQuery(
                 "CONSUME SELECT a, avg(v) AS m FROM t WHERE v > 0 "

@@ -33,6 +33,8 @@ expect_usage --queue-capacity 99999999999999999999
 expect_usage --max-connections 1e3
 expect_usage --read-workers 2.5
 expect_usage --read-workers 99999999999
+expect_usage --read-workers -2
+expect_usage --read-workers 65
 expect_usage --http-port 70000
 expect_usage --http-port 8080x
 expect_usage --drain-grace-ms -1

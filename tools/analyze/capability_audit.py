@@ -50,10 +50,6 @@ GUARDED_BY_ALLOWLIST = {
     # Spawned in the constructor, joined in the destructor; no worker
     # touches the vector itself.
     "src/common/thread_pool.h#ThreadPool::workers_",
-    # Coordinator-thread bookkeeping: written only inside ParallelFor
-    # (single coordinator by contract), read between calls.
-    "src/common/thread_pool.h#ThreadPool::barrier_wait_micros_",
-    "src/common/thread_pool.h#ThreadPool::tasks_dispatched_",
     # Set once at Database construction, before any concurrency exists.
     "src/core/epoch.h#EpochManager::metrics_",
     # Server lifecycle state: written in the constructor / Start()

@@ -16,8 +16,9 @@
 //   --queue-capacity <n>   admitted-but-unexecuted request bound; a
 //                          full queue answers E:2002 Overloaded
 //   --max-connections <n>  simultaneous client connections
-//   --read-workers <n>     read worker pool size; -1 = auto (hardware,
-//                          capped at 8), 0 = writer-only execution
+//   --read-workers <n>     read worker pool size, -1..64; -1 = auto
+//                          (CPUs in the affinity mask, capped at 8),
+//                          0 = writer-only execution
 //   --snapshot <path>      load at boot when present; saved on shutdown
 //   --http-port <n>        mount the HTTP observability plane here
 //                          (0 = ephemeral); omitted = no HTTP plane.
@@ -108,7 +109,11 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (arg == "--read-workers" && has_value) {
-      if (!ParseFlag(argv[++i], options.read_workers)) return Usage(argv[0]);
+      // -1 (auto) up to 64: each worker is an OS thread.
+      if (!ParseFlag(argv[++i], options.read_workers) ||
+          options.read_workers < -1 || options.read_workers > 64) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--snapshot" && has_value) {
       options.snapshot_path = argv[++i];
     } else if (arg == "--http-port" && has_value) {
