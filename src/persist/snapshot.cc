@@ -184,6 +184,14 @@ Result<Table> DeserializeTable(BufferReader& in, uint32_t version) {
       if (fz.columns.size() != num_fields) {
         return Status::ParseError("frozen block arity mismatch");
       }
+      // Only full segments freeze, so a block spans exactly one
+      // segment's rows; anything longer would replay rows no segment
+      // could have held.
+      if (fz.num_rows != options.rows_per_segment) {
+        return Status::ParseError("frozen block row count " +
+                                  std::to_string(fz.num_rows) +
+                                  " != rows per segment");
+      }
       // Replay live rows only — frozen blocks carry their dead rows
       // (the encoding is segment-exact) but snapshots stay compact.
       for (size_t off = 0; off < fz.num_rows; ++off) {

@@ -127,21 +127,10 @@ Status Operand::Load(const Table& table, const SelectedBatch& batch) {
           cells_.doubles = seg.DecodeFloat64Column(col_, base, n);
           break;
         case DataType::kString:
+          codes_.resize(kPipelineBatch);
           cells_.kind = Cells::Kind::kString;
-          if (seg.is_frozen()) {
-            codes_.resize(kPipelineBatch);
-            seg.DecodeStringCodes(col_, base, n, codes_.data());
-            cells_.codes = codes_.data();
-            cells_.dict = seg.StringDictionary(col_).data();
-            cells_.strings = nullptr;
-          } else {
-            strings_.resize(kPipelineBatch);
-            seg.DecodeStringCells(col_, base, batch.sel, batch.m,
-                                  strings_.data());
-            cells_.strings = strings_.data();
-            cells_.codes = nullptr;
-            cells_.dict = nullptr;
-          }
+          cells_.codes = seg.DecodeStringCodes(col_, base, n, codes_.data());
+          cells_.dict = seg.StringDictionary(col_);
           break;
         case DataType::kBool:
           bytes_.resize(kPipelineBatch);
@@ -409,7 +398,7 @@ void FoldExtreme(const KernelArgs& a, const Cells& c, bool is_min) {
     case Cells::Kind::kString:
       ForSelected(a, [&](AggState& s, uint32_t i) {
         if (c.IsNull(i)) return;
-        const std::string_view v = c.String(i);
+        const std::string& v = c.String(i);
         if (!s.has_extreme ||
             (is_min ? v < s.extreme.AsString() : v > s.extreme.AsString())) {
           s.has_extreme = true;
@@ -516,7 +505,7 @@ bool IsFreshnessWeighted(AggFn fn) {
 
 }  // namespace
 
-// --- IdTable. ---
+// --- Key hashing. ---
 
 namespace {
 
@@ -532,18 +521,6 @@ uint64_t MixWord(uint64_t x) {
 }
 
 }  // namespace
-
-void IdTable::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-  const size_t mask = slots_.size() - 1;
-  for (const Slot& slot : old) {
-    if (slot.id == kEmpty) continue;
-    size_t p = slot.hash & mask;
-    while (slots_[p].id != kEmpty) p = (p + 1) & mask;
-    slots_[p] = slot;
-  }
-}
 
 // --- KeyDictionary. ---
 
@@ -599,21 +576,17 @@ void AggregateFolder::KeyDictionary::Assign(const Cells& cells,
       each([&](uint32_t i) { return WordId(cells.bools[i]); });
       return;
     case Cells::Kind::kString:
-      if (cells.codes != nullptr) {
-        // Frozen: one hash lookup per dictionary code per segment.
-        if (code_segment_ != batch.segment) {
-          code_segment_ = batch.segment;
-          code_ids_.clear();
-        }
-        each([&](uint32_t i) {
-          const uint32_t code = cells.codes[i];
-          if (code >= code_ids_.size()) code_ids_.resize(code + 1, -1);
-          if (code_ids_[code] < 0) code_ids_[code] = StringId(cells.String(i));
-          return static_cast<uint32_t>(code_ids_[code]);
-        });
-        return;
+      // One hash lookup per dictionary code per segment; every other
+      // row is an array read.
+      if (code_segment_ != batch.segment) {
+        code_segment_ = batch.segment;
+        code_ids_.assign(cells.dict.size(), kNoId);
       }
-      each([&](uint32_t i) { return StringId(cells.String(i)); });
+      each([&](uint32_t i) {
+        uint32_t& id = code_ids_[cells.codes[i]];
+        if (id == kNoId) id = StringId(cells.String(i));
+        return id;
+      });
       return;
     case Cells::Kind::kValue:
       each([&](uint32_t i) {

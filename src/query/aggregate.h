@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/id_table.h"
 #include "common/result.h"
 #include "query/binder.h"
 #include "storage/segment.h"
@@ -67,12 +69,10 @@ struct Cells {
   const Value* values = nullptr;              // kValue
   /// 1 = null cell; nullptr when the batch holds no null cell.
   const uint8_t* nulls = nullptr;
-  /// kString on a plain segment: views into the segment's storage.
-  const std::string_view* strings = nullptr;
-  /// kString on a frozen segment: dictionary codes (equal codes, equal
-  /// strings within one segment) and the dictionary they index.
+  /// kString: dictionary codes (equal codes, equal strings within one
+  /// segment) and the segment's dictionary they index.
   const uint32_t* codes = nullptr;
-  const std::string* dict = nullptr;
+  std::span<const std::string> dict;
 
   bool IsNull(size_t i) const {
     if (kind == Kind::kValue) return values[i].is_null();
@@ -80,9 +80,7 @@ struct Cells {
   }
 
   /// A kString cell.
-  std::string_view String(size_t i) const {
-    return codes != nullptr ? std::string_view(dict[codes[i]]) : strings[i];
-  }
+  const std::string& String(size_t i) const { return dict[codes[i]]; }
 
   /// The cell as a result Value.
   Value Box(size_t i) const;
@@ -125,7 +123,6 @@ class Operand {
   // Scratch, sized on first use.
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
-  std::vector<std::string_view> strings_;
   std::vector<uint8_t> bytes_;
   std::vector<uint8_t> nulls_;
   std::vector<uint32_t> codes_;
@@ -190,46 +187,6 @@ struct AggState {
 /// Whether aggregate call `call` reads FloatSums.
 bool HasFloatSums(const BoundExpr& call);
 
-/// Open-addressing table from a 64-bit key hash to a dense id. The
-/// caller supplies key equality for ids whose hash matches; for keys
-/// hashed by a bijection (MixWord) the hash alone decides.
-class IdTable {
- public:
-  /// The id whose key has hash `hash` and satisfies `same(id)`, or,
-  /// when none does, the next new id (ids count up from 0); `inserted`
-  /// tells which.
-  template <typename Same>
-  uint32_t FindOrInsert(uint64_t hash, Same&& same, bool* inserted) {
-    if ((size_ + 1) * 2 > slots_.size()) Grow();
-    const size_t mask = slots_.size() - 1;
-    for (size_t p = hash & mask;; p = (p + 1) & mask) {
-      Slot& slot = slots_[p];
-      if (slot.id == kEmpty) {
-        slot.hash = hash;
-        slot.id = static_cast<uint32_t>(size_++);
-        *inserted = true;
-        return slot.id;
-      }
-      if (slot.hash == hash && same(slot.id)) {
-        *inserted = false;
-        return slot.id;
-      }
-    }
-  }
-
- private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t id = kEmpty;
-  };
-
-  void Grow();
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-};
-
 class AggregateFolder;
 
 /// What one segment contributes that must merge in segment order: the
@@ -248,12 +205,12 @@ struct SegmentPartial {
 };
 
 /// Folds segments for one query. Groups are keyed by typed values under
-/// SameValue, with ids in first-appearance order; on frozen segments
-/// each dictionary code of a string key is mapped to its group once per
-/// segment. A folder keeps its running states, operands, batch scratch
-/// and key dictionaries from one segment to the next, so it serves one
-/// thread at a time, and the segments it folds must come in
-/// LiveSegments() order (gaps allowed).
+/// SameValue, with ids in first-appearance order; each dictionary code
+/// of a string key is mapped to its key id once per segment. A folder
+/// keeps its running states, operands, batch scratch and key
+/// dictionaries from one segment to the next, so it serves one thread
+/// at a time, and the segments it folds must come in LiveSegments()
+/// order (gaps allowed).
 class AggregateFolder {
  public:
   /// `calls` are the aggregate select items in select-list order and
@@ -304,9 +261,11 @@ class AggregateFolder {
     std::vector<std::string> string_keys_;
     std::vector<uint32_t> string_ids_;
     std::unordered_map<Value, uint32_t, ValueHasher, ValueEq> others_;
-    // Frozen string keys: dictionary code -> id, for code_segment_.
+    // String keys: dictionary code of code_segment_ -> id, or
+    // kNoId until the code is first met. Sized once per segment.
+    static constexpr uint32_t kNoId = UINT32_MAX;
     const Segment* code_segment_ = nullptr;
-    std::vector<int64_t> code_ids_;
+    std::vector<uint32_t> code_ids_;
   };
 
   struct Call {

@@ -388,7 +388,7 @@ void VectorPredicate::EnsureColumn(size_t slot, const Segment& seg,
 
 void VectorPredicate::EvalNodes(size_t first, size_t last,
                                 const Segment& seg, size_t base, size_t n,
-                                const uint8_t* alive, const int8_t* decided,
+                                const uint8_t* alive,
                                 Scratch& scratch) const {
   const double* const* vals = scratch.col_vals.data();
   const uint8_t* const* nulls = scratch.col_nulls.data();
@@ -396,10 +396,11 @@ void VectorPredicate::EvalNodes(size_t first, size_t last,
     const Node& node = nodes_[idx];
     uint8_t* t = scratch.truth.data() + idx * kBatchSize;
     uint8_t* k = scratch.known.data() + idx * kBatchSize;
-    if (decided != nullptr && decided[idx] >= 0) {
-      // Whole-segment decision from the encoded metadata: nothing to
+    const int8_t decided = scratch.decided[idx];
+    if (decided >= 0) {
+      // Whole-segment decision from the segment's metadata: nothing to
       // decode for this leaf.
-      std::memset(t, decided[idx], n);
+      std::memset(t, decided, n);
       std::memset(k, 1, n);
       continue;
     }
@@ -422,7 +423,8 @@ void VectorPredicate::EvalNodes(size_t first, size_t last,
       case NodeKind::kStringEq: {
         uint8_t* eq = t;
         uint8_t* nn = k;
-        seg.MatchStringEq(node.str_col, base, n, node.str_lit, eq, nn);
+        seg.MatchStringEq(node.str_col, base, n, scratch.str_codes[idx], eq,
+                          nn);
         for (size_t i = 0; i < n; ++i) k[i] = nn[i] ^ 1;  // NULL: UNKNOWN
         break;
       }
@@ -505,23 +507,25 @@ void VectorPredicate::EvalNodes(size_t first, size_t last,
   }
 }
 
-std::vector<int8_t> VectorPredicate::DecideFrozenLeaves(
-    const Segment& seg) const {
-  std::vector<int8_t> decided(nodes_.size(), -1);
-  const encode::FrozenSegment& fz = seg.frozen();
+void VectorPredicate::DecideLeaves(const Segment& seg,
+                                   Scratch& scratch) const {
+  scratch.decided.assign(nodes_.size(), -1);
+  scratch.str_codes.resize(nodes_.size());
+  const bool frozen = seg.is_frozen();
   for (size_t idx = 0; idx < nodes_.size(); ++idx) {
     const Node& node = nodes_[idx];
     if (node.kind == NodeKind::kStringEq) {
-      // A needle absent from the dictionary matches nothing; with no
-      // NULL cells in the way the whole segment is FALSE.
-      if (seg.column_null_count(node.str_col) == 0 &&
-          !fz.columns[node.str_col].strings.CodeOf(node.str_lit)
-               .has_value()) {
-        decided[idx] = 0;
+      const std::optional<uint32_t> code =
+          seg.StringCodeOf(node.str_col, node.str_lit);
+      scratch.str_codes[idx] = code.value_or(Segment::kNoStringCode);
+      // A literal absent from the dictionary matches nothing; with no
+      // NULL cells (UNKNOWN) in the way the whole segment is FALSE.
+      if (!code.has_value() && seg.column_null_count(node.str_col) == 0) {
+        scratch.decided[idx] = 0;
       }
       continue;
     }
-    if (node.kind != NodeKind::kCompare) continue;
+    if (!frozen || node.kind != NodeKind::kCompare) continue;
     // One side a FOR-packed int span, the other a non-NaN constant.
     const Operand* col_op = nullptr;
     const Operand* const_op = nullptr;
@@ -542,6 +546,7 @@ std::vector<int8_t> VectorPredicate::DecideFrozenLeaves(
       continue;
     }
     if (std::isnan(const_op->constant)) continue;  // NaN "equals" all
+    const encode::FrozenSegment& fz = seg.frozen();
     const encode::PackedInts* packed = nullptr;
     if (col_op->kind == OperandKind::kTs) {
       packed = &fz.ts;
@@ -556,9 +561,8 @@ std::vector<int8_t> VectorPredicate::DecideFrozenLeaves(
     const double lo = static_cast<double>(packed->base);
     const double hi = static_cast<double>(static_cast<int64_t>(
         static_cast<uint64_t>(packed->base) + packed->max_delta));
-    decided[idx] = DecideRangeCompare(op, lo, hi, const_op->constant);
+    scratch.decided[idx] = DecideRangeCompare(op, lo, hi, const_op->constant);
   }
-  return decided;
 }
 
 void VectorPredicate::CollectConjuncts(int idx) {
@@ -632,15 +636,12 @@ void VectorPredicate::Match(const Segment& seg, Scratch& scratch,
   scratch.ints.resize(kBatchSize);
   const size_t rows = seg.num_rows();
   const bool frozen = seg.is_frozen();
-  std::vector<int8_t> decided;
-  if (frozen) {
-    decided = DecideFrozenLeaves(seg);
-    // A conjunct FALSE for the whole segment: nothing can match.
-    for (const Conjunct& c : conjuncts_) {
-      if (decided[c.root] == 0) return;
-    }
+  DecideLeaves(seg, scratch);
+  const int8_t* decided = scratch.decided.data();
+  // A conjunct FALSE for the whole segment: nothing can match.
+  for (const Conjunct& c : conjuncts_) {
+    if (decided[c.root] == 0) return;
   }
-  const int8_t* decided_ptr = frozen ? decided.data() : nullptr;
   uint32_t* sel = scratch.sel.data();
   for (size_t base = 0; base < rows; base += kBatchSize) {
     const size_t n = std::min(kBatchSize, rows - base);
@@ -661,14 +662,14 @@ void VectorPredicate::Match(const Segment& seg, Scratch& scratch,
     }
     for (const Conjunct& c : conjuncts_) {
       if (m == 0) break;
-      if (decided_ptr != nullptr && decided_ptr[c.root] == 1) continue;
+      if (decided[c.root] == 1) continue;
       if (c.simple) {
         EnsureColumn(c.slot, seg, base, n, a, scratch);
         m = RefineCompare(c.op, scratch.col_vals[c.slot],
                           scratch.col_nulls[c.slot], c.constant, sel, m);
         continue;
       }
-      EvalNodes(c.first, c.root, seg, base, n, a, decided_ptr, scratch);
+      EvalNodes(c.first, c.root, seg, base, n, a, scratch);
       const uint8_t* t = scratch.truth.data() + c.root * kBatchSize;
       const uint8_t* k = scratch.known.data() + c.root * kBatchSize;
       size_t kept = 0;

@@ -26,12 +26,15 @@ namespace fungusdb {
 /// walker.
 ///
 /// Both storage tiers run through the same program via the segment's
-/// decode-to-scratch API. Frozen segments additionally get two
-/// encoded-domain fast paths that never decode: comparison leaves over
-/// FOR-packed int spans are decided for the whole segment from the
-/// packed [base, base + max_delta] range when possible, and string
-/// equality compares dictionary codes run by run. Batches with no live
-/// rows (answered by the RLE liveness runs) are skipped outright.
+/// decode-to-scratch API. String equality compares dictionary codes on
+/// both tiers: the literal's code is looked up once per segment, and a
+/// literal absent from the dictionary decides the leaf for the whole
+/// segment. Frozen segments additionally get encoded-domain fast paths
+/// that never decode: comparison leaves over FOR-packed int spans are
+/// decided for the whole segment from the packed [base, base +
+/// max_delta] range when possible, string codes are compared run by
+/// run, and batches with no live rows (answered by the RLE liveness
+/// runs) are skipped outright.
 ///
 /// Semantics match the tree walker bit for bit:
 ///  * comparisons happen in double space (int64/timestamp converted),
@@ -60,6 +63,11 @@ class VectorPredicate {
     std::vector<uint32_t> sel;       // kBatchSize selection staging
     std::vector<int64_t> ints;       // kBatchSize int decode staging
     std::vector<uint8_t> alive;      // kBatchSize liveness staging
+    /// Per node, for the segment being matched: its whole-segment
+    /// decision (DecideLeaves) and, for a string-equality leaf, the
+    /// literal's dictionary code.
+    std::vector<int8_t> decided;
+    std::vector<uint32_t> str_codes;
     /// Batches decoded from frozen segments (feeds the
     /// fungusdb.storage.decode_batches metric).
     uint64_t decoded_batches = 0;
@@ -121,11 +129,15 @@ class VectorPredicate {
     std::string str_lit;  // kStringEq
   };
 
-  /// Per-node whole-segment decisions for a frozen segment: 1 = TRUE
-  /// for every row, 0 = FALSE for every row, -1 = must evaluate.
-  /// Derived from the encoded metadata alone (FOR range of packed int
-  /// spans, dictionary membership) — no decoding, no thawing.
-  std::vector<int8_t> DecideFrozenLeaves(const Segment& seg) const;
+  /// The per-segment leaf pass, run before a segment's first batch.
+  /// Resolves each string-equality literal to its dictionary code once
+  /// (Segment::kNoStringCode when absent) into scratch.str_codes, and
+  /// writes per-node whole-segment decisions into scratch.decided: 1 =
+  /// TRUE for every row, 0 = FALSE for every row, -1 = must evaluate.
+  /// Decisions come from metadata alone — dictionary membership on both
+  /// tiers, the FOR range of packed int spans on a frozen segment — with
+  /// no decoding and no thawing.
+  void DecideLeaves(const Segment& seg, Scratch& scratch) const;
 
   /// Lowers an operand, registering a column operand's slot.
   std::optional<Operand> CompileOperand(const BoundExpr& expr);
@@ -157,8 +169,7 @@ class VectorPredicate {
   /// Evaluates nodes [first, last] (a post-order subtree) over a batch
   /// into the truth/known rows.
   void EvalNodes(size_t first, size_t last, const Segment& seg, size_t base,
-                 size_t n, const uint8_t* alive, const int8_t* decided,
-                 Scratch& scratch) const;
+                 size_t n, const uint8_t* alive, Scratch& scratch) const;
 
   std::vector<Node> nodes_;               // post-order; back() is root
   std::vector<Operand> column_operands_;  // distinct columns, by slot

@@ -4,10 +4,13 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/id_table.h"
 #include "common/status.h"
 #include "storage/datatype.h"
 #include "storage/value.h"
@@ -68,13 +71,6 @@ struct ColumnTraits<double> {
 };
 
 template <>
-struct ColumnTraits<std::string> {
-  static constexpr DataType kType = DataType::kString;
-  static Value Wrap(std::string v) { return Value::String(std::move(v)); }
-  static std::string Unwrap(const Value& v) { return v.AsString(); }
-};
-
-template <>
 struct ColumnTraits<bool> {
   static constexpr DataType kType = DataType::kBool;
   static Value Wrap(bool v) { return Value::Bool(v); }
@@ -84,7 +80,8 @@ struct ColumnTraits<bool> {
 }  // namespace internal_column
 
 /// Concrete column storing `T` contiguously. `TimestampColumn` is a
-/// distinct subclass because Timestamp aliases int64_t.
+/// distinct subclass because Timestamp aliases int64_t; strings are
+/// dictionary-coded (`StringColumn`).
 template <typename T>
 class TypedColumn : public Column {
  public:
@@ -134,11 +131,7 @@ class TypedColumn : public Column {
   const std::vector<T>& data() const { return data_; }
 
   size_t MemoryUsage() const override {
-    size_t bytes = data_.capacity() * sizeof(T) + valid_.capacity() / 8;
-    if constexpr (std::is_same_v<T, std::string>) {
-      for (const std::string& s : data_) bytes += s.capacity();
-    }
-    return bytes;
+    return data_.capacity() * sizeof(T) + valid_.capacity() / 8;
   }
 
  private:
@@ -149,8 +142,81 @@ class TypedColumn : public Column {
 
 using Int64Column = TypedColumn<int64_t>;
 using Float64Column = TypedColumn<double>;
-using StringColumn = TypedColumn<std::string>;
 using BoolColumn = TypedColumn<bool>;
+
+/// Code of `needle` in `dict`, if present: a linear scan, so callers
+/// resolve a literal once per segment, not once per row.
+std::optional<uint32_t> FindDictionaryCode(
+    const std::vector<std::string>& dict, std::string_view needle);
+
+/// String column, dictionary-coded from the first append (DESIGN.md
+/// §15): one uint32_t code per cell into a dictionary of the distinct
+/// payloads in first-appearance order. A NULL cell holds the code of
+/// "" (appended to the dictionary like any payload), which is
+/// encode::DictStrings' rule — so freezing run-length packs the codes
+/// and moves the dictionary, and thawing copies both back.
+///
+/// While the column takes appends, a hash index maps payload -> code;
+/// Seal() drops it once the segment is full, so a column whose every
+/// value is distinct costs its codes plus one copy of each payload.
+class StringColumn : public Column {
+ public:
+  StringColumn() = default;
+
+  /// A sealed column over `codes` into `dict`, with `valid[i] == 0`
+  /// marking null cells. Codes are taken as given (a thaw restores
+  /// exactly what the frozen image holds of a full segment).
+  StringColumn(std::vector<std::string> dict, std::vector<uint32_t> codes,
+               const uint8_t* valid);
+
+  DataType type() const override { return DataType::kString; }
+  size_t size() const override { return codes_.size(); }
+
+  void Append(const Value& value) override;
+
+  /// Typed fast-path append (non-null).
+  void AppendTyped(std::string_view v);
+
+  Value GetValue(size_t pos) const override;
+
+  bool IsNull(size_t pos) const override {
+    assert(pos < valid_.size());
+    return !valid_[pos];
+  }
+
+  size_t null_count() const override { return null_count_; }
+
+  /// The payload of a cell ("" for a null cell); caller checks IsNull.
+  const std::string& at(size_t pos) const {
+    assert(pos < codes_.size());
+    return dict_[codes_[pos]];
+  }
+
+  const std::vector<uint32_t>& codes() const { return codes_; }
+  const std::vector<std::string>& dictionary() const { return dict_; }
+
+  /// Drops the append index once no append can come (a full segment);
+  /// appending to a sealed column is a bug.
+  void Seal() { index_ = IdTable(); }
+
+  /// Moves the dictionary out (freeze); the column is unusable after.
+  std::vector<std::string> ReleaseDictionary() { return std::move(dict_); }
+
+  /// Codes, validity bits, dictionary and (while open) the index.
+  size_t MemoryUsage() const override;
+
+ private:
+  friend class TestCorruptor;
+
+  /// The code of `s`, appended to the dictionary if new.
+  uint32_t Intern(std::string_view s);
+
+  std::vector<uint32_t> codes_;
+  std::vector<std::string> dict_;
+  IdTable index_;  // payload hash -> code, while the column is open
+  std::vector<bool> valid_;
+  size_t null_count_ = 0;
+};
 
 /// Timestamp column: same layout as Int64Column, distinct DataType.
 class TimestampColumn : public Column {

@@ -3,7 +3,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -164,9 +163,10 @@ Result<RleCodes> DeserializeRleCodes(BufferReader& in);
 
 /// Dictionary + RLE for string columns: unique payloads in
 /// first-appearance order, the per-row code stream run-length encoded.
-/// Null rows store "" in the plain column (TypedColumn appends T{}), so
-/// they simply code the "" dictionary entry — the validity bitmap, kept
-/// by the enclosing column, is what distinguishes them.
+/// Null rows code the "" dictionary entry — the validity bitmap, kept
+/// by the enclosing column, is what distinguishes them. The plain tier
+/// (StringColumn) keeps the same dictionary and codes unpacked, so
+/// freezing packs its code runs and Pack is the reference it matches.
 struct DictStrings {
   std::vector<std::string> dict;
   RleCodes codes;
@@ -176,16 +176,6 @@ struct DictStrings {
   uint64_t count() const { return codes.count(); }
 
   const std::string& Get(size_t i) const { return dict[codes.Get(i)]; }
-
-  /// Dictionary code of `needle`, if present. Lets predicates compare
-  /// codes instead of decoded strings (the vector_eval dictionary
-  /// kernel); absence decides the predicate for the whole segment.
-  std::optional<uint32_t> CodeOf(const std::string& needle) const {
-    for (size_t i = 0; i < dict.size(); ++i) {
-      if (dict[i] == needle) return static_cast<uint32_t>(i);
-    }
-    return std::nullopt;
-  }
 
   void Serialize(BufferWriter& out) const;
   static Result<DictStrings> Deserialize(BufferReader& in);

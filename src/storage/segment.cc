@@ -53,10 +53,6 @@ Segment::Segment(const Schema& schema, uint64_t first_row, size_t capacity,
     columns_.push_back(MakeColumn(f.type));
     zone_map_.columns[i].tracked = IsNumericType(f.type);
   }
-  ts_.reserve(capacity);
-  freshness_.reserve(capacity);
-  alive_.reserve(capacity);
-  if (track_access_) access_.reserve(capacity);
 }
 
 void Segment::Append(const std::vector<Value>& values, Timestamp now) {
@@ -66,6 +62,16 @@ void Segment::Append(const std::vector<Value>& values, Timestamp now) {
   // A new row must not inherit decrements from ticks that predate it —
   // the shard materializes before appending (mutating touch).
   assert(pending_decay_.empty());
+  if (ts_.size() == ts_.capacity()) {
+    // The per-row vectors grow with the rows, so an open tail costs what
+    // it holds, and stop at exactly the segment's capacity.
+    const size_t grown =
+        std::min(capacity_, std::max<size_t>(64, 2 * ts_.size()));
+    ts_.reserve(grown);
+    freshness_.reserve(grown);
+    alive_.reserve(grown);
+    if (track_access_) access_.reserve(grown);
+  }
   for (size_t i = 0; i < values.size(); ++i) {
     columns_[i]->Append(values[i]);
     ColumnZone& zone = zone_map_.columns[i];
@@ -78,6 +84,15 @@ void Segment::Append(const std::vector<Value>& values, Timestamp now) {
   alive_.push_back(1);
   if (track_access_) access_.push_back(0);
   ++live_count_;
+  if (full()) {
+    // No append can arrive any more: string columns drop their append
+    // index and keep only codes and dictionary.
+    for (auto& col : columns_) {
+      if (col->type() == DataType::kString) {
+        static_cast<StringColumn&>(*col).Seal();
+      }
+    }
+  }
   zone_map_.min_ts = std::min(zone_map_.min_ts, now);
   zone_map_.max_ts = std::max(zone_map_.max_ts, now);
   zone_map_.min_f = std::min(zone_map_.min_f, 1.0);
@@ -270,7 +285,7 @@ void Segment::Freeze() {
   fz->columns.reserve(columns_.size());
   std::vector<uint8_t> valid(n);
   for (size_t c = 0; c < columns_.size(); ++c) {
-    const Column& col = *columns_[c];
+    Column& col = *columns_[c];
     encode::FrozenColumn fc;
     fc.type = col.type();
     fc.null_count = col.null_count();
@@ -291,10 +306,15 @@ void Segment::Freeze() {
       case DataType::kFloat64:
         fc.doubles = static_cast<const Float64Column&>(col).data();
         break;
-      case DataType::kString:
-        fc.strings = encode::DictStrings::Pack(
-            static_cast<const StringColumn&>(col).data());
+      case DataType::kString: {
+        // Already dictionary-coded in first-appearance order with nulls
+        // on the "" code — exactly DictStrings::Pack's output, so the
+        // codes only need their runs packed and the dictionary moves.
+        auto& strings = static_cast<StringColumn&>(col);
+        fc.strings.codes = encode::RleCodes::Pack(strings.codes().data(), n);
+        fc.strings.dict = strings.ReleaseDictionary();
         break;
+      }
       case DataType::kBool: {
         const std::vector<bool>& bits =
             static_cast<const BoolColumn&>(col).data();
@@ -337,7 +357,7 @@ void Segment::Thaw() {
   }
   columns_.reserve(fz->columns.size());
   std::vector<uint8_t> valid(n);
-  for (const encode::FrozenColumn& fc : fz->columns) {
+  for (encode::FrozenColumn& fc : fz->columns) {
     std::unique_ptr<Column> col = MakeColumn(fc.type);
     fc.validity.Decode(0, n, valid.data());
     switch (fc.type) {
@@ -377,16 +397,10 @@ void Segment::Thaw() {
         break;
       }
       case DataType::kString: {
-        auto& typed = static_cast<StringColumn&>(*col);
         std::vector<uint32_t> codes(n);
         fc.strings.codes.Decode(0, n, codes.data());
-        for (size_t off = 0; off < n; ++off) {
-          if (!valid[off]) {
-            col->Append(Value::Null());
-          } else {
-            typed.AppendTyped(fc.strings.dict[codes[off]]);
-          }
-        }
+        col = std::make_unique<StringColumn>(std::move(fc.strings.dict),
+                                             std::move(codes), valid.data());
         break;
       }
       case DataType::kBool: {
@@ -484,23 +498,27 @@ const double* Segment::DecodeFloat64Column(size_t col, size_t base,
   return frozen_->columns[col].doubles.data() + base;
 }
 
-void Segment::DecodeStringCells(size_t col, size_t base, const uint32_t* sel,
-                                size_t m, std::string_view* out) const {
-  assert(!frozen_);
-  const std::vector<std::string>& data =
-      static_cast<const StringColumn&>(*columns_[col]).data();
-  for (size_t k = 0; k < m; ++k) out[sel[k]] = data[base + sel[k]];
-}
-
-void Segment::DecodeStringCodes(size_t col, size_t base, size_t n,
-                                uint32_t* codes) const {
-  assert(frozen_);
-  frozen_->columns[col].strings.codes.Decode(base, n, codes);
+const uint32_t* Segment::DecodeStringCodes(size_t col, size_t base,
+                                           size_t n,
+                                           uint32_t* scratch) const {
+  if (!frozen_) {
+    return static_cast<const StringColumn&>(*columns_[col]).codes().data() +
+           base;
+  }
+  frozen_->columns[col].strings.codes.Decode(base, n, scratch);
+  return scratch;
 }
 
 const std::vector<std::string>& Segment::StringDictionary(size_t col) const {
-  assert(frozen_);
+  if (!frozen_) {
+    return static_cast<const StringColumn&>(*columns_[col]).dictionary();
+  }
   return frozen_->columns[col].strings.dict;
+}
+
+std::optional<uint32_t> Segment::StringCodeOf(size_t col,
+                                              std::string_view needle) const {
+  return FindDictionaryCode(StringDictionary(col), needle);
 }
 
 void Segment::DecodeBoolColumn(size_t col, size_t base, size_t n,
@@ -515,47 +533,28 @@ void Segment::DecodeBoolColumn(size_t col, size_t base, size_t n,
 }
 
 void Segment::MatchStringEq(size_t col, size_t base, size_t n,
-                            const std::string& needle, uint8_t* eq,
+                            uint32_t code, uint8_t* eq,
                             uint8_t* nulls) const {
+  DecodeNulls(col, base, n, nulls);
   if (!frozen_) {
-    const auto& scol = static_cast<const StringColumn&>(*columns_[col]);
-    const std::vector<std::string>& data = scol.data();
+    const uint32_t* codes =
+        static_cast<const StringColumn&>(*columns_[col]).codes().data() +
+        base;
     for (size_t i = 0; i < n; ++i) {
-      if (scol.IsNull(base + i)) {
-        nulls[i] = 1;
-        eq[i] = 0;
-      } else {
-        nulls[i] = 0;
-        eq[i] = data[base + i] == needle ? 1 : 0;
-      }
+      eq[i] = (codes[i] == code ? 1 : 0) & (nulls[i] ^ 1);
     }
     return;
   }
-  const encode::FrozenColumn& fc = frozen_->columns[col];
-  fc.validity.Decode(base, n, nulls);  // 1 = valid for now; flipped below
-  const std::optional<uint32_t> code = fc.strings.CodeOf(needle);
-  if (!code.has_value()) {
-    for (size_t i = 0; i < n; ++i) {
-      eq[i] = 0;
-      nulls[i] ^= 1;
-    }
-    return;
-  }
-  // Compare dictionary codes run by run — no string decoding.
-  const encode::RleCodes& codes = fc.strings.codes;
+  // Compare the codes run by run, without decoding them.
+  const encode::RleCodes& codes = frozen_->columns[col].strings.codes;
   size_t run = codes.RunOf(base);
   size_t pos = base;
   size_t i = 0;
   while (i < n) {
-    const uint8_t match = codes.values[run] == *code ? 1 : 0;
+    const uint8_t match = codes.values[run] == code ? 1 : 0;
     const size_t run_end = std::min<size_t>(codes.ends[run], base + n);
-    for (; pos < run_end; ++pos, ++i) eq[i] = match;
+    for (; pos < run_end; ++pos, ++i) eq[i] = match & (nulls[i] ^ 1);
     ++run;
-  }
-  for (size_t j = 0; j < n; ++j) {
-    const uint8_t valid = nulls[j];
-    nulls[j] = valid ^ 1;
-    if (!valid) eq[j] = 0;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -335,35 +336,37 @@ class Segment {
   const double* DecodeFloat64Column(size_t col, size_t base,
                                     size_t n) const;
 
-  /// Selected cells of a string column, out[sel[k]] for k < m, as views
-  /// into row `base + sel[k]` of the segment's storage, valid while the
-  /// segment is neither mutated nor freed (i.e. for the reader's pin).
-  /// Plain tier only: a frozen column is read as DecodeStringCodes over
-  /// StringDictionary.
-  void DecodeStringCells(size_t col, size_t base, const uint32_t* sel,
-                         size_t m, std::string_view* out) const;
+  /// Dictionary codes of a string column for [base, base + n): equal
+  /// codes are equal strings within one column of one segment, so
+  /// grouping maps each code to a group once per segment instead of
+  /// hashing every row. Zero copy on the plain tier; RLE-decoded into
+  /// `scratch` on a frozen segment. A null cell holds the code of "".
+  const uint32_t* DecodeStringCodes(size_t col, size_t base, size_t n,
+                                    uint32_t* scratch) const;
 
-  /// Dictionary codes of a string column for [base, base + n). Frozen
-  /// tier only: the aggregate pipeline reads frozen strings as codes,
-  /// so grouping maps each code to a group once per segment instead of
-  /// hashing every row.
-  void DecodeStringCodes(size_t col, size_t base, size_t n,
-                         uint32_t* codes) const;
-
-  /// The dictionary DecodeStringCodes' codes index. Frozen tier only.
+  /// The dictionary DecodeStringCodes' codes index, in first-appearance
+  /// order. Valid while the segment is neither mutated nor freed.
   const std::vector<std::string>& StringDictionary(size_t col) const;
+
+  /// Dictionary code of `needle` in a string column, if present — the
+  /// once-per-segment probe string predicates compare codes against.
+  std::optional<uint32_t> StringCodeOf(size_t col,
+                                       std::string_view needle) const;
 
   /// Cells of a bool column for [base, base + n) as 0/1 bytes.
   void DecodeBoolColumn(size_t col, size_t base, size_t n,
                         uint8_t* out) const;
 
-  /// String equality against a literal for [base, base + n): eq[i] = 1
-  /// where the cell equals `needle`, nulls[i] = 1 where it is null. On
-  /// a frozen segment this compares dictionary codes — one dictionary
-  /// probe per call, no string decoding.
-  void MatchStringEq(size_t col, size_t base, size_t n,
-                     const std::string& needle, uint8_t* eq,
-                     uint8_t* nulls) const;
+  /// Code equality for [base, base + n): eq[i] = 1 where the cell's
+  /// dictionary code is `code`, nulls[i] = 1 where the cell is null (eq
+  /// is 0 there). `code` comes from StringCodeOf, once per segment;
+  /// kNoStringCode matches no cell. No string is read.
+  void MatchStringEq(size_t col, size_t base, size_t n, uint32_t code,
+                     uint8_t* eq, uint8_t* nulls) const;
+
+  /// A code no dictionary holds: what MatchStringEq is handed for a
+  /// literal absent from the segment.
+  static constexpr uint32_t kNoStringCode = UINT32_MAX;
 
   // --- Raw system-vector spans (plain tier only; src/storage and the
   // invariant checker — everything else goes through the decode API,

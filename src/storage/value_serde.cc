@@ -110,6 +110,11 @@ void WriteSchema(BufferWriter& out, const Schema& schema) {
 
 Result<Schema> ReadSchema(BufferReader& in) {
   FUNGUSDB_ASSIGN_OR_RETURN(uint64_t count, in.ReadU64());
+  // A field takes at least 10 bytes (name length, type tag, nullable
+  // flag): a larger count is corrupt, and must not size the reserve.
+  if (count > in.remaining() / 10) {
+    return Status::ParseError("schema field count exceeds the input");
+  }
   std::vector<Field> fields;
   fields.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

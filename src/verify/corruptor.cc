@@ -1,5 +1,6 @@
 #include "verify/corruptor.h"
 
+#include <optional>
 #include <utility>
 
 namespace fungusdb {
@@ -150,6 +151,89 @@ Status TestCorruptor::CorruptFrozenDictionaryCode(Table& table,
   // Rehash so the checksum arm stays quiet and the fsck violation
   // pinpoints the dictionary-range breach alone.
   fz.checksum = fz.ComputeChecksum();
+  return Status::OK();
+}
+
+Status TestCorruptor::TruncateFrozenStringCodes(Table& table,
+                                                uint64_t seg_no,
+                                                size_t col) {
+  auto it = table.segment_index_.find(seg_no);
+  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  Segment& seg = *it->second;
+  if (!seg.is_frozen()) {
+    return Status::FailedPrecondition(
+        "segment " + std::to_string(seg_no) +
+        " is not frozen; corrupt a frozen one");
+  }
+  encode::FrozenSegment& fz = *seg.frozen_;
+  if (col >= fz.columns.size() ||
+      fz.columns[col].type != DataType::kString) {
+    return Status::FailedPrecondition("column " + std::to_string(col) +
+                                      " is not a string column");
+  }
+  encode::RleCodes& codes = fz.columns[col].strings.codes;
+  if (codes.values.empty()) {
+    return Status::FailedPrecondition(
+        "column " + std::to_string(col) + " has no encoded rows");
+  }
+  codes.values.pop_back();
+  codes.ends.pop_back();
+  fz.checksum = fz.ComputeChecksum();
+  return Status::OK();
+}
+
+Status TestCorruptor::CorruptStringDictionary(Table& table, uint64_t seg_no,
+                                              size_t col,
+                                              DictionaryDamage damage) {
+  auto it = table.segment_index_.find(seg_no);
+  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  Segment& seg = *it->second;
+  if (seg.is_frozen()) {
+    return Status::FailedPrecondition(
+        "segment " + std::to_string(seg_no) +
+        " is frozen; corrupt a plain one");
+  }
+  if (col >= seg.columns_.size() ||
+      seg.columns_[col]->type() != DataType::kString) {
+    return Status::FailedPrecondition("column " + std::to_string(col) +
+                                      " is not a string column");
+  }
+  StringColumn& strings = static_cast<StringColumn&>(*seg.columns_[col]);
+  if (strings.codes_.empty()) {
+    return Status::FailedPrecondition("column " + std::to_string(col) +
+                                      " has no rows");
+  }
+  switch (damage) {
+    case DictionaryDamage::kCodeOutOfRange:
+      strings.codes_[0] = static_cast<uint32_t>(strings.dict_.size());
+      break;
+    case DictionaryDamage::kDuplicateEntry: {
+      // Same payload, second code: the cell reads the same but a code
+      // compare against the first copy no longer finds it.
+      const std::string payload = strings.dict_[strings.codes_.back()];
+      strings.codes_.back() = static_cast<uint32_t>(strings.dict_.size());
+      strings.dict_.push_back(payload);
+      break;
+    }
+    case DictionaryDamage::kNullNotEmpty: {
+      size_t off = 0;
+      while (off < strings.size() && !strings.IsNull(off)) ++off;
+      if (off == strings.size()) {
+        return Status::FailedPrecondition("column " + std::to_string(col) +
+                                          " has no null cell");
+      }
+      std::optional<uint32_t> code;
+      for (size_t c = 0; c < strings.dict_.size() && !code; ++c) {
+        if (!strings.dict_[c].empty()) code = static_cast<uint32_t>(c);
+      }
+      if (!code) {
+        code = static_cast<uint32_t>(strings.dict_.size());
+        strings.dict_.push_back("phantom");
+      }
+      strings.codes_[off] = *code;
+      break;
+    }
+  }
   return Status::OK();
 }
 

@@ -54,6 +54,28 @@ class TestCorruptor {
   static Status CorruptFrozenDictionaryCode(Table& table, uint64_t seg_no,
                                             size_t col);
 
+  /// Drops the last dictionary-code run of a frozen string column, so
+  /// its code stream spans fewer rows than the segment, then refreshes
+  /// the checksum. Requires a frozen segment and a string column at
+  /// `col`. Caught by `encoded-segment` (span arm).
+  static Status TruncateFrozenStringCodes(Table& table, uint64_t seg_no,
+                                          size_t col);
+
+  /// Which arm of the `string-dictionary` rule CorruptStringDictionary
+  /// trips.
+  enum class DictionaryDamage {
+    kCodeOutOfRange,  // the first cell's code set one past the dictionary
+    kDuplicateEntry,  // the last cell repointed at a copy of its payload
+    kNullNotEmpty,    // the first null cell repointed at a non-"" payload
+  };
+
+  /// Breaks the dictionary coding of plain string column `col` of a
+  /// segment, bypassing the append index. Requires a plain segment with
+  /// rows, a string column at `col` and, for kNullNotEmpty, a null cell
+  /// in it. Caught by `string-dictionary`.
+  static Status CorruptStringDictionary(Table& table, uint64_t seg_no,
+                                        size_t col, DictionaryDamage damage);
+
   /// Folds a pending decrement large enough to drive the segment's
   /// effective freshness floor below zero — the deferred death a
   /// correct fold can never produce — and stamps a decay epoch ahead

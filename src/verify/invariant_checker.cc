@@ -5,6 +5,8 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -145,6 +147,76 @@ void CheckFrozenImage(const Segment& seg, const std::string& name,
                      " != re-derived " + std::to_string(derived) +
                      " (encoded block corrupted in memory)",
                  s, sno));
+  }
+}
+
+/// Whether `runs` decodes to exactly `rows` values.
+template <typename V>
+bool RunsSpan(const encode::RleRuns<V>& runs, uint64_t rows) {
+  return runs.count() == rows && runs.values.size() == runs.ends.size();
+}
+
+/// The `string-dictionary` rule body: audits the dictionary coding of
+/// every string column, on either tier. Codes must index the
+/// dictionary; entries must be distinct (a repeated payload hides the
+/// rows coded to its second copy from a code compare, which probes the
+/// first); and a null cell must hold the code of "" (the rule freezing
+/// relies on to pack codes as they are, DictStrings::Pack's output).
+/// A frozen column's code range is the `encoded-segment` rule's, so
+/// only the plain tier reports it here.
+void CheckStringDictionaries(const Segment& seg, const std::string& name,
+                             int64_t s, int64_t sno, Collector& out) {
+  const size_t rows = seg.num_rows();
+  std::vector<uint32_t> scratch(rows);
+  std::vector<uint8_t> nulls(rows);
+  for (size_t c = 0; c < seg.num_columns(); ++c) {
+    // A column of the wrong length is `column-length`'s to report, and
+    // a frozen stream that does not span the segment `encoded-segment`'s
+    // (decoding it would read past its runs).
+    if (seg.column_type(c) != DataType::kString ||
+        seg.column_size(c) != rows) {
+      continue;
+    }
+    if (seg.is_frozen()) {
+      const encode::FrozenColumn& fc = seg.frozen().columns[c];
+      if (!RunsSpan(fc.strings.codes, rows) || !RunsSpan(fc.validity, rows)) {
+        continue;
+      }
+    }
+    auto add = [&](std::string detail, int64_t row) {
+      out.Add(Make("string-dictionary", name, std::move(detail), s, sno, row,
+                   static_cast<int64_t>(c)));
+    };
+    const std::vector<std::string>& dict = seg.StringDictionary(c);
+    std::unordered_set<std::string_view> seen;
+    for (size_t code = 0; code < dict.size(); ++code) {
+      if (!seen.insert(dict[code]).second) {
+        add("dictionary entry " + std::to_string(code) + " repeats \"" +
+                dict[code] + "\"",
+            -1);
+        break;
+      }
+    }
+    const uint32_t* codes = seg.DecodeStringCodes(c, 0, rows, scratch.data());
+    seg.DecodeNulls(c, 0, rows, nulls.data());
+    for (size_t off = 0; off < rows; ++off) {
+      const int64_t row = static_cast<int64_t>(seg.first_row() + off);
+      if (codes[off] >= dict.size()) {
+        if (!seg.is_frozen()) {
+          add("dictionary code " + std::to_string(codes[off]) +
+                  " escapes a dictionary of " + std::to_string(dict.size()) +
+                  " entries",
+              row);
+        }
+        break;
+      }
+      if (nulls[off] != 0 && !dict[codes[off]].empty()) {
+        add("null cell holds the code of \"" + dict[codes[off]] +
+                "\", not of \"\"",
+            row);
+        break;
+      }
+    }
   }
 }
 
@@ -332,6 +404,9 @@ Report InvariantChecker::CheckTable(const Table& table) const {
       if (seg.is_frozen()) {
         CheckFrozenImage(seg, name, static_cast<int64_t>(s), sno, out);
       }
+      // string-dictionary: both tiers code strings into a dictionary of
+      // distinct payloads, nulls on the "" code.
+      CheckStringDictionaries(seg, name, static_cast<int64_t>(s), sno, out);
       // Per-row: freshness range, liveness agreement, time ordering;
       // exact bound recount for the zone-map audit below.
       size_t recounted_live = 0;

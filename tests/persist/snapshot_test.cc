@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "fungus/retention_fungus.h"
+#include "storage/encode/encoding.h"
+#include "storage/encode/frozen.h"
 #include "storage/value_serde.h"
 #include "summary/count_min_sketch.h"
 #include "summary/grouped_aggregate.h"
@@ -54,6 +56,15 @@ TEST(ValueSerdeTest, TruncationFailsCleanly) {
   const std::string data = out.buffer().substr(0, out.size() - 5);
   BufferReader in(data);
   EXPECT_FALSE(ReadValue(in).ok());
+}
+
+TEST(ValueSerdeTest, FieldCountBeyondTheInputFails) {
+  // A field count no input this short can hold must not size a reserve.
+  BufferWriter out;
+  out.WriteU64(uint64_t{1} << 60);
+  out.WriteU64(0);
+  BufferReader in(out.buffer());
+  EXPECT_EQ(ReadSchema(in).status().code(), StatusCode::kParseError);
 }
 
 TEST(SummarySerializeTest, EveryKindRoundTrips) {
@@ -134,6 +145,52 @@ TEST(TableSnapshotTest, LiveRowsRoundTripWithFreshness) {
   EXPECT_DOUBLE_EQ(restored->Freshness(3), 0.4);
   // Nulls preserved.
   EXPECT_TRUE(restored->GetValue(0, 1).value().is_null());
+}
+
+TEST(TableSnapshotTest, FrozenBlockOfAnotherLengthRejected) {
+  // Only full segments freeze, so a frozen block spans exactly one
+  // segment. Splice the 8-row block of a table with 8-row segments
+  // into the snapshot of one with 4-row segments: the load must refuse
+  // it rather than replay rows no segment held.
+  auto frozen_table = [](size_t rows_per_segment) {
+    TableOptions opts;
+    opts.rows_per_segment = rows_per_segment;
+    Table t("events", MixedSchema(), opts);
+    for (int i = 0; i < 8; ++i) {
+      t.Append({Value::Int64(i), Value::Float64(i * 0.5),
+                Value::String("z")},
+               i)
+          .value();
+    }
+    EXPECT_EQ(t.FreezeColdSegments(0), 8 / rows_per_segment);
+    return t;
+  };
+  auto block_of = [](const Table& t) {
+    BufferWriter block;
+    t.segment_index().begin()->second->frozen().Serialize(block);
+    return block.buffer();
+  };
+  const Table four = frozen_table(4);
+  BufferWriter out;
+  SerializeTable(four, out);
+  std::string bytes = out.buffer();
+  const std::string old_block = block_of(four);
+  const size_t at = bytes.find(old_block);
+  ASSERT_NE(at, std::string::npos);
+
+  const std::string new_block = block_of(frozen_table(8));
+  BufferWriter chunk;  // length-prefixed payload, then its CRC
+  chunk.WriteString(new_block);
+  chunk.WriteU32(encode::Crc32(new_block));
+  bytes.replace(at - sizeof(uint64_t),
+                sizeof(uint64_t) + old_block.size() + sizeof(uint32_t),
+                chunk.buffer());
+  BufferReader in(bytes);
+  const Result<Table> restored = DeserializeTable(in);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.status().ToString().find("row count"),
+            std::string::npos)
+      << restored.status().ToString();
 }
 
 TEST(DatabaseSnapshotTest, FullRoundTripInMemory) {

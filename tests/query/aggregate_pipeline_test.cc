@@ -448,10 +448,11 @@ Value RandomCell(Rng& rng, DataType type) {
 }
 
 /// A seeded table over every tier state: rows with rewritten freshness
-/// and dead rows, then frozen segments (some with non-uniform freshness),
-/// then uniform decay folded lazily onto plain and frozen segments.
+/// and dead rows, then frozen segments (some with non-uniform freshness)
+/// unless `freeze` is false, then uniform decay folded lazily onto plain
+/// and frozen segments.
 std::unique_ptr<Table> MakeTable(uint64_t seed, size_t rows_per_segment,
-                                 size_t rows) {
+                                 size_t rows, bool freeze = true) {
   Rng rng(seed);
   TableOptions options;
   options.rows_per_segment = rows_per_segment;
@@ -474,7 +475,7 @@ std::unique_ptr<Table> MakeTable(uint64_t seed, size_t rows_per_segment,
       FUNGUSDB_CHECK_OK(table->SetFreshness(r, rng.NextDouble(0.3, 1.0)));
     }
   }
-  table->FreezeColdSegments(0, table->num_segments() / 2);
+  if (freeze) table->FreezeColdSegments(0, table->num_segments() / 2);
   std::vector<uint64_t> seg_nos;
   for (const auto& [seg_no, seg] : table->segment_index()) {
     seg_nos.push_back(seg_no);
@@ -813,9 +814,10 @@ TEST(AggregatePipelineTest, SerialAndPooledAgreeAtEveryWidth) {
   // Float sums over values whose rounding depends on the order they are
   // added in (0.1, 1e-7, 1e300, -inf, NaN), int64 extremes past 2^53
   // that tie in double space, -0.0/0.0 and NaN group keys, multi-key
-  // groups and every F-aggregate. Each width runs the queries from two
-  // threads at once on one shared pool.
-  std::unique_ptr<Table> table = MakeTable(23, 16, 900);
+  // groups, string keys and string filters (codes on both tiers) and
+  // every F-aggregate. Each width runs the queries from two threads at
+  // once on one shared pool, over a half-frozen table and an all-plain
+  // one.
   std::vector<Query> queries = {
       AggQuery({}, {{AggFn::kSum, Col("f")},
                     {AggFn::kAvg, Col("f")},
@@ -840,32 +842,49 @@ TEST(AggregatePipelineTest, SerialAndPooledAgreeAtEveryWidth) {
       AggQuery({"s"}, {{AggFn::kSum, Mul(Col("f"), Lit(2.0))},
                        {AggFn::kMin, Col("__freshness")}},
                Gt(Col("__freshness"), Lit(0.5))),
+      AggQuery({"s"}, {{AggFn::kCount, nullptr},
+                       {AggFn::kSum, Col("f")},
+                       {AggFn::kCount, Col("s")}}),
+      AggQuery({"s"}, {{AggFn::kMax, Col("s")}, {AggFn::kAvg, Col("i")}},
+               Ne(Col("s"), Lit("north"))),
+      AggQuery({"i", "s"}, {{AggFn::kFCount, nullptr},
+                            {AggFn::kMin, Col("s")}},
+               Eq(Col("s"), Lit(""))),
+      AggQuery({"s", "i"}, {{AggFn::kCount, nullptr}},
+               Eq(Col("s"), Lit("absent"))),
   };
   Rng rng(4242);
-  while (queries.size() < 60) {
+  while (queries.size() < 64) {
     Query q = RandomQuery(rng);
     if (!q.consuming) queries.push_back(std::move(q));
   }
-  QueryEngine serial;
-  std::vector<Result<ResultSet>> want;
-  for (const Query& q : queries) want.push_back(serial.Execute(q, *table, 0));
+  for (const bool freeze : {true, false}) {
+    std::unique_ptr<Table> table = MakeTable(23, 16, 900, freeze);
+    QueryEngine serial;
+    std::vector<Result<ResultSet>> want;
+    for (const Query& q : queries) {
+      want.push_back(serial.Execute(q, *table, 0));
+    }
 
-  for (const size_t width : {1u, 2u, 4u}) {
-    ThreadPool pool(width);
-    auto run = [&](int coordinator) {
-      QueryEngine pooled(PooledOptions(&pool));
-      for (size_t n = 0; n < queries.size(); ++n) {
-        const std::string label =
-            "width " + std::to_string(width) + " coordinator " +
-            std::to_string(coordinator) + ": " + queries[n].ToString();
-        const Result<ResultSet> got = pooled.Execute(queries[n], *table, 0);
-        ASSERT_EQ(want[n].ok(), got.ok()) << label;
-        if (got.ok()) ExpectSameAnswer(*want[n], *got, label);
-      }
-    };
-    std::thread other(run, 1);
-    run(0);
-    other.join();
+    for (const size_t width : {1u, 2u, 4u}) {
+      ThreadPool pool(width);
+      auto run = [&](int coordinator) {
+        QueryEngine pooled(PooledOptions(&pool));
+        for (size_t n = 0; n < queries.size(); ++n) {
+          const std::string label =
+              std::string(freeze ? "half-frozen" : "plain") + " width " +
+              std::to_string(width) + " coordinator " +
+              std::to_string(coordinator) + ": " + queries[n].ToString();
+          const Result<ResultSet> got =
+              pooled.Execute(queries[n], *table, 0);
+          ASSERT_EQ(want[n].ok(), got.ok()) << label;
+          if (got.ok()) ExpectSameAnswer(*want[n], *got, label);
+        }
+      };
+      std::thread other(run, 1);
+      run(0);
+      other.join();
+    }
   }
 }
 

@@ -459,11 +459,29 @@ TEST(TieredStorageFsckTest, DetectsEscapedDictionaryCode) {
       << v->detail;
 }
 
+TEST(TieredStorageFsckTest, ShortCodeStreamIsReportedNotDecoded) {
+  // The string-dictionary rule decodes codes; a stream shorter than the
+  // segment is encoded-segment's to report and must not be read past.
+  Table table = MakeFreezableTable();
+  ASSERT_EQ(table.FreezeColdSegments(0), 4u);
+  ASSERT_TRUE(TestCorruptor::TruncateFrozenStringCodes(table, 2, 1).ok());
+
+  const Report report = InvariantChecker().CheckTable(table);
+  ASSERT_FALSE(report.ok());
+  const auto v = FindViolation(report, "encoded-segment");
+  ASSERT_TRUE(v.has_value()) << report.ToString();
+  EXPECT_EQ(v->segment, 2);
+  EXPECT_NE(v->detail.find("spans"), std::string::npos) << v->detail;
+  EXPECT_FALSE(FindViolation(report, "string-dictionary").has_value())
+      << report.ToString();
+}
+
 TEST(TieredStorageFsckTest, SeedersRefusePlainSegments) {
   Table table = MakeFreezableTable();
   EXPECT_FALSE(TestCorruptor::CorruptFrozenChecksum(table, 0).ok());
   EXPECT_FALSE(
       TestCorruptor::CorruptFrozenDictionaryCode(table, 0, 1).ok());
+  EXPECT_FALSE(TestCorruptor::TruncateFrozenStringCodes(table, 0, 1).ok());
 }
 
 // ---------------------------------------------------------------------

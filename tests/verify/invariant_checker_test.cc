@@ -268,6 +268,63 @@ TEST(InvariantCheckerTest, LegitimateFoldPassesDecayEpochRule) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+TEST(InvariantCheckerTest, StringDictionaryRuleCatchesEachDamage) {
+  using Damage = TestCorruptor::DictionaryDamage;
+  struct Case {
+    Damage damage;
+    const char* detail;  // a phrase the violation must carry
+    int64_t row;         // expected row coordinate
+  };
+  // Segment 1 holds rows 4..7; row 5 is null (see below). Segment 3 is
+  // the open tail, whose column still has its append index.
+  for (const uint64_t seg_no : {1u, 3u}) {
+    const RowId first = seg_no * 4;
+    for (const Case& c :
+         {Case{Damage::kCodeOutOfRange, "escapes", static_cast<int64_t>(first)},
+          Case{Damage::kDuplicateEntry, "repeats", -1},
+          Case{Damage::kNullNotEmpty, "null cell",
+               static_cast<int64_t>(first + 1)}}) {
+      TableOptions options;
+      options.rows_per_segment = 4;
+      options.num_shards = 2;
+      Table table("t", TwoColSchema(), options);
+      for (int i = 0; i < 15; ++i) {
+        const Value v = i % 4 == 1 ? Value::Null()
+                                   : Value::String(i % 2 ? "odd" : "even");
+        table.Append({Value::Int64(i), v}, static_cast<Timestamp>(i)).value();
+      }
+      ASSERT_TRUE(InvariantChecker().CheckTable(table).ok());
+      ASSERT_TRUE(
+          TestCorruptor::CorruptStringDictionary(table, seg_no, 1, c.damage)
+              .ok());
+
+      const Report report = InvariantChecker().CheckTable(table);
+      const auto v = FindViolation(report, "string-dictionary");
+      ASSERT_TRUE(v.has_value()) << c.detail << "\n" << report.ToString();
+      EXPECT_EQ(v->segment, static_cast<int64_t>(seg_no));
+      EXPECT_EQ(v->column, 1);
+      EXPECT_EQ(v->row, c.row) << v->ToString();
+      EXPECT_NE(v->detail.find(c.detail), std::string::npos) << v->detail;
+    }
+  }
+}
+
+TEST(InvariantCheckerTest, StringDictionarySeederRefusesWrongTargets) {
+  Table table = MakeTable();
+  using Damage = TestCorruptor::DictionaryDamage;
+  // Column 0 is int64; no cell of column 1 is null.
+  EXPECT_FALSE(TestCorruptor::CorruptStringDictionary(
+                   table, 0, 0, Damage::kCodeOutOfRange)
+                   .ok());
+  EXPECT_FALSE(TestCorruptor::CorruptStringDictionary(table, 0, 1,
+                                                      Damage::kNullNotEmpty)
+                   .ok());
+  ASSERT_EQ(table.FreezeColdSegments(0), 4u);
+  EXPECT_FALSE(TestCorruptor::CorruptStringDictionary(
+                   table, 0, 1, Damage::kCodeOutOfRange)
+                   .ok());
+}
+
 TEST(InvariantCheckerTest, SchedulerReportsInstalledHook) {
   Database db;
   // FUNGUSDB_CHECK_AFTER_TICK=1 (the sanitizer-job configuration) arms

@@ -9,7 +9,8 @@
 //   funguscheck corrupt <file> <kind> <n>    damage a file on purpose;
 //                                            kind: truncate | flip | garbage
 //   funguscheck mkcorpus <dir>               write fuzz seed corpora under
-//                                            <dir>/{query,journal,csv,frame}
+//                                            <dir>/{query,journal,csv,frame,
+//                                            snapshot}
 //
 // Exits 0 when the audited files are clean, 1 on any violation or torn
 // tail, 2 on usage errors or unreadable files.
@@ -21,6 +22,7 @@
 #include <string>
 
 #include "fungusdb/database.h"
+#include "fungusdb/fungi.h"
 #include "fungusdb/persist.h"
 #include "persist/fsck.h"
 #include "server/wire_format.h"
@@ -116,14 +118,15 @@ Status ReadFile(const std::filesystem::path& path, std::string* out) {
   return Status::OK();
 }
 
-/// Seed corpora for the three fuzz harnesses: syntactically interesting
-/// SQL, a real journal produced through the journal writer, and small
-/// CSV documents covering quoting and type edge cases.
+/// Seed corpora for the fuzz harnesses: syntactically interesting SQL,
+/// a real journal produced through the journal writer, small CSV
+/// documents covering quoting and type edge cases, wire frames, and a
+/// snapshot with frozen string segments.
 Status MakeCorpus(const std::string& dir) {
   namespace fs = std::filesystem;
   const fs::path root(dir);
   std::error_code ec;
-  for (const char* sub : {"query", "journal", "csv", "frame"}) {
+  for (const char* sub : {"query", "journal", "csv", "frame", "snapshot"}) {
     fs::create_directories(root / sub, ec);
     if (ec) return Status::Internal("cannot create " + (root / sub).string());
   }
@@ -214,8 +217,48 @@ Status MakeCorpus(const std::string& dir) {
                       server::FrameType::kStatementRequest,
                       server::EncodeStatementRequest(request))));
   }
-  std::printf("wrote seed corpora under %s/{query,journal,csv,frame}\n",
-              dir.c_str());
+  // Snapshot seeds for fuzz_snapshot: a database whose freeze policy
+  // has fired, so the file carries frozen string segments (dictionary +
+  // RLE codes, nulls, "") beside a plain tail chunk, and one frozen
+  // block on its own for the harness's direct block-decoder pass.
+  {
+    Database db;
+    TableOptions options;
+    options.rows_per_segment = 8;
+    options.num_shards = 2;
+    options.freeze_after_idle_ticks = 1;
+    Schema schema = Schema::Make({{"k", DataType::kInt64, false},
+                                  {"s", DataType::kString, true},
+                                  {"v", DataType::kFloat64, false}})
+                        .value();
+    FUNGUSDB_RETURN_IF_ERROR(db.CreateTable("t", schema, options).status());
+    const char* names[] = {"north", "", "south", "it's"};
+    for (int r = 0; r < 36; ++r) {
+      const Value s = r % 5 == 2 ? Value::Null() : Value::String(names[r % 4]);
+      FUNGUSDB_RETURN_IF_ERROR(
+          db.Insert("t", {Value::Int64(r), s, Value::Float64(r * 0.5)})
+              .status());
+    }
+    FUNGUSDB_RETURN_IF_ERROR(
+        db.AttachFungus("t", std::make_unique<RetentionFungus>(1000 * kHour),
+                        kHour)
+            .status());
+    FUNGUSDB_RETURN_IF_ERROR(db.AdvanceTime(2 * kHour).status());
+    BufferWriter snapshot;
+    SerializeDatabase(db, snapshot);
+    FUNGUSDB_RETURN_IF_ERROR(WriteFile(root / "snapshot" / "frozen.snap",
+                                       snapshot.buffer()));
+    FUNGUSDB_ASSIGN_OR_RETURN(SnapshotBlockIndex blocks,
+                              IndexSnapshotBlocks(snapshot.buffer()));
+    if (blocks.empty()) {
+      return Status::Internal("snapshot seed holds no frozen block");
+    }
+    FUNGUSDB_RETURN_IF_ERROR(WriteFile(root / "snapshot" / "block.bin",
+                                       blocks.begin()->second.payload));
+  }
+  std::printf(
+      "wrote seed corpora under %s/{query,journal,csv,frame,snapshot}\n",
+      dir.c_str());
   return Status::OK();
 }
 
