@@ -130,7 +130,8 @@ void Run() {
       const encode::FrozenSegment& fz = seg->frozen();
       for (size_t c = 0; c < num_fields && c < fz.columns.size(); ++c) {
         plain[c] += fz.columns[c].plain_bytes;
-        encoded[c] += fz.columns[c].MemoryUsage();
+        encoded[c] +=
+            sizeof(encode::FrozenColumn) + fz.columns[c].HeapBytes();
       }
     }
     for (size_t c = 0; c < num_fields; ++c) {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <unordered_set>
 
@@ -11,181 +9,15 @@
 #include "common/trace.h"
 #include "query/aggregate.h"
 #include "query/binder.h"
-#include "query/evaluator.h"
 #include "query/vector_eval.h"
 
 namespace fungusdb {
 namespace {
 
-// --- Zone-map pruning planner. ---
-//
-// A conjunct `numeric_column <cmp> numeric_literal` restricts the rows
-// that can match to a closed double-space interval. A segment whose
-// zone-map bounds fall entirely outside some conjunct's interval holds
-// no matching row and is skipped whole. Strict comparisons are widened
-// to closed intervals, which keeps the check conservative (a boundary
-// segment is scanned, never wrongly skipped). Everything here works in
-// the same double space as Value::Compare, so int64/timestamp bounds
-// convert monotonically and no rounding can make pruning unsound.
-
-/// One conjunctive range constraint over a scan target.
-struct RangeConstraint {
-  ColumnSource source = ColumnSource::kUser;
-  size_t col = 0;          // user column index when source == kUser
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  /// Whether a NaN cell satisfies the comparison. Under Value::Compare
-  /// NaN is neither < nor > anything, so cmp == 0: =, <=, >= accept a
-  /// NaN cell while !=, <, > reject it.
-  bool nan_matches = false;
-};
-
-/// Constraints extracted from the top-level AND spine of the WHERE
-/// tree. `always_false` marks a conjunct no row can ever satisfy
-/// (comparison against NULL, or a NaN literal under !=, <, >).
-struct PruningPlan {
-  std::vector<RangeConstraint> constraints;
-  bool always_false = false;
-};
-
-void CollectConjuncts(const BoundExpr& expr, PruningPlan& plan) {
-  if (expr.kind == Expr::Kind::kBinary &&
-      expr.binary_op == BinaryOp::kAnd) {
-    CollectConjuncts(expr.children[0], plan);
-    CollectConjuncts(expr.children[1], plan);
-    return;
-  }
-  if (expr.kind != Expr::Kind::kBinary) return;
-  BinaryOp op = expr.binary_op;
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      break;
-    default:
-      return;
-  }
-  const BoundExpr* colref = &expr.children[0];
-  const BoundExpr* literal = &expr.children[1];
-  if (colref->kind == Expr::Kind::kLiteral &&
-      literal->kind == Expr::Kind::kColumnRef) {
-    std::swap(colref, literal);
-    switch (op) {  // 5 < col  ==  col > 5
-      case BinaryOp::kLt:
-        op = BinaryOp::kGt;
-        break;
-      case BinaryOp::kLe:
-        op = BinaryOp::kGe;
-        break;
-      case BinaryOp::kGt:
-        op = BinaryOp::kLt;
-        break;
-      case BinaryOp::kGe:
-        op = BinaryOp::kLe;
-        break;
-      default:
-        break;
-    }
-  }
-  if (colref->kind != Expr::Kind::kColumnRef ||
-      literal->kind != Expr::Kind::kLiteral) {
-    return;
-  }
-  if (colref->col_source == ColumnSource::kUser &&
-      (!colref->result_type.has_value() ||
-       !IsNumeric(*colref->result_type))) {
-    return;
-  }
-  if (literal->literal.is_null()) {
-    // `col <cmp> NULL` is UNKNOWN for every row; the AND spine can
-    // never be TRUE.
-    plan.always_false = true;
-    return;
-  }
-  if (!IsNumeric(literal->literal.type())) return;
-  const double v = literal->literal.ToDouble().value();
-  RangeConstraint c;
-  c.source = colref->col_source;
-  c.col = colref->col_index;
-  if (std::isnan(v)) {
-    // cmp == 0 against every non-null cell: =, <=, >= match all rows
-    // (no bound restriction, but an all-null segment still prunes);
-    // !=, <, > match none.
-    if (op == BinaryOp::kNe || op == BinaryOp::kLt ||
-        op == BinaryOp::kGt) {
-      plan.always_false = true;
-      return;
-    }
-    c.nan_matches = true;
-    plan.constraints.push_back(c);
-    return;
-  }
-  switch (op) {
-    case BinaryOp::kEq:
-      c.lo = v;
-      c.hi = v;
-      c.nan_matches = true;
-      break;
-    case BinaryOp::kLt:
-      c.hi = v;  // closed: boundary segments scan, never wrongly skip
-      break;
-    case BinaryOp::kLe:
-      c.hi = v;
-      c.nan_matches = true;
-      break;
-    case BinaryOp::kGt:
-      c.lo = v;
-      break;
-    case BinaryOp::kGe:
-      c.lo = v;
-      c.nan_matches = true;
-      break;
-    default:  // kNe constrains no interval
-      return;
-  }
-  plan.constraints.push_back(c);
-}
-
-/// True when the segment's zone map admits at least one potentially
-/// matching row; false only when NO live row can satisfy every
-/// constraint (the sound-to-skip direction).
-bool SegmentCanMatch(const Segment& seg,
-                     const std::vector<RangeConstraint>& constraints) {
-  const ZoneMap& zone = seg.zone_map();
-  for (const RangeConstraint& c : constraints) {
-    switch (c.source) {
-      case ColumnSource::kTimestamp:
-        // Exact over all rows, superset of live rows; never null/NaN.
-        if (c.lo > static_cast<double>(zone.max_ts) ||
-            c.hi < static_cast<double>(zone.min_ts)) {
-          return false;
-        }
-        break;
-      case ColumnSource::kFreshness:
-        // Conservative over live rows; never null/NaN. Freshness
-        // predicates compare against EFFECTIVE values, so the bounds
-        // must be the effective ones (stored bounds with pending decay
-        // replayed — Segment::EffectiveMinFreshness).
-        if (!zone.has_live_freshness()) return false;
-        if (c.lo > seg.EffectiveMaxFreshness() ||
-            c.hi < seg.EffectiveMinFreshness()) {
-          return false;
-        }
-        break;
-      case ColumnSource::kUser: {
-        const ColumnZone& col = zone.columns[c.col];
-        if (!col.tracked) break;  // no bounds kept; cannot judge
-        if (col.has_nan && c.nan_matches) break;  // a NaN cell matches
-        if (!col.has_value()) return false;  // all cells null (or NaN)
-        if (c.lo > col.max || c.hi < col.min) return false;
-        break;
-      }
-    }
-  }
-  return true;
+/// The calling thread's filter buffers, reused across statements.
+VectorPredicate::Scratch& ThreadScratch() {
+  thread_local VectorPredicate::Scratch scratch;
+  return scratch;
 }
 
 /// Name shown for a select item without an alias.
@@ -244,8 +76,9 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
         "SELECT * cannot be combined with aggregation");
   }
 
-  // Bind WHERE.
-  std::optional<BoundExpr> where;
+  // Bind and compile WHERE. Without one, the filter has no conjunct and
+  // selects every live row.
+  VectorPredicate filter;
   if (query.where != nullptr) {
     if (query.where->ContainsAggregate()) {
       return Status::InvalidArgument("aggregates are not allowed in WHERE");
@@ -255,7 +88,7 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
         bound.result_type != DataType::kBool) {
       return Status::TypeMismatch("WHERE must be a boolean expression");
     }
-    where = std::move(bound);
+    filter = VectorPredicate::Compile(bound);
   }
 
   // Bind the select list.
@@ -317,31 +150,19 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
 
   // --- Scan & filter. ---
   //
-  // 1. Prune: drop live segments whose zone maps cannot satisfy the
-  //    WHERE conjuncts (counted in rows_pruned / segments_pruned).
-  // 2. Filter survivors into one selection vector per segment: with the
-  //    vectorized kernel when the predicate compiles (batch-at-a-time,
-  //    morsel-parallel with a pool), else with the row-at-a-time tree
-  //    walker.
+  // One filter makes both decisions. A serial pre-pass drops every live
+  // segment it proves holds no matching row (CanMatch: counted in
+  // rows_pruned / segments_pruned); each survivor is then filtered into
+  // its own selection vector (Match), one segment per morsel.
   ResultSet result;
-  std::vector<const Segment*> segments = table.LiveSegments();
-  if (where.has_value() && options_.enable_pruning) {
-    PruningPlan plan;
-    CollectConjuncts(*where, plan);
-    if (plan.always_false || !plan.constraints.empty()) {
-      std::vector<const Segment*> survivors;
-      survivors.reserve(segments.size());
-      for (const Segment* seg : segments) {
-        if (!plan.always_false &&
-            SegmentCanMatch(*seg, plan.constraints)) {
-          survivors.push_back(seg);
-        } else {
-          ++result.stats.segments_pruned;
-          result.stats.rows_pruned += seg->live_count();
-        }
-      }
-      segments = std::move(survivors);
+  std::vector<const Segment*> segments;
+  for (const Segment* seg : table.LiveSegments()) {
+    if (filter.CanMatch(*seg, ThreadScratch())) {
+      segments.push_back(seg);
+      continue;
     }
+    ++result.stats.segments_pruned;
+    result.stats.rows_pruned += seg->live_count();
   }
   result.stats.segments_scanned = segments.size();
   if (options_.metrics != nullptr && result.stats.segments_pruned > 0) {
@@ -361,62 +182,9 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
     selections[i].segment = segments[i];
     result.stats.rows_scanned += segments[i]->live_count();
   }
-  std::optional<VectorPredicate> vec;
-  if (where.has_value()) vec = VectorPredicate::Compile(*where);
-  const bool vectorized = !where.has_value() || vec.has_value();
-  // Batch path over raw column spans, no per-row Value boxing: filters
-  // one surviving segment into its own selection.
-  auto scan_segment = [&](SegmentSelection& sel, uint64_t& decoded) {
-    const Segment& seg = *sel.segment;
-    if (vec.has_value()) {
-      thread_local VectorPredicate::Scratch scratch;
-      const uint64_t decoded_before = scratch.decoded_batches;
-      vec->Match(seg, scratch, sel.offsets);
-      decoded += scratch.decoded_batches - decoded_before;
-      return;
-    }
-    // No WHERE: every live row matches. Both tiers go through the
-    // shared decode-to-scratch liveness routine (zero-copy on the
-    // plain tier); fully-dead spans of a frozen segment are skipped
-    // straight off the RLE runs.
-    thread_local std::vector<uint8_t> alive_scratch;
-    constexpr size_t kBatch = VectorPredicate::kBatchSize;
-    alive_scratch.resize(kBatch);
-    const size_t n = seg.num_rows();
-    const bool frozen = seg.is_frozen();
-    sel.offsets.resize(n);
-    uint32_t* out = sel.offsets.data();
-    size_t m = 0;
-    for (size_t base = 0; base < n; base += kBatch) {
-      const size_t len = std::min(kBatch, n - base);
-      if (frozen && !seg.AnyLive(base, len)) continue;
-      const uint8_t* alive = seg.DecodeAlive(base, len, alive_scratch.data());
-      if (frozen) ++decoded;
-      for (size_t i = 0; i < len; ++i) {
-        out[m] = static_cast<uint32_t>(base + i);
-        m += alive[i];
-      }
-    }
-    sel.offsets.resize(m);
-  };
   std::vector<const BoundExpr*> calls;
   for (const BoundItem& item : items) {
     if (item.expr.is_aggregate()) calls.push_back(&item.expr);
-  }
-  if (!vectorized) {
-    // Fallback: row-at-a-time tree walker over the surviving segments,
-    // serially; the morsels below then only fold.
-    FUNGUS_TRACE_SPAN("scan.walker", segments.size());
-    for (SegmentSelection& sel : selections) {
-      const Segment& seg = *sel.segment;
-      const size_t n = seg.num_rows();
-      for (size_t off = 0; off < n; ++off) {
-        if (!seg.IsLive(off)) continue;
-        FUNGUSDB_ASSIGN_OR_RETURN(
-            bool pass, EvalPredicate(*where, table, seg.first_row() + off));
-        if (pass) sel.offsets.push_back(static_cast<uint32_t>(off));
-      }
-    }
   }
   // Each participant — the calling thread, plus any idle pool thread
   // that joins in — claims segments off one cursor, in increasing
@@ -428,8 +196,7 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
   // segments are still being folded. The folders' running states merge
   // at the end.
   ThreadPool* pool = options_.pool;
-  const bool fan_out = vectorized && pool != nullptr &&
-                       pool->num_threads() > 1 &&
+  const bool fan_out = pool != nullptr && pool->num_threads() > 1 &&
                        segments.size() >= options_.parallel_scan_min_segments;
   const size_t participants = fan_out ? pool->num_threads() : 1;
   Aggregation aggregation(calls, group_exprs);
@@ -462,14 +229,21 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
       partials[merged] = SegmentPartial{};
     }
   };
+  // A segment whose filter fails is not folded: its error ends the
+  // statement, the first in segment order.
+  std::vector<Status> scan_status(segments.size());
   std::vector<uint64_t> morsel_decoded(segments.size(), 0);
   std::atomic<size_t> next_segment{0};
   auto participate = [&](size_t p) {
     for (size_t i; (i = next_segment.fetch_add(
                         1, std::memory_order_relaxed)) < segments.size();) {
       FUNGUS_TRACE_SPAN("scan.morsel", i);
-      if (vectorized) scan_segment(selections[i], morsel_decoded[i]);
-      if (has_aggregate) fold(p, i);
+      VectorPredicate::Scratch& scratch = ThreadScratch();
+      const uint64_t decoded_before = scratch.decoded_batches;
+      scan_status[i] = filter.Match(table, *selections[i].segment, scratch,
+                                    selections[i].offsets);
+      morsel_decoded[i] = scratch.decoded_batches - decoded_before;
+      if (has_aggregate && scan_status[i].ok()) fold(p, i);
     }
   };
   if (fan_out) {
@@ -483,6 +257,7 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
     FUNGUS_TRACE_SPAN("scan.serial", segments.size());
     participate(0);
   }
+  for (const Status& status : scan_status) FUNGUSDB_RETURN_IF_ERROR(status);
   FUNGUSDB_RETURN_IF_ERROR(aggregate_status);
   for (AggregateFolder& folder : folders) {
     FUNGUSDB_RETURN_IF_ERROR(aggregation.MergeStates(folder));

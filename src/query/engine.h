@@ -32,11 +32,6 @@ struct QueryEngineOptions {
   /// Minimum live segments before a scan fans out; tiny tables are not
   /// worth the fork/join overhead.
   size_t parallel_scan_min_segments = 8;
-
-  /// Consult per-segment zone maps to skip segments whose bounds cannot
-  /// satisfy the WHERE conjuncts. Off exists for benchmarking the
-  /// pruning win (bench_t7_scan_pruning), not for production use.
-  bool enable_pruning = true;
 };
 
 /// Executes select-from-where queries against decaying tables.

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "query/evaluator.h"
+
 namespace fungusdb {
 
 std::optional<VectorPredicate::Operand> VectorPredicate::CompileOperand(
@@ -249,12 +251,9 @@ std::optional<int> VectorPredicate::CompileNode(const BoundExpr& expr) {
   }
 }
 
-std::optional<VectorPredicate> VectorPredicate::Compile(
-    const BoundExpr& expr) {
+VectorPredicate VectorPredicate::Compile(const BoundExpr& expr) {
   VectorPredicate pred;
-  auto root = pred.CompileNode(expr);
-  if (!root) return std::nullopt;
-  pred.CollectConjuncts(*root);
+  pred.AddConjuncts(expr);
   // Column-against-literal conjuncts refine the selection cheapest, so
   // they run first; AND is commutative over TRUE.
   std::stable_partition(pred.conjuncts_.begin(), pred.conjuncts_.end(),
@@ -280,8 +279,8 @@ BinaryOp MirrorCompare(BinaryOp op) {
   }
 }
 
-/// Decides `x <op> c` for every x in [lo, hi] (both bounds attained):
-/// 1 = TRUE for all, 0 = FALSE for all, -1 = mixed.
+/// Decides `x <op> c` for every x in [lo, hi]: 1 = TRUE for all,
+/// 0 = FALSE for all, -1 = possibly mixed.
 int8_t DecideRangeCompare(BinaryOp op, double lo, double hi, double c) {
   switch (op) {
     case BinaryOp::kLt:
@@ -397,7 +396,7 @@ void VectorPredicate::EvalNodes(size_t first, size_t last,
     uint8_t* t = scratch.truth.data() + idx * kBatchSize;
     uint8_t* k = scratch.known.data() + idx * kBatchSize;
     const int8_t decided = scratch.decided[idx];
-    if (decided >= 0) {
+    if (decided == kAllFalse || decided == kAllTrue) {
       // Whole-segment decision from the segment's metadata: nothing to
       // decode for this leaf.
       std::memset(t, decided, n);
@@ -507,78 +506,136 @@ void VectorPredicate::EvalNodes(size_t first, size_t last,
   }
 }
 
+int8_t VectorPredicate::DecideCompare(const Node& node, const Segment& seg) {
+  const Operand* col = &node.lhs;
+  const Operand* lit = &node.rhs;
+  BinaryOp op = node.cmp_op;
+  if (!col->is_column() || lit->kind != OperandKind::kConst) {
+    std::swap(col, lit);
+    op = MirrorCompare(op);
+    if (!col->is_column() || lit->kind != OperandKind::kConst) {
+      return kEvaluate;  // column against column
+    }
+  }
+  // What the segment's metadata says about the column: every non-null,
+  // non-NaN cell lies in [lo, hi] (when has_value), some cell is NaN,
+  // some cell is NULL.
+  const ZoneMap& zone = seg.zone_map();
+  bool has_value = false;
+  double lo = 0.0;
+  double hi = 0.0;
+  bool has_nan = false;
+  bool has_null = false;
+  switch (col->kind) {
+    case OperandKind::kTs:  // exact over all rows; never null or NaN
+      has_value = zone.has_rows();
+      lo = static_cast<double>(zone.min_ts);
+      hi = static_cast<double>(zone.max_ts);
+      break;
+    case OperandKind::kFreshness:
+      // Conservative over live rows, in EFFECTIVE space (pending decay
+      // replayed); never null or NaN. No bound: no live row.
+      has_value = zone.has_live_freshness();
+      lo = seg.EffectiveMinFreshness();
+      hi = seg.EffectiveMaxFreshness();
+      break;
+    default: {  // a numeric user column; bounds cover all rows
+      const ColumnZone& cz = zone.columns[col->col];
+      if (!cz.tracked) return kEvaluate;
+      has_value = cz.has_value();
+      lo = cz.min;
+      hi = cz.max;
+      has_nan = cz.has_nan;
+      has_null = seg.column_null_count(col->col) != 0;
+      break;
+    }
+  }
+  // Under Value::Compare's trichotomy a NaN, on either side, compares
+  // "equal" to every value.
+  const int8_t nan_outcome = WithAccept(
+      op, [](auto accept) -> int8_t { return accept(false, false) ? 1 : 0; });
+  const double c = lit->constant;
+  bool any_true = false;   // some non-null cell may be TRUE
+  bool any_false = false;  // some non-null cell may be FALSE
+  auto add = [&](int8_t outcome) {  // 1 / 0 / -1 (mixed)
+    any_true |= outcome != 0;
+    any_false |= outcome != 1;
+  };
+  if (has_value) {
+    add(std::isnan(c) ? nan_outcome : DecideRangeCompare(op, lo, hi, c));
+  }
+  if (has_nan) add(nan_outcome);
+  if (any_true) {
+    // TRUE for every row only when no cell is NULL (UNKNOWN).
+    return !any_false && !has_null ? kAllTrue : kEvaluate;
+  }
+  return has_null ? kNoneTrue : kAllFalse;
+}
+
 void VectorPredicate::DecideLeaves(const Segment& seg,
                                    Scratch& scratch) const {
-  scratch.decided.assign(nodes_.size(), -1);
+  scratch.decided.assign(nodes_.size(), kEvaluate);
   scratch.str_codes.resize(nodes_.size());
-  const bool frozen = seg.is_frozen();
   for (size_t idx = 0; idx < nodes_.size(); ++idx) {
     const Node& node = nodes_[idx];
-    if (node.kind == NodeKind::kStringEq) {
-      const std::optional<uint32_t> code =
-          seg.StringCodeOf(node.str_col, node.str_lit);
-      scratch.str_codes[idx] = code.value_or(Segment::kNoStringCode);
-      // A literal absent from the dictionary matches nothing; with no
-      // NULL cells (UNKNOWN) in the way the whole segment is FALSE.
-      if (!code.has_value() && seg.column_null_count(node.str_col) == 0) {
-        scratch.decided[idx] = 0;
+    switch (node.kind) {
+      case NodeKind::kConstBool:
+        // A comparison with NULL: UNKNOWN for every row.
+        if (!node.const_known) scratch.decided[idx] = kNoneTrue;
+        break;
+      case NodeKind::kStringEq: {
+        const std::optional<uint32_t> code =
+            seg.StringCodeOf(node.str_col, node.str_lit);
+        scratch.str_codes[idx] = code.value_or(Segment::kNoStringCode);
+        // A literal absent from the dictionary matches no cell; NULL
+        // cells stay UNKNOWN.
+        if (!code.has_value()) {
+          scratch.decided[idx] =
+              seg.column_null_count(node.str_col) == 0 ? kAllFalse
+                                                       : kNoneTrue;
+        }
+        break;
       }
-      continue;
+      case NodeKind::kCompare:
+        scratch.decided[idx] = DecideCompare(node, seg);
+        break;
+      default:
+        break;
     }
-    if (!frozen || node.kind != NodeKind::kCompare) continue;
-    // One side a FOR-packed int span, the other a non-NaN constant.
-    const Operand* col_op = nullptr;
-    const Operand* const_op = nullptr;
-    BinaryOp op = node.cmp_op;
-    auto is_packed = [](OperandKind kind) {
-      return kind == OperandKind::kTs || kind == OperandKind::kInt64Col ||
-             kind == OperandKind::kTimestampCol;
-    };
-    if (is_packed(node.lhs.kind) && node.rhs.kind == OperandKind::kConst) {
-      col_op = &node.lhs;
-      const_op = &node.rhs;
-    } else if (is_packed(node.rhs.kind) &&
-               node.lhs.kind == OperandKind::kConst) {
-      col_op = &node.rhs;
-      const_op = &node.lhs;
-      op = MirrorCompare(op);
-    } else {
-      continue;
-    }
-    if (std::isnan(const_op->constant)) continue;  // NaN "equals" all
-    const encode::FrozenSegment& fz = seg.frozen();
-    const encode::PackedInts* packed = nullptr;
-    if (col_op->kind == OperandKind::kTs) {
-      packed = &fz.ts;
-    } else {
-      // NULL cells store a raw 0 inside the packed range and would
-      // poison an all-TRUE decision — require an all-valid column.
-      if (seg.column_null_count(col_op->col) != 0) continue;
-      packed = &fz.columns[col_op->col].ints;
-    }
-    // Min and max are attained, so their double images bound every
-    // row's double image exactly (int -> double is monotone).
-    const double lo = static_cast<double>(packed->base);
-    const double hi = static_cast<double>(static_cast<int64_t>(
-        static_cast<uint64_t>(packed->base) + packed->max_delta));
-    scratch.decided[idx] = DecideRangeCompare(op, lo, hi, const_op->constant);
   }
 }
 
-void VectorPredicate::CollectConjuncts(int idx) {
-  const Node& node = nodes_[idx];
-  if (node.kind == NodeKind::kAnd) {
-    CollectConjuncts(node.child0);
-    CollectConjuncts(node.child1);
+bool VectorPredicate::CanMatch(const Segment& seg, Scratch& scratch) const {
+  DecideLeaves(seg, scratch);
+  for (const Conjunct& c : conjuncts_) {
+    const int8_t decided = scratch.decided[c.root];
+    if (decided == kAllFalse || decided == kNoneTrue) return false;
+  }
+  return true;
+}
+
+void VectorPredicate::AddConjuncts(const BoundExpr& expr) {
+  if (expr.kind == Expr::Kind::kBinary && expr.binary_op == BinaryOp::kAnd) {
+    AddConjuncts(expr.children[0]);
+    AddConjuncts(expr.children[1]);
     return;
   }
+  const size_t first = nodes_.size();
+  const size_t slots = column_operands_.size();
+  const std::optional<int> root = CompileNode(expr);
+  if (!root.has_value()) {
+    // Drop whatever the failed lowering appended; the walker evaluates
+    // the whole conjunct.
+    nodes_.resize(first);
+    column_operands_.resize(slots);
+    walkers_.push_back(expr);
+    return;
+  }
+  // Post-order: the conjunct's nodes are [first, root].
   Conjunct c;
-  c.root = static_cast<size_t>(idx);
-  // Post-order: a subtree is the contiguous node range that ends at its
-  // root and starts at its leftmost leaf.
-  int first = idx;
-  while (nodes_[first].child0 >= 0) first = nodes_[first].child0;
-  c.first = static_cast<size_t>(first);
+  c.first = first;
+  c.root = static_cast<size_t>(*root);
+  const Node& node = nodes_[c.root];
   if (node.kind == NodeKind::kCompare &&
       node.lhs.is_column() != node.rhs.is_column()) {
     c.simple = true;
@@ -622,8 +679,10 @@ size_t RefineCompare(BinaryOp op, const double* x, const uint8_t* nulls,
 
 }  // namespace
 
-void VectorPredicate::Match(const Segment& seg, Scratch& scratch,
-                            std::vector<uint32_t>& out) const {
+Status VectorPredicate::Match(const Table& table, const Segment& seg,
+                              Scratch& scratch,
+                              std::vector<uint32_t>& out) const {
+  if (!CanMatch(seg, scratch)) return Status::OK();
   scratch.truth.resize(nodes_.size() * kBatchSize);
   scratch.known.resize(nodes_.size() * kBatchSize);
   scratch.vals.resize(column_operands_.size() * kBatchSize);
@@ -632,17 +691,14 @@ void VectorPredicate::Match(const Segment& seg, Scratch& scratch,
   scratch.col_nulls.resize(column_operands_.size());
   scratch.col_ready.resize(column_operands_.size());
   scratch.alive.resize(kBatchSize);
-  scratch.sel.resize(kBatchSize);
   scratch.ints.resize(kBatchSize);
   const size_t rows = seg.num_rows();
   const bool frozen = seg.is_frozen();
-  DecideLeaves(seg, scratch);
   const int8_t* decided = scratch.decided.data();
-  // A conjunct FALSE for the whole segment: nothing can match.
-  for (const Conjunct& c : conjuncts_) {
-    if (decided[c.root] == 0) return;
-  }
-  uint32_t* sel = scratch.sel.data();
+  // The segment's selection is staged in scratch, batch after batch,
+  // and appended to `out` once, at its exact size.
+  if (scratch.sel.size() < rows) scratch.sel.resize(rows);
+  size_t matched = 0;
   for (size_t base = 0; base < rows; base += kBatchSize) {
     const size_t n = std::min(kBatchSize, rows - base);
     // Fully-dead batches of a frozen segment are answered by the RLE
@@ -655,6 +711,7 @@ void VectorPredicate::Match(const Segment& seg, Scratch& scratch,
     // Start from the live rows, then let each conjunct of the root AND
     // spine keep the rows it holds TRUE for: a row matches iff every
     // conjunct is TRUE (Kleene AND).
+    uint32_t* sel = scratch.sel.data() + matched;
     size_t m = 0;
     for (size_t i = 0; i < n; ++i) {
       sel[m] = static_cast<uint32_t>(i);
@@ -662,7 +719,7 @@ void VectorPredicate::Match(const Segment& seg, Scratch& scratch,
     }
     for (const Conjunct& c : conjuncts_) {
       if (m == 0) break;
-      if (decided[c.root] == 1) continue;
+      if (decided[c.root] == kAllTrue) continue;
       if (c.simple) {
         EnsureColumn(c.slot, seg, base, n, a, scratch);
         m = RefineCompare(c.op, scratch.col_vals[c.slot],
@@ -680,10 +737,23 @@ void VectorPredicate::Match(const Segment& seg, Scratch& scratch,
       }
       m = kept;
     }
-    for (size_t j = 0; j < m; ++j) {
-      out.push_back(static_cast<uint32_t>(base + sel[j]));
+    for (const BoundExpr& walker : walkers_) {
+      const RowId first = seg.first_row() + base;
+      size_t kept = 0;
+      for (size_t j = 0; j < m; ++j) {
+        const uint32_t i = sel[j];
+        const Result<bool> pass = EvalPredicate(walker, table, first + i);
+        if (!pass.ok()) return pass.status();
+        sel[kept] = i;
+        kept += *pass ? 1 : 0;
+      }
+      m = kept;
     }
+    for (size_t j = 0; j < m; ++j) sel[j] += static_cast<uint32_t>(base);
+    matched += m;
   }
+  out.insert(out.end(), scratch.sel.data(), scratch.sel.data() + matched);
+  return Status::OK();
 }
 
 }  // namespace fungusdb

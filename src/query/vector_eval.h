@@ -6,35 +6,52 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "query/binder.h"
 #include "storage/segment.h"
 
 namespace fungusdb {
 
-/// Batch-at-a-time predicate kernel. Compile() lowers a bound WHERE tree
-/// into a flat post-order program over numeric column spans; Match()
-/// runs it over one segment in fixed-size batches, producing a selection
-/// vector of live, matching row offsets — no per-row Value
-/// materialization anywhere on the hot path.
+class Table;
+
+/// The WHERE filter: every predicate runs through it, and it alone
+/// decides whether a segment can hold a matching row.
 ///
-/// Coverage: comparisons (=, !=, <, <=, >, >=) between numeric operands
+/// Compile() splits the bound tree's top-level AND spine into
+/// conjuncts and lowers each one into a flat post-order program over
+/// numeric column spans; Match() runs the program over one segment in
+/// fixed-size batches, producing a selection vector of live, matching
+/// row offsets with no per-row Value on the lowered path. A default-
+/// constructed VectorPredicate has no conjunct: it selects every live
+/// row (the scan of a query without WHERE).
+///
+/// Lowered: comparisons (=, !=, <, <=, >, >=) between numeric operands
 /// (int64 / float64 / timestamp user columns, `__ts`, `__freshness`,
 /// numeric or NULL literals), string-column = / != string-literal,
 /// IS [NOT] NULL over numeric operands, boolean and NULL literals, and
-/// AND / OR / NOT combinations thereof. Anything else makes Compile()
-/// return nullopt and the engine falls back to the row-at-a-time tree
-/// walker.
+/// AND / OR / NOT combinations thereof. A conjunct outside that subset
+/// (arithmetic, scalar functions, string `<`, ...) becomes a *walker
+/// conjunct*: it filters the rows still selected one row at a time
+/// through EvalPredicate. Walker conjuncts run after every lowered
+/// conjunct, in SQL order among themselves.
 ///
-/// Both storage tiers run through the same program via the segment's
-/// decode-to-scratch API. String equality compares dictionary codes on
-/// both tiers: the literal's code is looked up once per segment, and a
-/// literal absent from the dictionary decides the leaf for the whole
-/// segment. Frozen segments additionally get encoded-domain fast paths
-/// that never decode: comparison leaves over FOR-packed int spans are
-/// decided for the whole segment from the packed [base, base +
-/// max_delta] range when possible, string codes are compared run by
-/// run, and batches with no live rows (answered by the RLE liveness
-/// runs) are skipped outright.
+/// Errors: a lowered conjunct cannot fail. A walker conjunct's error
+/// (division by zero, ...) on a row it evaluates fails Match, so it
+/// fails the statement; a row an earlier conjunct already rejected, or
+/// a segment CanMatch skipped, never reaches it. So `10 / x > 1 AND
+/// x <> 0` answers over a row with x = 0 instead of failing.
+///
+/// Segment decisions (DecideLeaves), from metadata alone, with no
+/// decoding and no thawing, the same on both storage tiers: a leaf
+/// `column <op> constant` over a numeric user column, `__ts` or
+/// `__freshness` is decided from the segment's zone map; a string
+/// equality from the column's dictionary (the literal's code is looked
+/// up once per segment, and a literal absent from it matches nothing);
+/// a comparison with NULL is UNKNOWN for every row. CanMatch() is false
+/// when some conjunct can be TRUE for no row: the engine skips such a
+/// segment whole (zone-map pruning). Frozen segments additionally
+/// compare string codes run by run and skip batches with no live row
+/// (answered by the RLE liveness runs) before any decode.
 ///
 /// Semantics match the tree walker bit for bit:
 ///  * comparisons happen in double space (int64/timestamp converted),
@@ -60,12 +77,12 @@ class VectorPredicate {
     std::vector<const double*> col_vals;
     std::vector<const uint8_t*> col_nulls;
     std::vector<uint8_t> col_ready;  // slot decoded for this batch
-    std::vector<uint32_t> sel;       // kBatchSize selection staging
+    std::vector<uint32_t> sel;       // one segment's selection staging
     std::vector<int64_t> ints;       // kBatchSize int decode staging
     std::vector<uint8_t> alive;      // kBatchSize liveness staging
-    /// Per node, for the segment being matched: its whole-segment
-    /// decision (DecideLeaves) and, for a string-equality leaf, the
-    /// literal's dictionary code.
+    /// Per node, for the segment being matched: its segment decision
+    /// (DecideLeaves) and, for a string-equality leaf, the literal's
+    /// dictionary code.
     std::vector<int8_t> decided;
     std::vector<uint32_t> str_codes;
     /// Batches decoded from frozen segments (feeds the
@@ -73,14 +90,20 @@ class VectorPredicate {
     uint64_t decoded_batches = 0;
   };
 
-  /// Lowers `expr` (a boolean-typed bound expression) or returns nullopt
-  /// if any sub-expression is outside the vectorizable subset.
-  static std::optional<VectorPredicate> Compile(const BoundExpr& expr);
+  /// Compiles `expr` (a boolean-typed bound expression). Always
+  /// succeeds: a conjunct that does not lower becomes a walker conjunct.
+  static VectorPredicate Compile(const BoundExpr& expr);
+
+  /// False when `seg` holds no row for which the predicate can be TRUE,
+  /// decided from its metadata alone (see DecideLeaves).
+  bool CanMatch(const Segment& seg, Scratch& scratch) const;
 
   /// Appends to `out` the in-segment offsets of all LIVE rows of `seg`
-  /// for which the predicate is TRUE, in offset order.
-  void Match(const Segment& seg, Scratch& scratch,
-             std::vector<uint32_t>& out) const;
+  /// (a segment of `table`) for which the predicate is TRUE, in offset
+  /// order. Fails only with a walker conjunct's error, leaving `out` as
+  /// it was.
+  Status Match(const Table& table, const Segment& seg, Scratch& scratch,
+               std::vector<uint32_t>& out) const;
 
  private:
   enum class OperandKind : uint8_t {
@@ -129,23 +152,32 @@ class VectorPredicate {
     std::string str_lit;  // kStringEq
   };
 
+  /// Segment decisions for Scratch::decided.
+  static constexpr int8_t kEvaluate = -1;  // decide row by row
+  static constexpr int8_t kAllFalse = 0;   // FALSE for every live row
+  static constexpr int8_t kAllTrue = 1;    // TRUE for every live row
+  static constexpr int8_t kNoneTrue = 2;   // FALSE or UNKNOWN per row
+
   /// The per-segment leaf pass, run before a segment's first batch.
   /// Resolves each string-equality literal to its dictionary code once
   /// (Segment::kNoStringCode when absent) into scratch.str_codes, and
-  /// writes per-node whole-segment decisions into scratch.decided: 1 =
-  /// TRUE for every row, 0 = FALSE for every row, -1 = must evaluate.
-  /// Decisions come from metadata alone — dictionary membership on both
-  /// tiers, the FOR range of packed int spans on a frozen segment — with
-  /// no decoding and no thawing.
+  /// writes each node's segment decision into scratch.decided. Only
+  /// kAllFalse and kAllTrue stand in for evaluating the leaf; kNoneTrue
+  /// lets CanMatch skip the segment when it decides a conjunct.
   void DecideLeaves(const Segment& seg, Scratch& scratch) const;
+  /// The zone-map decision of a `column <op> constant` leaf.
+  static int8_t DecideCompare(const Node& node, const Segment& seg);
 
   /// Lowers an operand, registering a column operand's slot.
   std::optional<Operand> CompileOperand(const BoundExpr& expr);
   static std::optional<Operand> CompileOperandKind(const BoundExpr& expr);
   /// Appends nodes post-order; returns the root index or nullopt.
   std::optional<int> CompileNode(const BoundExpr& expr);
+  /// Splits `expr`'s top-level AND spine into conjuncts, in SQL order,
+  /// and lowers each one or records it as a walker conjunct.
+  void AddConjuncts(const BoundExpr& expr);
 
-  /// One conjunct of the root's AND spine: the node range
+  /// One lowered conjunct of the root's AND spine: the node range
   /// [first, root] of its subtree. A `simple` conjunct compares one
   /// column against a literal (normalized to `column <op> constant`) and
   /// refines the selection vector directly.
@@ -158,8 +190,6 @@ class VectorPredicate {
     double constant = 0.0;
   };
 
-  void CollectConjuncts(int idx);
-
   /// Decodes column slot `slot` for rows [base, base + n) into
   /// scratch.col_vals / col_nulls, once per batch.
   void DecodeColumn(size_t slot, const Segment& seg, size_t base, size_t n,
@@ -171,9 +201,10 @@ class VectorPredicate {
   void EvalNodes(size_t first, size_t last, const Segment& seg, size_t base,
                  size_t n, const uint8_t* alive, Scratch& scratch) const;
 
-  std::vector<Node> nodes_;               // post-order; back() is root
+  std::vector<Node> nodes_;               // post-order, conjunct by conjunct
   std::vector<Operand> column_operands_;  // distinct columns, by slot
   std::vector<Conjunct> conjuncts_;       // simple ones first
+  std::vector<BoundExpr> walkers_;        // walker conjuncts, SQL order
 };
 
 }  // namespace fungusdb

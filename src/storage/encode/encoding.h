@@ -62,9 +62,8 @@ struct PackedInts {
   void Serialize(BufferWriter& out) const;
   static Result<PackedInts> Deserialize(BufferReader& in);
 
-  size_t MemoryUsage() const {
-    return words.capacity() * sizeof(uint64_t) + sizeof(PackedInts);
-  }
+  /// Heap bytes; the owner counts sizeof(PackedInts).
+  size_t HeapBytes() const { return words.capacity() * sizeof(uint64_t); }
 
   /// Words a well-formed encoding of `count` deltas occupies.
   static uint64_t WordsFor(uint64_t count, uint32_t bit_width) {
@@ -147,9 +146,10 @@ struct RleRuns {
     return false;
   }
 
-  size_t MemoryUsage() const {
+  /// Heap bytes; the owner counts sizeof(RleRuns).
+  size_t HeapBytes() const {
     return values.capacity() * sizeof(V) +
-           ends.capacity() * sizeof(uint64_t) + sizeof(RleRuns);
+           ends.capacity() * sizeof(uint64_t);
   }
 };
 
@@ -180,9 +180,10 @@ struct DictStrings {
   void Serialize(BufferWriter& out) const;
   static Result<DictStrings> Deserialize(BufferReader& in);
 
-  size_t MemoryUsage() const {
-    size_t bytes = sizeof(DictStrings) + codes.MemoryUsage();
-    for (const std::string& s : dict) bytes += s.capacity() + sizeof(s);
+  /// Heap bytes; the owner counts sizeof(DictStrings).
+  size_t HeapBytes() const {
+    size_t bytes = codes.HeapBytes() + dict.capacity() * sizeof(std::string);
+    for (const std::string& s : dict) bytes += s.capacity();
     return bytes;
   }
 };

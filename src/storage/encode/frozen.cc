@@ -31,21 +31,21 @@ Status ValidateBitRuns(const RleBytes& rle, uint64_t num_rows,
 
 }  // namespace
 
-size_t FrozenColumn::MemoryUsage() const {
-  size_t bytes = sizeof(FrozenColumn) + validity.MemoryUsage();
+size_t FrozenColumn::HeapBytes() const {
+  size_t bytes = validity.HeapBytes();
   switch (type) {
     case DataType::kInt64:
     case DataType::kTimestamp:
-      bytes += ints.MemoryUsage();
+      bytes += ints.HeapBytes();
       break;
     case DataType::kFloat64:
       bytes += doubles.capacity() * sizeof(double);
       break;
     case DataType::kString:
-      bytes += strings.MemoryUsage();
+      bytes += strings.HeapBytes();
       break;
     case DataType::kBool:
-      bytes += bools.MemoryUsage();
+      bytes += bools.HeapBytes();
       break;
   }
   return bytes;
@@ -134,10 +134,10 @@ Result<FrozenColumn> FrozenColumn::Deserialize(BufferReader& in,
 }
 
 size_t FrozenSegment::MemoryUsage() const {
-  size_t bytes = sizeof(FrozenSegment) + ts.MemoryUsage() +
-                 alive.MemoryUsage() +
-                 freshness_raw.capacity() * sizeof(double);
-  for (const FrozenColumn& col : columns) bytes += col.MemoryUsage();
+  size_t bytes = sizeof(FrozenSegment) + ts.HeapBytes() + alive.HeapBytes() +
+                 freshness_raw.capacity() * sizeof(double) +
+                 columns.capacity() * sizeof(FrozenColumn);
+  for (const FrozenColumn& col : columns) bytes += col.HeapBytes();
   return bytes;
 }
 

@@ -32,7 +32,8 @@ struct FrozenColumn {
 
   bool IsNull(size_t off) const { return validity.Get(off) == 0; }
 
-  size_t MemoryUsage() const;
+  /// Heap bytes; the owner counts sizeof(FrozenColumn).
+  size_t HeapBytes() const;
   void Serialize(BufferWriter& out) const;
   static Result<FrozenColumn> Deserialize(BufferReader& in,
                                           uint64_t num_rows);
@@ -75,6 +76,8 @@ struct FrozenSegment {
     return uniform_freshness ? uniform_value : freshness_raw[off];
   }
 
+  /// sizeof(FrozenSegment) plus every heap byte it owns, each counted
+  /// once.
   size_t MemoryUsage() const;
 
   /// Canonical payload bytes (checksum excluded).

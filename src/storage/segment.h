@@ -294,11 +294,11 @@ class Segment {
 
   // --- Decode-to-scratch scan API (both tiers; never thaws). ---
   //
-  // The one routine family every scan path shares (vectorized kernel,
-  // morsel-parallel workers, no-WHERE fast path, and the aggregate /
-  // projection pipeline after them): on a plain segment these read the
-  // backing vectors directly (zero copy where the type allows); on a
-  // frozen segment they decode the requested span into caller scratch.
+  // The one routine family every scan path shares (the WHERE filter in
+  // every morsel, and the aggregate / projection pipeline after it): on
+  // a plain segment these read the backing vectors directly (zero copy
+  // where the type allows); on a frozen segment they decode the
+  // requested span into caller scratch.
 
   /// Liveness bytes for [base, base + n). Returns a pointer into the
   /// plain vector when thawed (zero copy); decodes into `scratch` and

@@ -49,8 +49,8 @@ Violation Make(std::string invariant, const std::string& table,
 
 /// True when `p` is a well-formed FOR encoding: the declared bit width
 /// is storable, max_delta fits it, the word count matches, and no
-/// stored delta escapes max_delta (the bound the frozen scan fast path
-/// prunes whole segments with — an escaped delta makes pruning unsound).
+/// stored delta escapes max_delta (the header's stated range — an
+/// escaped delta decodes a value outside it).
 bool PackedIntsWellFormed(const encode::PackedInts& p) {
   if (p.bit_width > 64) return false;
   if (p.bit_width == 0) {
@@ -398,9 +398,9 @@ Report InvariantChecker::CheckTable(const Table& table) const {
       // encoded-segment: a frozen segment's encoded image must be
       // internally consistent — every encoded stream spans exactly
       // num_rows, FOR-packed spans honour their declared bit width and
-      // max delta (the bound the scan fast path prunes with),
-      // dictionary codes stay inside the dictionary, and the canonical
-      // bytes still hash to the stored block checksum.
+      // max delta (the range the header states), dictionary codes stay
+      // inside the dictionary, and the canonical bytes still hash to the
+      // stored block checksum.
       if (seg.is_frozen()) {
         CheckFrozenImage(seg, name, static_cast<int64_t>(s), sno, out);
       }

@@ -569,7 +569,7 @@ ExprPtr RandomLeaf(Rng& rng) {
       return Ge(Lit(int64_t{1000}), Col("t"));
     case 9:
       return Eq(Col("i"), Col("f"));
-    case 10:  // not vectorizable: the tree walker filters
+    case 10:  // not lowered: its conjunct filters through the walker
       return Eq(Expr::Binary(BinaryOp::kMod, Col("i"), Lit(int64_t{2})),
                 Lit(int64_t{0}));
     case 11:

@@ -1,8 +1,8 @@
-// Equivalence tests for the vectorized scan path: every predicate shape
-// that qualifies for compilation must return exactly the same rows as a
-// semantically identical predicate forced through the generic
-// evaluator (by adding an arithmetic identity, which is outside the
-// vectorizable subset and so declines compilation).
+// Equivalence tests for the lowered filter: every predicate shape the
+// kernel lowers must return exactly the same rows as a semantically
+// identical predicate forced through a walker conjunct (by adding an
+// arithmetic identity, which the kernel does not lower, so the tree
+// walker evaluates that conjunct row by row).
 
 #include <gtest/gtest.h>
 
@@ -96,8 +96,8 @@ TEST_F(FastPathTest, BooleanCombinationsVectorize) {
 }
 
 TEST_F(FastPathTest, NonCompilableShapesStillWork) {
-  // These cannot compile (string column, column-vs-column comparison
-  // with arithmetic) and must silently use the generic path.
+  // Lowered string equality, and a column-vs-column comparison with
+  // arithmetic that becomes a walker conjunct, filtering the same scan.
   EXPECT_EQ(Rows("s = 'x'").size(), table_.live_rows());
   EXPECT_EQ(Rows("i < i + 1").size(), table_.live_rows());
   EXPECT_FALSE(Rows("i > 0 AND f > 0").empty());
@@ -120,17 +120,6 @@ TEST_F(FastPathTest, StatsCountScannedAndPrunedRows) {
   ResultSet rs2 = engine_.Execute(q2, table_, 0).value();
   EXPECT_EQ(rs2.stats.rows_scanned, table_.live_rows());
   EXPECT_EQ(rs2.stats.rows_pruned, 0u);
-}
-
-TEST_F(FastPathTest, PruningCanBeDisabled) {
-  QueryEngineOptions opts;
-  opts.enable_pruning = false;
-  QueryEngine no_pruning(opts);
-  Query q = ParseQuery("SELECT i FROM t WHERE i > 1000000").value();
-  ResultSet rs = no_pruning.Execute(q, table_, 0).value();
-  EXPECT_EQ(rs.num_rows(), 0u);
-  EXPECT_EQ(rs.stats.rows_scanned, table_.live_rows());
-  EXPECT_EQ(rs.stats.segments_pruned, 0u);
 }
 
 TEST_F(FastPathTest, ConsumingQueriesUseFastPathToo) {

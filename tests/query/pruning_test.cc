@@ -1,8 +1,9 @@
 // Zone-map pruning in the query engine: segments whose zone maps cannot
 // satisfy the WHERE conjuncts are skipped without touching a row, the
 // skip is observable in ResultSet::Stats and the fungusdb.scan.*
-// metrics, and — the soundness contract — the answer set is identical
-// with pruning disabled.
+// metrics, it is the same on both storage tiers, and — the soundness
+// contract — the answer set is the one a row-by-row evaluation of the
+// WHERE over every live row accepts.
 
 #include <string>
 #include <vector>
@@ -11,7 +12,9 @@
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "query/binder.h"
 #include "query/engine.h"
+#include "query/evaluator.h"
 #include "query/parser.h"
 #include "storage/table.h"
 
@@ -28,29 +31,49 @@ class PruningTest : public ::testing::Test {
     return o;
   }
 
-  PruningTest()
-      : table_("t",
-               Schema::Make({{"v", DataType::kInt64, false},
-                             {"tag", DataType::kString, false}})
-                   .value(),
-               Geometry()) {
+  static Schema TableSchema() {
+    return Schema::Make({{"v", DataType::kInt64, false},
+                         {"tag", DataType::kString, false}})
+        .value();
+  }
+
+  static void Fill(Table& table) {
     for (int n = 0; n < 320; ++n) {
-      table_
-          .Append({Value::Int64(n), Value::String("r")}, /*now=*/n * 5)
+      table.Append({Value::Int64(n), Value::String("r")}, /*now=*/n * 5)
           .value();
     }
     // Age the first three segments' freshness below 0.5, then recount
     // so the (eagerly widened, lazily tightened) freshness zones are
     // exact — the state a maintenance recount leaves behind.
     for (RowId r = 0; r < 96; ++r) {
-      FUNGUSDB_CHECK_OK(table_.SetFreshness(r, 0.25));
+      FUNGUSDB_CHECK_OK(table.SetFreshness(r, 0.25));
     }
-    table_.RecomputeZoneMaps();
+    table.RecomputeZoneMaps();
   }
 
+  PruningTest() : table_("t", TableSchema(), Geometry()) { Fill(table_); }
+
   ResultSet Run(QueryEngine& engine, const std::string& sql) {
+    return Run(engine, table_, sql);
+  }
+
+  static ResultSet Run(QueryEngine& engine, Table& table,
+                       const std::string& sql) {
     Query q = ParseQuery(sql).value();
-    return engine.Execute(q, table_, /*now=*/0).value();
+    return engine.Execute(q, table, /*now=*/0).value();
+  }
+
+  /// `v` of every live row the WHERE of `sql` accepts, row by row.
+  std::vector<int64_t> Reference(const std::string& sql) {
+    Query q = ParseQuery(sql).value();
+    const BoundExpr where = Bind(*q.where, table_.schema()).value();
+    std::vector<int64_t> out;
+    for (const RowId row : table_.LiveRows()) {
+      if (EvalPredicate(where, table_, row).value()) {
+        out.push_back(table_.GetValue(row, 0).value().AsInt64());
+      }
+    }
+    return out;
   }
 
   std::vector<int64_t> FirstColumn(const ResultSet& rs) {
@@ -61,19 +84,14 @@ class PruningTest : public ::testing::Test {
     return out;
   }
 
-  /// Runs `sql` with pruning on and off; the rows must agree and the
-  /// pruned run must skip at least `min_segments_pruned` segments.
+  /// Runs `sql`; the rows must be the reference's and the run must
+  /// skip at least `min_segments_pruned` segments.
   void ExpectPrunedButEquivalent(const std::string& sql,
                                  uint64_t min_segments_pruned) {
-    QueryEngine pruned;
-    QueryEngineOptions off;
-    off.enable_pruning = false;
-    QueryEngine unpruned(off);
-    ResultSet with = Run(pruned, sql);
-    ResultSet without = Run(unpruned, sql);
-    EXPECT_EQ(FirstColumn(with), FirstColumn(without)) << sql;
+    QueryEngine engine;
+    ResultSet with = Run(engine, sql);
+    EXPECT_EQ(FirstColumn(with), Reference(sql)) << sql;
     EXPECT_GE(with.stats.segments_pruned, min_segments_pruned) << sql;
-    EXPECT_EQ(without.stats.segments_pruned, 0u) << sql;
     EXPECT_EQ(with.stats.rows_scanned + with.stats.rows_pruned,
               table_.live_rows())
         << sql;
@@ -92,8 +110,8 @@ TEST_F(PruningTest, TimeRangePredicatePrunesSegments) {
 TEST_F(PruningTest, UserColumnRangePrunesSegments) {
   ExpectPrunedButEquivalent("SELECT v FROM t WHERE v >= 300", 9);
   ExpectPrunedButEquivalent("SELECT v FROM t WHERE v = 17", 9);
-  // Strict bounds are widened to closed intervals for soundness, so
-  // segment 1 (v in [32, 63]) survives `v < 32`: 8 pruned, not 9.
+  // Strict bounds are decided exactly: segment 1 (v in [32, 63]) holds
+  // no `v < 32` either, so all but segment 0 are skipped.
   ExpectPrunedButEquivalent("SELECT v FROM t WHERE v < 32 AND v > 5", 8);
 }
 
@@ -109,8 +127,8 @@ TEST_F(PruningTest, FreshnessPredicatePrunesAgedSegments) {
 }
 
 TEST_F(PruningTest, NullComparisonIsAlwaysFalse) {
-  // `v = null` can never be TRUE; the planner prunes every segment
-  // without consulting a single zone bound.
+  // `v = null` can never be TRUE; every segment is skipped without
+  // consulting a single zone bound.
   ExpectPrunedButEquivalent("SELECT v FROM t WHERE v = null", 10);
 }
 
@@ -124,11 +142,43 @@ TEST_F(PruningTest, DisjunctionsDoNotPrune) {
   EXPECT_EQ(rs.num_rows(), 20u);
 }
 
-TEST_F(PruningTest, StringPredicatesDoNotPrune) {
+TEST_F(PruningTest, AbsentStringLiteralPrunesEverySegment) {
+  // A literal absent from a segment's dictionary matches none of its
+  // rows, so `tag = 'zzz'` skips all ten; a present one skips none.
   QueryEngine engine;
   ResultSet rs = Run(engine, "SELECT v FROM t WHERE tag = 'zzz'");
-  EXPECT_EQ(rs.stats.segments_pruned, 0u);
+  EXPECT_EQ(rs.stats.segments_pruned, 10u);
   EXPECT_EQ(rs.num_rows(), 0u);
+  rs = Run(engine, "SELECT v FROM t WHERE tag = 'r'");
+  EXPECT_EQ(rs.stats.segments_pruned, 0u);
+  EXPECT_EQ(rs.num_rows(), 320u);
+}
+
+TEST_F(PruningTest, FrozenTwinPrunesIdentically) {
+  // The skip decision reads the zone map and the dictionary, which
+  // freezing keeps: a frozen copy prunes the same segments.
+  Table twin("t", TableSchema(), Geometry());
+  Fill(twin);
+  ASSERT_EQ(twin.FreezeColdSegments(0), 10u);
+  QueryEngine engine;
+  for (const char* sql : {
+           "SELECT v FROM t WHERE __ts >= 500 AND __ts < 820",
+           "SELECT v FROM t WHERE v >= 300",
+           "SELECT v FROM t WHERE v < 32 AND v > 5",
+           "SELECT v FROM t WHERE v != 17",
+           "SELECT v FROM t WHERE __freshness > 0.5",
+           "SELECT v FROM t WHERE __freshness < 0.0",
+           "SELECT v FROM t WHERE v = null",
+           "SELECT v FROM t WHERE tag = 'zzz'",
+           "SELECT v FROM t WHERE tag = 'r' AND v % 2 = 0 AND v < 100",
+       }) {
+    const ResultSet plain = Run(engine, sql);
+    const ResultSet frozen = Run(engine, twin, sql);
+    EXPECT_EQ(FirstColumn(frozen), FirstColumn(plain)) << sql;
+    EXPECT_EQ(frozen.stats.segments_pruned, plain.stats.segments_pruned)
+        << sql;
+    EXPECT_EQ(frozen.stats.rows_pruned, plain.stats.rows_pruned) << sql;
+  }
 }
 
 TEST_F(PruningTest, PruningFeedsScanMetrics) {

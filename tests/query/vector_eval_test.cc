@@ -1,22 +1,27 @@
-// Differential tests for the vectorized predicate kernel: for every
-// compilable predicate shape — including randomized trees — the
+// Differential tests for the WHERE filter: for every predicate shape —
+// lowered, walker conjuncts, mixes of both, and randomized trees — the
 // selection vector VectorPredicate::Match produces must equal the
-// offsets the row-at-a-time tree walker (EvalPredicate) accepts,
-// across NULL cells, NaN cells and literals, int64<->double coercion,
-// dead rows and empty segments.
+// offsets the row-at-a-time tree walker (EvalPredicate) accepts, across
+// NULL cells, NaN cells and literals, int64<->double coercion, dead
+// rows and empty segments, on plain and frozen segments; and the
+// engine, serial and on pools of width 2 and 4, must return exactly
+// those rows.
 
 #include "query/vector_eval.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "query/binder.h"
+#include "query/engine.h"
 #include "query/evaluator.h"
 #include "query/parser.h"
 #include "storage/table.h"
@@ -24,83 +29,120 @@
 namespace fungusdb {
 namespace {
 
+/// 700 rows in 128-row segments (one partial), nullable int, float
+/// (with NaN) and string columns, rewritten freshness, dead rows and
+/// one fully dead segment. `freeze` freezes every full segment.
+std::unique_ptr<Table> MakeTable(bool freeze) {
+  TableOptions options;
+  options.rows_per_segment = 128;
+  auto table = std::make_unique<Table>(
+      "t",
+      Schema::Make({{"a", DataType::kInt64, true},
+                    {"b", DataType::kFloat64, true},
+                    {"w", DataType::kTimestamp, false},
+                    {"s", DataType::kString, true}})
+          .value(),
+      options);
+  Rng rng(1234);
+  Rng strings(77);
+  static const char* const kStrings[] = {"x", "X", "north", "south", ""};
+  for (int n = 0; n < 700; ++n) {
+    Value a = rng.NextBernoulli(0.15) ? Value::Null()
+                                      : Value::Int64(rng.NextInt(-20, 20));
+    Value b;
+    if (rng.NextBernoulli(0.15)) {
+      b = Value::Null();
+    } else if (rng.NextBernoulli(0.05)) {
+      b = Value::Float64(std::nan(""));
+    } else {
+      b = Value::Float64(rng.NextDouble(-5.0, 5.0));
+    }
+    Value s = strings.NextBernoulli(0.1)
+                  ? Value::Null()
+                  : Value::String(kStrings[strings.NextBounded(5)]);
+    table->Append({a, b, Value::TimestampVal(n * 7), s}, /*now=*/n * 7)
+        .value();
+    if (rng.NextBernoulli(0.3)) {
+      FUNGUSDB_CHECK_OK(table->SetFreshness(static_cast<RowId>(n),
+                                            rng.NextDouble(0.05, 0.95)));
+    }
+  }
+  Rng killer(99);
+  for (RowId r = 0; r < 700; ++r) {
+    if (killer.NextBernoulli(0.2)) FUNGUSDB_CHECK_OK(table->Kill(r));
+  }
+  // One fully dead segment: both paths must produce nothing for it.
+  for (RowId r = 256; r < 384; ++r) {
+    if (table->IsLive(r)) FUNGUSDB_CHECK_OK(table->Kill(r));
+  }
+  if (freeze) table->FreezeColdSegments(0);
+  return table;
+}
+
 class VectorEvalTest : public ::testing::Test {
  protected:
-  static TableOptions SmallSegments() {
-    TableOptions o;
-    o.rows_per_segment = 128;  // several segments, one partial
-    return o;
+  VectorEvalTest() : plain_(MakeTable(false)), frozen_(MakeTable(true)) {}
+
+  ExprPtr Parse(const std::string& text) {
+    return ParseExpression(text).value();
   }
 
-  VectorEvalTest()
-      : table_("t",
-               Schema::Make({{"a", DataType::kInt64, true},
-                             {"b", DataType::kFloat64, true},
-                             {"w", DataType::kTimestamp, false}})
-                   .value(),
-               SmallSegments()) {
-    Rng rng(1234);
-    for (int n = 0; n < 700; ++n) {
-      Value a = rng.NextBernoulli(0.15)
-                    ? Value::Null()
-                    : Value::Int64(rng.NextInt(-20, 20));
-      Value b;
-      if (rng.NextBernoulli(0.15)) {
-        b = Value::Null();
-      } else if (rng.NextBernoulli(0.05)) {
-        b = Value::Float64(std::nan(""));
-      } else {
-        b = Value::Float64(rng.NextDouble(-5.0, 5.0));
-      }
-      table_
-          .Append({a, b, Value::TimestampVal(n * 7)}, /*now=*/n * 7)
-          .value();
-      if (rng.NextBernoulli(0.3)) {
-        FUNGUSDB_CHECK_OK(table_.SetFreshness(
-            static_cast<RowId>(n), rng.NextDouble(0.05, 0.95)));
-      }
-    }
-    Rng killer(99);
-    for (RowId r = 0; r < 700; ++r) {
-      if (killer.NextBernoulli(0.2)) FUNGUSDB_CHECK_OK(table_.Kill(r));
-    }
-    // One fully dead segment: both paths must produce nothing for it.
-    for (RowId r = 256; r < 384; ++r) {
-      if (table_.IsLive(r)) FUNGUSDB_CHECK_OK(table_.Kill(r));
-    }
-  }
-
-  BoundExpr BindExpr(const std::string& text) {
-    ExprPtr expr = ParseExpression(text).value();
-    return Bind(*expr, table_.schema()).value();
-  }
-
-  /// Compiles `bound` (must succeed) and checks, segment by segment,
-  /// that Match agrees with the walker's accept set exactly.
-  void ExpectAgree(const BoundExpr& bound, const std::string& what) {
-    std::optional<VectorPredicate> pred = VectorPredicate::Compile(bound);
-    ASSERT_TRUE(pred.has_value()) << "did not compile: " << what;
-    VectorPredicate::Scratch scratch;
-    for (const auto& [seg_no, seg] : table_.segment_index()) {
-      std::vector<uint32_t> got;
-      pred->Match(*seg, scratch, got);
-      std::vector<uint32_t> want;
-      for (size_t off = 0; off < seg->num_rows(); ++off) {
-        if (!seg->IsLive(off)) continue;
-        const RowId row = seg->first_row() + off;
-        if (EvalPredicate(bound, table_, row).value()) {
-          want.push_back(static_cast<uint32_t>(off));
+  /// Checks, on both tiers, that Match agrees with the walker's accept
+  /// set segment by segment, and that the engine returns those rows
+  /// serially and pooled.
+  void ExpectAgree(const ExprPtr& where, const std::string& what) {
+    ASSERT_GT(frozen_->GetStorageStats().frozen_segments, 0u);
+    for (Table* table : {plain_.get(), frozen_.get()}) {
+      const std::string tier =
+          table == plain_.get() ? " [plain]" : " [frozen]";
+      const BoundExpr bound = Bind(*where, table->schema()).value();
+      const VectorPredicate pred = VectorPredicate::Compile(bound);
+      VectorPredicate::Scratch scratch;
+      std::vector<Timestamp> want_ts;
+      for (const auto& [seg_no, seg] : table->segment_index()) {
+        std::vector<uint32_t> got;
+        ASSERT_TRUE(pred.Match(*table, *seg, scratch, got).ok())
+            << what << tier;
+        std::vector<uint32_t> want;
+        for (size_t off = 0; off < seg->num_rows(); ++off) {
+          if (!seg->IsLive(off)) continue;
+          const RowId row = seg->first_row() + off;
+          if (EvalPredicate(bound, *table, row).value()) {
+            want.push_back(static_cast<uint32_t>(off));
+            want_ts.push_back(table->InsertTime(row).value());
+          }
         }
+        EXPECT_EQ(got, want) << what << tier << " on segment " << seg_no;
       }
-      EXPECT_EQ(got, want) << what << " on segment " << seg_no;
+      Query q;
+      q.table_name = "t";
+      q.items.push_back({Expr::Column("__ts"), "ts"});
+      q.where = where;
+      for (ThreadPool* pool : {&pool1_, &pool2_, &pool4_}) {
+        QueryEngineOptions options;
+        options.pool = pool;
+        options.parallel_scan_min_segments = 2;
+        QueryEngine engine(options);
+        const ResultSet rs = engine.Execute(q, *table, 0).value();
+        std::vector<Timestamp> got_ts;
+        for (size_t r = 0; r < rs.num_rows(); ++r) {
+          got_ts.push_back(rs.at(r, 0).AsTimestamp());
+        }
+        EXPECT_EQ(got_ts, want_ts)
+            << what << tier << " width " << pool->num_threads();
+      }
     }
   }
 
   void ExpectAgree(const std::string& where) {
-    ExpectAgree(BindExpr(where), where);
+    ExpectAgree(Parse(where), where);
   }
 
-  Table table_;
+  std::unique_ptr<Table> plain_;
+  std::unique_ptr<Table> frozen_;
+  ThreadPool pool1_{1};
+  ThreadPool pool2_{2};
+  ThreadPool pool4_{4};
 };
 
 TEST_F(VectorEvalTest, ComparisonsAllOpsAllColumns) {
@@ -132,26 +174,23 @@ TEST_F(VectorEvalTest, IsNullAndIsNotNull) {
 TEST_F(VectorEvalTest, NullLiteralComparisonsAreNeverTrue) {
   // A NULL comparand makes every comparison UNKNOWN; no row matches,
   // and NOT(UNKNOWN) stays UNKNOWN, so the negation matches none too.
-  BoundExpr bound = BindExpr("a = 0");
-  bound.children[1].literal = Value::Null();
-  ExpectAgree(bound, "a = NULL");
-
-  BoundExpr neg = BindExpr("NOT (a = 0)");
-  neg.children[0].children[1].literal = Value::Null();
-  ExpectAgree(neg, "NOT (a = NULL)");
+  ExprPtr eq = Expr::Binary(BinaryOp::kEq, Expr::Column("a"),
+                            Expr::Literal(Value::Null()));
+  ExpectAgree(eq, "a = NULL");
+  ExpectAgree(Expr::Unary(UnaryOp::kNot, eq), "NOT (a = NULL)");
 }
 
 TEST_F(VectorEvalTest, NaNLiteralMatchesValueCompareTrichotomy) {
   // Under Value::Compare a NaN is neither < nor >, so cmp == 0: NaN
   // "equals" everything. =, <=, >= accept every non-null cell; !=, <, >
   // accept none. The kernel must agree with the walker on all six.
-  for (const char* op : {"=", "!=", "<", "<=", ">", ">="}) {
-    BoundExpr bound = BindExpr(std::string("b ") + op + " 0.0");
-    bound.children[1].literal = Value::Float64(std::nan(""));
-    ExpectAgree(bound, std::string("b ") + op + " NaN");
-    BoundExpr vs_int = BindExpr(std::string("a ") + op + " 0.0");
-    vs_int.children[1].literal = Value::Float64(std::nan(""));
-    ExpectAgree(vs_int, std::string("a ") + op + " NaN");
+  const ExprPtr nan = Expr::Literal(Value::Float64(std::nan("")));
+  for (const BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                            BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    for (const char* col : {"a", "b"}) {
+      const ExprPtr where = Expr::Binary(op, Expr::Column(col), nan);
+      ExpectAgree(where, where->ToString());
+    }
   }
 }
 
@@ -163,6 +202,17 @@ TEST_F(VectorEvalTest, BooleanAndConstantShapes) {
   ExpectAgree("NOT (a > 0 AND b < 0)");
   ExpectAgree("NOT NOT (a = 13)");
   ExpectAgree("w >= 2100 AND w < 4200");
+}
+
+TEST_F(VectorEvalTest, StringEqualityAndDictionaryMisses) {
+  ExpectAgree("s = 'x'");
+  ExpectAgree("s != 'north'");
+  ExpectAgree("'south' = s");
+  // Absent from every dictionary: no row is TRUE; its negation keeps
+  // every non-null cell.
+  ExpectAgree("s = 'absent'");
+  ExpectAgree("s != 'absent'");
+  ExpectAgree("NOT (s = 'absent') AND a > 0");
 }
 
 TEST_F(VectorEvalTest, RandomizedPredicateTrees) {
@@ -210,24 +260,62 @@ TEST_F(VectorEvalTest, EmptySegmentMatchesNothing) {
   Table probe("p", schema);
   ExprPtr expr = ParseExpression("x > 0").value();
   BoundExpr bound = Bind(*expr, schema).value();
-  std::optional<VectorPredicate> pred = VectorPredicate::Compile(bound);
-  ASSERT_TRUE(pred.has_value());
+  const VectorPredicate pred = VectorPredicate::Compile(bound);
   VectorPredicate::Scratch scratch;
   std::vector<uint32_t> out;
-  pred->Match(seg, scratch, out);
+  ASSERT_TRUE(pred.Match(probe, seg, scratch, out).ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(VectorPredicate().Match(probe, seg, scratch, out).ok());
   EXPECT_TRUE(out.empty());
 }
 
-TEST_F(VectorEvalTest, NonVectorizableShapesDeclineCompilation) {
-  // Arithmetic, string comparisons and scalar functions stay on the
-  // tree walker.
-  EXPECT_FALSE(VectorPredicate::Compile(BindExpr("a + 1 > 2")).has_value());
-  EXPECT_FALSE(VectorPredicate::Compile(BindExpr("a > b + 0.0")).has_value());
-  EXPECT_FALSE(
-      VectorPredicate::Compile(BindExpr("abs(a) > 2")).has_value());
-  // Column-vs-column comparison IS vectorizable (both are operands).
-  EXPECT_TRUE(VectorPredicate::Compile(BindExpr("a > b")).has_value());
+TEST_F(VectorEvalTest, WalkerConjunctsMatchTheReference) {
+  // Conjuncts the kernel does not lower (arithmetic, scalar functions,
+  // string `<`) filter the rows the lowered ones kept, through the
+  // walker; alone, mixed with lowered conjuncts, and inside OR / NOT.
+  ExpectAgree("a + 1 > 2");
+  ExpectAgree("a > b + 0.0");
+  ExpectAgree("abs(a) > 2");
+  ExpectAgree("s < 'n'");
+  ExpectAgree("a > 0 AND lower(s) = 'x'");
+  ExpectAgree("lower(s) = 'x' AND a > 0 AND b < 1");
+  ExpectAgree("abs(a) > 2 AND s >= 'north' AND __ts < 3000");
+  ExpectAgree("(a + 1 > 2 OR b < 0) AND NOT (s = 'x')");
+  ExpectAgree("length(s) = 0 AND a > 100");  // every segment pruned
+  // Column against column lowers.
   ExpectAgree("a > b");
+}
+
+TEST_F(VectorEvalTest, WalkerErrorsFailOnlyOnRowsTheyEvaluate) {
+  QueryEngine engine;
+  Query q;
+  q.table_name = "t";
+  q.items.push_back({Expr::Column("a"), "a"});
+  for (Table* table : {plain_.get(), frozen_.get()}) {
+    // Live rows with a = 0 exist, so the division fails the statement.
+    q.where = Parse("10 / a > 1");
+    EXPECT_FALSE(engine.Execute(q, *table, 0).ok());
+    // The lowered `a <> 0` drops those rows before the walker conjunct
+    // sees them: the statement answers, wherever the conjunct is
+    // written.
+    for (const char* where : {"10 / a > 1 AND a <> 0",
+                              "a <> 0 AND 10 / a > 1"}) {
+      q.where = Parse(where);
+      const Result<ResultSet> rs = engine.Execute(q, *table, 0);
+      ASSERT_TRUE(rs.ok()) << where << ": " << rs.status().ToString();
+      ASSERT_GT(rs->num_rows(), 0u) << where;
+      for (size_t r = 0; r < rs->num_rows(); ++r) {
+        const int64_t a = rs->at(r, 0).AsInt64();
+        EXPECT_TRUE(a > 0 && a < 10) << where << ": a = " << a;
+      }
+    }
+    // Walker conjuncts run in SQL order: the second one never sees a
+    // row the first rejected.
+    q.where = Parse("abs(a) > 0 AND 10 / a > 1");
+    EXPECT_TRUE(engine.Execute(q, *table, 0).ok());
+    q.where = Parse("10 / a > 1 AND abs(a) > 0");
+    EXPECT_FALSE(engine.Execute(q, *table, 0).ok());
+  }
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "persist/snapshot.h"
 #include "query/engine.h"
 #include "query/parser.h"
+#include "storage/encode/frozen.h"
 #include "storage/table.h"
 #include "storage/value_serde.h"
 #include "verify/corruptor.h"
@@ -215,6 +216,20 @@ void ExpectNormalizedSnapshotsIdentical(Database& frozen, Database& plain) {
   SerializeDatabase(*a, norm_a);
   SerializeDatabase(*b, norm_b);
   ASSERT_EQ(norm_a.buffer(), norm_b.buffer());
+}
+
+TEST(TieredStorageTest, FrozenMemoryUsageCountsEachStructOnce) {
+  // `ts`, `alive` and every column's validity and payload are inline
+  // members, inside their owner's sizeof: with every buffer empty the
+  // image holds its own struct and the column array's slots, no more.
+  encode::FrozenSegment fz;
+  fz.columns.resize(4);
+  fz.columns[1].type = DataType::kFloat64;
+  fz.columns[2].type = DataType::kString;
+  fz.columns[3].type = DataType::kBool;
+  EXPECT_EQ(fz.MemoryUsage(),
+            sizeof(encode::FrozenSegment) +
+                fz.columns.capacity() * sizeof(encode::FrozenColumn));
 }
 
 TEST(TieredStorageDifferentialTest, FreezeOnVsOffIsBitIdentical) {
