@@ -1,14 +1,19 @@
 // Microbenchmarks (google-benchmark) for the hot paths underneath the
-// experiment harnesses: append, scan, decay ticks, query execution, and
-// sketch updates. These calibrate the absolute numbers quoted in
-// EXPERIMENTS.md.
+// experiment harnesses: append, scan, decay ticks, query execution,
+// sketch updates, and the write path's parse and wire codec. These
+// calibrate the absolute numbers quoted in EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+
+#include "core/database.h"
+#include "core/meta_commands.h"
 #include "fungus/egi_fungus.h"
 #include "fungus/retention_fungus.h"
 #include "query/engine.h"
 #include "query/parser.h"
+#include "server/wire_format.h"
 #include "storage/table.h"
 #include "summary/count_min_sketch.h"
 #include "summary/hyperloglog.h"
@@ -182,6 +187,60 @@ void BM_ParseQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParseQuery);
+
+// One fungusbench write batch: 500 `\insert` statements split and
+// parsed into typed rows, as fungusd's writer does before one
+// Database::Insert.
+void BM_InsertRunParse(benchmark::State& state) {
+  Database db;
+  db.CreateTable("readings",
+                 Schema::Make({{"sensor", DataType::kInt64, false},
+                               {"value", DataType::kFloat64, false},
+                               {"site", DataType::kString, false}})
+                     .value())
+      .value();
+  std::vector<std::string> statements;
+  for (int i = 0; i < 500; ++i) {
+    char text[64];
+    std::snprintf(text, sizeof(text), "\\insert readings %d,%d.%02d,s%02d",
+                  i * 37 % 1000, i * 13 % 200, i % 4 * 25, i % 16);
+    statements.push_back(text);
+  }
+  const Result<TableHandle> table = db.GetTable("readings");
+  for (auto _ : state) {
+    std::vector<std::vector<Value>> rows;
+    rows.reserve(statements.size());
+    for (const std::string& statement : statements) {
+      rows.push_back(ParseInsertRow(*SplitInsert(statement), table).value());
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations() * 500);
+}
+BENCHMARK(BM_InsertRunParse);
+
+// The response codec, encode then decode: arg 0 is a write batch's 500
+// row-id answers, written as fungusd's writer writes them; arg 1 one
+// 2,000-row, two-column projection.
+void BM_ResponseCodec(benchmark::State& state) {
+  const bool projection = state.range(0) == 1;
+  ResultSet rows;
+  rows.column_names = {"sensor", "value"};
+  for (int i = 0; i < 2000; ++i) {
+    rows.rows.push_back({Value::Int64(i), Value::Float64(i * 0.25)});
+  }
+  for (auto _ : state) {
+    server::ResponseEncoder encoder(7, projection ? 1 : 500);
+    if (projection) {
+      encoder.Add(rows);
+    } else {
+      for (int i = 0; i < 500; ++i) encoder.AddInt64Answer(kRowIdColumn, i);
+    }
+    const std::string payload = encoder.Finish();
+    benchmark::DoNotOptimize(server::DecodeStatementResponse(payload));
+  }
+}
+BENCHMARK(BM_ResponseCodec)->Arg(0)->Arg(1);
 
 void BM_CountMinObserve(benchmark::State& state) {
   CountMinSketch sketch(1024, 4);

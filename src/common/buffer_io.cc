@@ -2,23 +2,9 @@
 
 namespace fungusdb {
 
-Result<uint8_t> BufferReader::ReadU8() { return ReadRaw<uint8_t>(); }
-Result<uint32_t> BufferReader::ReadU32() { return ReadRaw<uint32_t>(); }
-Result<uint64_t> BufferReader::ReadU64() { return ReadRaw<uint64_t>(); }
-Result<int64_t> BufferReader::ReadI64() { return ReadRaw<int64_t>(); }
-Result<double> BufferReader::ReadDouble() { return ReadRaw<double>(); }
-
-Result<bool> BufferReader::ReadBool() {
-  FUNGUSDB_ASSIGN_OR_RETURN(uint8_t v, ReadU8());
-  return v != 0;
-}
-
-Result<std::string> BufferReader::ReadString() {
-  FUNGUSDB_ASSIGN_OR_RETURN(uint64_t len, ReadU64());
-  FUNGUSDB_RETURN_IF_ERROR(Need(len));
-  std::string out(data_.substr(pos_, len));
-  pos_ += len;
-  return out;
+Status BufferReader::error() const {
+  return Status::OutOfRange("truncated: need " + std::to_string(short_of_) +
+                            " bytes, have " + std::to_string(remaining()));
 }
 
 }  // namespace fungusdb

@@ -56,29 +56,20 @@ std::vector<std::string> Split(std::string_view s, char sep) {
 
 std::string_view StripWhitespace(std::string_view s) {
   size_t begin = 0;
-  while (begin < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
+  while (begin < s.size() && IsAsciiSpace(s[begin])) ++begin;
   size_t end = s.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 
 std::vector<std::string_view> SplitWhitespace(std::string_view s) {
-  auto is_space = [](char c) {
-    return std::isspace(static_cast<unsigned char>(c)) != 0;
-  };
   std::vector<std::string_view> out;
   size_t i = 0;
   while (true) {
-    while (i < s.size() && is_space(s[i])) ++i;
+    while (i < s.size() && IsAsciiSpace(s[i])) ++i;
     if (i == s.size()) return out;
     const size_t begin = i;
-    while (i < s.size() && !is_space(s[i])) ++i;
+    while (i < s.size() && !IsAsciiSpace(s[i])) ++i;
     out.push_back(s.substr(begin, i - begin));
   }
 }

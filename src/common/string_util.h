@@ -22,6 +22,12 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Splits on a single character; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
 
+/// ' ', '\t', '\n', '\v', '\f' or '\r': what std::isspace accepts in
+/// the "C" locale, without the locale lookup.
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
 /// Removes leading/trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view s);
 

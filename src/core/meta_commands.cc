@@ -306,14 +306,21 @@ StatementKind ClassifyStatement(std::string_view statement,
 }
 
 std::optional<InsertStatement> SplitInsert(std::string_view statement) {
+  constexpr std::string_view kInsert = "\\insert";
   statement = StripWhitespace(statement);
-  if (FirstWord(statement) != "\\insert") return std::nullopt;
-  const MetaStatement split = SplitMetaStatement(statement);
-  InsertStatement insert;
-  if (split.words.size() >= 2) {
-    insert.table = split.words[1];
-    insert.csv = split.Rest(2);
+  if (!statement.starts_with(kInsert) ||
+      (statement.size() > kInsert.size() &&
+       !IsAsciiSpace(statement[kInsert.size()]))) {
+    return std::nullopt;
   }
+  size_t i = kInsert.size();
+  while (i < statement.size() && IsAsciiSpace(statement[i])) ++i;
+  const size_t table = i;
+  while (i < statement.size() && !IsAsciiSpace(statement[i])) ++i;
+  InsertStatement insert;
+  insert.table = statement.substr(table, i - table);
+  while (i < statement.size() && IsAsciiSpace(statement[i])) ++i;
+  insert.csv = statement.substr(i);
   return insert;
 }
 
@@ -326,7 +333,7 @@ Result<std::vector<Value>> ParseInsertRow(const InsertStatement& insert,
 
 ResultSet RowIdResult(RowId row) {
   ResultSet rs;
-  rs.column_names = {"row_id"};
+  rs.column_names = {std::string(kRowIdColumn)};
   rs.rows.push_back({Value::Int64(static_cast<int64_t>(row))});
   return rs;
 }

@@ -108,7 +108,7 @@ struct InsertStatement {
 
 /// Splits `statement` when it is an `\insert`; nullopt otherwise. The
 /// one splitter behind the registry's `\insert` and fungusd's insert
-/// runs.
+/// runs: one scan, words split by ASCII whitespace, no allocation.
 std::optional<InsertStatement> SplitInsert(std::string_view statement);
 
 /// Parses an `\insert`'s row against `table`, the lookup of
@@ -116,7 +116,11 @@ std::optional<InsertStatement> SplitInsert(std::string_view statement);
 Result<std::vector<Value>> ParseInsertRow(const InsertStatement& insert,
                                           const Result<TableHandle>& table);
 
-/// The answer to one appended row: one `row_id` column.
+/// The column of an `\insert`'s answer.
+inline constexpr std::string_view kRowIdColumn = "row_id";
+
+/// The answer to one appended row: one `row_id` column. fungusd writes
+/// the same bytes without building it (EncodeRowIdAnswer).
 ResultSet RowIdResult(RowId row);
 
 /// Meta-command output travels as an ordinary single-column ResultSet,

@@ -50,19 +50,27 @@ class CsvSource : public RecordSource {
   Schema schema_;
   CsvOptions options_;
   Status status_;
+  std::string line_;
   uint64_t line_number_ = 0;
   bool header_skipped_ = false;
   uint64_t records_read_ = 0;
 };
 
-/// Splits one CSV line into fields (RFC 4180 quoting). Exposed for
-/// tests and tooling.
+/// Splits one CSV line into fields: RFC 4180 quoting (a quote may open
+/// anywhere in a field, a quoted span may hold the delimiter, `""`
+/// inside it is one quote, an unterminated quote runs to the end of the
+/// line), and a final '\r' outside quotes is dropped, so CRLF input
+/// reads like LF. For tests and tooling; the parsers below read the
+/// same splitter's fields as views, without copying them.
 std::vector<std::string> SplitCsvLine(std::string_view line,
                                       char delimiter);
 
 /// Parses one CSV field into a Value of the given type; empty fields
-/// become null when `empty_is_null`.
-Result<Value> ParseCsvField(const std::string& field, DataType type,
+/// become null when `empty_is_null`. The text accepted is exactly
+/// std::from_chars's for integers and std::strtod's (whole field) for
+/// floats; a rejected field is a ParseError quoting it ("not a
+/// float64: '2.5 '").
+Result<Value> ParseCsvField(std::string_view field, DataType type,
                             bool empty_is_null);
 
 /// Parses one comma-separated record into typed values against

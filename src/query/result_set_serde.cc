@@ -26,19 +26,31 @@ void SerializeResultSet(const ResultSet& result, BufferWriter& out) {
   out.WriteU64(result.stats.rows_consumed);
 }
 
+void SerializeInt64Answer(std::string_view column, int64_t value,
+                          BufferWriter& out) {
+  out.WriteU32(1);
+  out.WriteString(column);
+  out.WriteU64(1);
+  WriteValue(out, Value::Int64(value));
+  out.WriteU64(0);  // rows_scanned
+  out.WriteU64(0);  // rows_matched
+  out.WriteU64(0);  // rows_consumed
+}
+
 Result<ResultSet> DeserializeResultSet(BufferReader& in) {
   ResultSet result;
-  FUNGUSDB_ASSIGN_OR_RETURN(uint32_t num_columns, in.ReadU32());
+  uint32_t num_columns = 0;
+  if (!in.Read(num_columns)) return in.error();
   if (num_columns > kMaxColumns) {
     return Status::WireFormat("result set claims " +
                               std::to_string(num_columns) + " columns");
   }
-  result.column_names.reserve(num_columns);
-  for (uint32_t c = 0; c < num_columns; ++c) {
-    FUNGUSDB_ASSIGN_OR_RETURN(std::string name, in.ReadString());
-    result.column_names.push_back(std::move(name));
+  result.column_names.resize(num_columns);
+  for (std::string& name : result.column_names) {
+    if (!in.Read(name)) return in.error();
   }
-  FUNGUSDB_ASSIGN_OR_RETURN(uint64_t num_rows, in.ReadU64());
+  uint64_t num_rows = 0;
+  if (!in.Read(num_rows)) return in.error();
   // Every encoded value is at least one tag byte, so a row count the
   // remaining bytes cannot hold is corrupt — reject before reserving.
   if (num_columns == 0 && num_rows != 0) {
@@ -49,19 +61,20 @@ Result<ResultSet> DeserializeResultSet(BufferReader& in) {
                               std::to_string(num_rows) +
                               " rows but the payload is smaller");
   }
-  result.rows.reserve(num_rows);
-  for (uint64_t r = 0; r < num_rows; ++r) {
-    std::vector<Value> row;
+  result.rows.resize(num_rows);
+  for (std::vector<Value>& row : result.rows) {
     row.reserve(num_columns);
     for (uint32_t c = 0; c < num_columns; ++c) {
-      FUNGUSDB_ASSIGN_OR_RETURN(Value value, ReadValue(in));
-      row.push_back(std::move(value));
+      Result<Value> value = ReadValue(in);
+      if (!value.ok()) return value.status();
+      row.push_back(std::move(value).value());
     }
-    result.rows.push_back(std::move(row));
   }
-  FUNGUSDB_ASSIGN_OR_RETURN(result.stats.rows_scanned, in.ReadU64());
-  FUNGUSDB_ASSIGN_OR_RETURN(result.stats.rows_matched, in.ReadU64());
-  FUNGUSDB_ASSIGN_OR_RETURN(result.stats.rows_consumed, in.ReadU64());
+  if (!in.Read(result.stats.rows_scanned) ||
+      !in.Read(result.stats.rows_matched) ||
+      !in.Read(result.stats.rows_consumed)) {
+    return in.error();
+  }
   return result;
 }
 

@@ -34,13 +34,10 @@ Result<std::vector<Result<ResultSet>>> Client::Execute(
   if (!fd_.valid()) {
     return Status::ConnectionClosed("client is not connected");
   }
-  StatementRequest request;
-  request.request_id = next_request_id_++;
-  request.deadline_micros = deadline_micros;
-  request.statements = statements;
-
-  const Status sent = WriteFrame(fd_.get(), FrameType::kStatementRequest,
-                                 EncodeStatementRequest(request));
+  const uint64_t request_id = next_request_id_++;
+  const Status sent = WriteFrame(
+      fd_.get(), FrameType::kStatementRequest,
+      EncodeStatementRequest(request_id, deadline_micros, statements));
   if (!sent.ok()) {
     fd_.Reset();
     return sent;
@@ -65,12 +62,11 @@ Result<std::vector<Result<ResultSet>>> Client::Execute(
   // request_id 0 is the server's "could not even decode your request"
   // answer; anything else must echo ours (the protocol is lockstep, so
   // a mismatch means the stream is desynchronized).
-  if (response.request_id != request.request_id &&
-      response.request_id != 0) {
+  if (response.request_id != request_id && response.request_id != 0) {
     fd_.Reset();
     return Status::WireFormat(
         "response id " + std::to_string(response.request_id) +
-        " does not match request id " + std::to_string(request.request_id));
+        " does not match request id " + std::to_string(request_id));
   }
   return std::move(response.results);
 }

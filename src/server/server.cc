@@ -200,11 +200,10 @@ void Server::ServeConnection(uint64_t conn_id, int fd) {
       // Framing was intact but the payload was not — answer with the
       // decode error (request id unknown, so 0), then drop: the byte
       // stream can no longer be trusted.
-      StatementResponse response;
-      response.results.push_back(request_or.status());
-      const Status answered =
-          WriteFrame(owned.get(), FrameType::kStatementResponse,
-                     EncodeStatementResponse(response));
+      ResponseEncoder response(/*request_id=*/0, /*num_answers=*/1);
+      response.AddError(request_or.status());
+      const Status answered = WriteFrame(
+          owned.get(), FrameType::kStatementResponse, response.Finish());
       (void)answered;  // best effort: the connection is dropped either way
       break;
     }
@@ -233,16 +232,15 @@ void Server::ServeConnection(uint64_t conn_id, int fd) {
         std::chrono::microseconds(
             pending.has_deadline ? request.deadline_micros : 0);
     const uint64_t request_id = request.request_id;
-    const size_t num_statements = request.statements.size();
+    const auto num_statements =
+        static_cast<uint32_t>(request.statements.size());
     pending.request = std::move(request);
     pending.enqueued_us = Tracer::NowMicros();
-    std::future<std::vector<Result<ResultSet>>> reply =
-        pending.reply.get_future();
+    std::future<std::string> reply = pending.reply.get_future();
 
-    StatementResponse response;
-    response.request_id = request_id;
+    std::string payload;
     if (target.TryPush(std::move(pending))) {
-      response.results = reply.get();
+      payload = reply.get();
     } else {
       // Typed refusal — never an OOM, never a silent drop.
       const Status refusal =
@@ -252,15 +250,16 @@ void Server::ServeConnection(uint64_t conn_id, int fd) {
       metrics.IncrementCounter(target.closed()
                                    ? "fungusdb.server.requests_shutdown"
                                    : "fungusdb.server.requests_overloaded");
-      for (size_t i = 0; i < num_statements; ++i) {
-        response.results.push_back(refusal);
+      ResponseEncoder response(request_id, num_statements);
+      for (uint32_t i = 0; i < num_statements; ++i) {
+        response.AddError(refusal);
       }
+      payload = response.Finish();
     }
     Status sent;
     {
-      FUNGUS_TRACE_SPAN("server.respond", response.results.size());
-      sent = WriteFrame(owned.get(), FrameType::kStatementResponse,
-                        EncodeStatementResponse(response));
+      FUNGUS_TRACE_SPAN("server.respond", num_statements);
+      sent = WriteFrame(owned.get(), FrameType::kStatementResponse, payload);
     }
     if (!sent.ok()) break;
   }
@@ -314,30 +313,31 @@ void Server::ProcessRequest(PendingRequest pending, int worker) {
   const std::string worker_label =
       read_path ? "worker=read-" + std::to_string(worker) : "worker=writer";
   const std::vector<std::string>& statements = pending.request.statements;
-  std::vector<Result<ResultSet>> results;
-  results.reserve(statements.size());
+  Answers answers{ResponseEncoder(pending.request.request_id,
+                                  static_cast<uint32_t>(statements.size())),
+                  {}};
   // Per-statement accounting stays local and reaches the registry once
   // per request, below.
   std::vector<int64_t> latencies_us;
   latencies_us.reserve(statements.size());
-  while (results.size() < statements.size()) {
+  while (answers.size() < statements.size()) {
     // The deadline is re-checked per statement, so a long batch that
     // blows its budget mid-way stops burning worker time.
     if (pending.Expired()) break;
-    const size_t next = results.size();
+    const size_t next = answers.size();
     const auto started = std::chrono::steady_clock::now();
     if (read_path) {
       FUNGUS_TRACE_SPAN("server.read_worker", worker);
-      results.push_back(ExecuteRead(static_cast<size_t>(worker),
-                                    statements[next], pending.queries[next],
-                                    static_cast<int64_t>(queue_wait_us)));
+      answers.Add(ExecuteRead(static_cast<size_t>(worker), statements[next],
+                              pending.queries[next],
+                              static_cast<int64_t>(queue_wait_us)));
     } else {
       ExecuteWrites(next, pending, static_cast<int64_t>(queue_wait_us),
-                    results);
+                    answers);
     }
     // A run of inserts answers several statements at once; each takes
     // an equal share of the run's wall time.
-    const size_t answered = results.size() - next;
+    const size_t answered = answers.size() - next;
     if (answered == 0) continue;  // a run met the deadline at once
     const auto micros =
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -346,12 +346,6 @@ void Server::ProcessRequest(PendingRequest pending, int worker) {
     latencies_us.insert(latencies_us.end(), answered,
                         (micros + static_cast<int64_t>(answered) / 2) /
                             static_cast<int64_t>(answered));
-  }
-  std::map<int, int64_t> errors_by_code;
-  for (const Result<ResultSet>& result : results) {
-    if (!result.ok()) {
-      ++errors_by_code[static_cast<int>(result.status().error_code())];
-    }
   }
   if (!latencies_us.empty()) {
     const auto executed = static_cast<int64_t>(latencies_us.size());
@@ -363,29 +357,44 @@ void Server::ProcessRequest(PendingRequest pending, int worker) {
     metrics.RecordHistogram("fungusdb.server.statement_latency_us",
                             worker_label, latencies_us);
   }
-  for (const auto& [code, count] : errors_by_code) {
+  for (const auto& [code, count] : answers.errors_by_code) {
     metrics.IncrementCounter("fungusdb.server.errors",
                              "code=" + std::to_string(code), count);
   }
   // Past the deadline every remaining statement times out; timeouts
   // count as neither statements nor errors.
-  if (results.size() < statements.size()) {
+  if (answers.size() < statements.size()) {
     metrics.IncrementCounter("fungusdb.server.requests_timeout");
-    results.resize(statements.size(),
-                   Status::Timeout("deadline exceeded before execution"));
+    const Status timeout =
+        Status::Timeout("deadline exceeded before execution");
+    while (answers.size() < statements.size()) {
+      answers.encoder.AddError(timeout);
+    }
   }
-  pending.reply.set_value(std::move(results));
+  pending.reply.set_value(answers.encoder.Finish());
+}
+
+void Server::Answers::Add(const Result<ResultSet>& answer) {
+  if (!answer.ok()) {
+    AddError(answer.status());
+    return;
+  }
+  encoder.Add(answer);
+}
+
+void Server::Answers::AddError(const Status& status) {
+  ++errors_by_code[static_cast<int>(status.error_code())];
+  encoder.AddError(status);
 }
 
 void Server::ExecuteWrites(size_t next, const PendingRequest& pending,
-                           int64_t queue_wait_us,
-                           std::vector<Result<ResultSet>>& results) {
+                           int64_t queue_wait_us, Answers& answers) {
   const std::span<const std::string> statements =
       std::span(pending.request.statements).subspan(next);
   const std::optional<InsertStatement> first = SplitInsert(statements[0]);
   if (!first.has_value()) {
     FUNGUS_TRACE_SPAN("server.statement");
-    results.push_back(
+    answers.Add(
         ExecuteWrite(statements[0], pending.queries[next], queue_wait_us));
     return;
   }
@@ -404,28 +413,34 @@ void Server::ExecuteWrites(size_t next, const PendingRequest& pending,
   const std::string table_name(first->table);
   const Result<TableHandle> table = db_->GetTable(table_name);
   std::vector<std::vector<Value>> rows;
-  std::vector<size_t> row_results;  // index in `results` of each row
   rows.reserve(run.size());
-  row_results.reserve(run.size());
-  for (const InsertStatement& insert : run) {
-    if (pending.Expired()) break;
-    Result<std::vector<Value>> row = ParseInsertRow(insert, table);
-    if (!row.ok()) {
-      results.push_back(row.status());
+  // The statements that failed to parse, by their index in the run;
+  // every other statement parsed is the next row.
+  std::vector<std::pair<size_t, Status>> bad_rows;
+  size_t parsed = 0;
+  for (; parsed < run.size() && !pending.Expired(); ++parsed) {
+    Result<std::vector<Value>> row = ParseInsertRow(run[parsed], table);
+    if (row.ok()) {
+      rows.push_back(std::move(row).value());
+    } else {
+      bad_rows.emplace_back(parsed, row.status());
+    }
+  }
+  std::vector<Result<RowId>> ids;
+  if (!rows.empty()) ids = db_->Insert(table_name, rows);
+  auto bad = bad_rows.begin();
+  auto id = ids.begin();
+  for (size_t i = 0; i < parsed; ++i) {
+    if (bad != bad_rows.end() && bad->first == i) {
+      answers.AddError((bad++)->second);
       continue;
     }
-    rows.push_back(std::move(row).value());
-    row_results.push_back(results.size());
-    results.emplace_back(ResultSet{});  // the row id, filled in below
-  }
-  if (rows.empty()) return;
-  const std::vector<Result<RowId>> ids = db_->Insert(table_name, rows);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    Result<ResultSet>& answer = results[row_results[i]];
-    if (ids[i].ok()) {
-      answer = RowIdResult(ids[i].value());
+    const Result<RowId>& appended = *id++;
+    if (appended.ok()) {
+      answers.encoder.AddInt64Answer(
+          kRowIdColumn, static_cast<int64_t>(appended.value()));
     } else {
-      answer = ids[i].status();
+      answers.AddError(appended.status());
     }
   }
 }

@@ -125,11 +125,23 @@ class Server {
     /// Tracer-epoch enqueue time; the worker turns it into the
     /// queue-wait metric and the "server.queue_wait" trace span.
     uint64_t enqueued_us = 0;
-    std::promise<std::vector<Result<ResultSet>>> reply;
+    /// The encoded response payload, one answer per statement.
+    std::promise<std::string> reply;
 
     bool Expired() const {
       return has_deadline && std::chrono::steady_clock::now() >= deadline;
     }
+  };
+
+  /// A request's response as its worker writes it, answer by answer,
+  /// and the per-error-code counts the worker reports once per request.
+  struct Answers {
+    ResponseEncoder encoder;
+    std::map<int, int64_t> errors_by_code;
+
+    void Add(const Result<ResultSet>& answer);
+    void AddError(const Status& status);
+    size_t size() const { return encoder.num_added(); }
   };
 
   struct Connection {
@@ -148,8 +160,8 @@ class Server {
 
   /// Shared request body for the writer and the read workers: queue
   /// wait attribution, per-statement deadline recheck, execution,
-  /// latency accounting. `worker` is kWriterWorker or a read worker
-  /// index.
+  /// latency accounting, and the encoded response it hands back through
+  /// `pending.reply`. `worker` is kWriterWorker or a read worker index.
   void ProcessRequest(PendingRequest pending, int worker);
 
   /// True iff every statement in the batch classifies kReadOnly —
@@ -162,11 +174,11 @@ class Server {
   /// Writer-thread only. Answers the statement at `next`, or, when it is
   /// an `\insert`, the run of consecutive `\insert`s into the same table
   /// that starts there: each row is parsed outside the write section,
-  /// then one Database::Insert appends them all. Appends one result per
+  /// then one Database::Insert appends them all, and each row id's
+  /// answer is encoded straight into `answers`. Adds one answer per
   /// statement answered; stops early at the request's deadline.
   void ExecuteWrites(size_t next, const PendingRequest& pending,
-                     int64_t queue_wait_us,
-                     std::vector<Result<ResultSet>>& results);
+                     int64_t queue_wait_us, Answers& answers);
 
   /// Writer execution of one statement that is not an `\insert`: SQL
   /// through Database::Execute, from the classifier's `query` when it

@@ -1,5 +1,7 @@
 #include "server/wire_format.h"
 
+#include <cassert>
+
 #include "common/status.h"
 #include "query/result_set_serde.h"
 #include "server/socket.h"
@@ -14,31 +16,44 @@ constexpr uint64_t kMaxStatementsPerRequest = 1u << 16;
 
 }  // namespace
 
-std::string EncodeStatementRequest(const StatementRequest& request) {
+std::string EncodeStatementRequest(uint64_t request_id,
+                                   uint64_t deadline_micros,
+                                   std::span<const std::string> statements) {
+  size_t bytes = 20;
+  for (const std::string& statement : statements) {
+    bytes += 8 + statement.size();
+  }
   BufferWriter out;
-  out.WriteU64(request.request_id);
-  out.WriteU64(request.deadline_micros);
-  out.WriteU32(static_cast<uint32_t>(request.statements.size()));
-  for (const std::string& statement : request.statements) {
+  out.Reserve(bytes);
+  out.WriteU64(request_id);
+  out.WriteU64(deadline_micros);
+  out.WriteU32(static_cast<uint32_t>(statements.size()));
+  for (const std::string& statement : statements) {
     out.WriteString(statement);
   }
   return out.Release();
 }
 
+std::string EncodeStatementRequest(const StatementRequest& request) {
+  return EncodeStatementRequest(request.request_id, request.deadline_micros,
+                                request.statements);
+}
+
 Result<StatementRequest> DecodeStatementRequest(std::string_view payload) {
   BufferReader in(payload);
   StatementRequest request;
-  FUNGUSDB_ASSIGN_OR_RETURN(request.request_id, in.ReadU64());
-  FUNGUSDB_ASSIGN_OR_RETURN(request.deadline_micros, in.ReadU64());
-  FUNGUSDB_ASSIGN_OR_RETURN(uint32_t count, in.ReadU32());
+  uint32_t count = 0;
+  if (!in.Read(request.request_id) || !in.Read(request.deadline_micros) ||
+      !in.Read(count)) {
+    return in.error();
+  }
   if (count > kMaxStatementsPerRequest) {
     return Status::WireFormat("request claims " + std::to_string(count) +
                               " statements");
   }
   request.statements.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    FUNGUSDB_ASSIGN_OR_RETURN(std::string statement, in.ReadString());
-    request.statements.push_back(std::move(statement));
+    if (!in.Read(request.statements.emplace_back())) return in.error();
   }
   if (!in.exhausted()) {
     return Status::WireFormat("trailing bytes after statement request");
@@ -46,44 +61,71 @@ Result<StatementRequest> DecodeStatementRequest(std::string_view payload) {
   return request;
 }
 
-std::string EncodeStatementResponse(const StatementResponse& response) {
-  BufferWriter out;
-  out.WriteU64(response.request_id);
-  out.WriteU32(static_cast<uint32_t>(response.results.size()));
-  for (const Result<ResultSet>& result : response.results) {
-    if (result.ok()) {
-      out.WriteU8(1);
-      SerializeResultSet(result.value(), out);
-    } else {
-      out.WriteU8(0);
-      out.WriteU32(
-          static_cast<uint16_t>(result.status().error_code()));
-      out.WriteString(result.status().message());
-    }
+ResponseEncoder::ResponseEncoder(uint64_t request_id, uint32_t num_answers)
+    : num_answers_(num_answers) {
+  out_.WriteU64(request_id);
+  out_.WriteU32(num_answers);
+}
+
+void ResponseEncoder::Add(const Result<ResultSet>& answer) {
+  if (!answer.ok()) {
+    AddError(answer.status());
+    return;
   }
-  return out.Release();
+  ++added_;
+  out_.WriteU8(1);
+  SerializeResultSet(answer.value(), out_);
+}
+
+void ResponseEncoder::AddError(const Status& status) {
+  ++added_;
+  out_.WriteU8(0);
+  out_.WriteU32(static_cast<uint16_t>(status.error_code()));
+  out_.WriteString(status.message());
+}
+
+void ResponseEncoder::AddInt64Answer(std::string_view column, int64_t value) {
+  ++added_;
+  out_.WriteU8(1);
+  SerializeInt64Answer(column, value, out_);
+}
+
+std::string ResponseEncoder::Finish() {
+  assert(added_ == num_answers_ && "a response must answer every statement");
+  return out_.Release();
+}
+
+std::string EncodeStatementResponse(const StatementResponse& response) {
+  ResponseEncoder encoder(response.request_id,
+                          static_cast<uint32_t>(response.results.size()));
+  for (const Result<ResultSet>& result : response.results) {
+    encoder.Add(result);
+  }
+  return encoder.Finish();
 }
 
 Result<StatementResponse> DecodeStatementResponse(
     std::string_view payload) {
   BufferReader in(payload);
   StatementResponse response;
-  FUNGUSDB_ASSIGN_OR_RETURN(response.request_id, in.ReadU64());
-  FUNGUSDB_ASSIGN_OR_RETURN(uint32_t count, in.ReadU32());
+  uint32_t count = 0;
+  if (!in.Read(response.request_id) || !in.Read(count)) return in.error();
   if (count > kMaxStatementsPerRequest) {
     return Status::WireFormat("response claims " + std::to_string(count) +
                               " results");
   }
   response.results.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    FUNGUSDB_ASSIGN_OR_RETURN(uint8_t ok, in.ReadU8());
+    uint8_t ok = 0;
+    if (!in.Read(ok)) return in.error();
     if (ok == 1) {
-      FUNGUSDB_ASSIGN_OR_RETURN(ResultSet result,
-                                DeserializeResultSet(in));
+      Result<ResultSet> result = DeserializeResultSet(in);
+      if (!result.ok()) return result.status();
       response.results.push_back(std::move(result));
     } else if (ok == 0) {
-      FUNGUSDB_ASSIGN_OR_RETURN(uint32_t raw_code, in.ReadU32());
-      FUNGUSDB_ASSIGN_OR_RETURN(std::string message, in.ReadString());
+      uint32_t raw_code = 0;
+      std::string message;
+      if (!in.Read(raw_code) || !in.Read(message)) return in.error();
       if (raw_code > UINT16_MAX) {
         return Status::WireFormat("error code out of range");
       }

@@ -2,6 +2,7 @@
 #define FUNGUSDB_SERVER_WIRE_FORMAT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,8 +66,38 @@ struct StatementResponse {
 
 // --- Payload codecs (header-less; framing is separate). ---
 
+/// A request payload straight from the caller's statements, with no
+/// StatementRequest to copy them into.
+std::string EncodeStatementRequest(uint64_t request_id,
+                                   uint64_t deadline_micros,
+                                   std::span<const std::string> statements);
 std::string EncodeStatementRequest(const StatementRequest& request);
 Result<StatementRequest> DecodeStatementRequest(std::string_view payload);
+
+/// Writes a response payload one answer at a time, so a worker encodes
+/// its request's answers as it produces them: u64 request id, u32
+/// answer count, then per answer either u8 1 + a SerializeResultSet
+/// body or u8 0 + u32 error code + message string. Exactly
+/// `num_answers` answers must be added before Finish().
+class ResponseEncoder {
+ public:
+  ResponseEncoder(uint64_t request_id, uint32_t num_answers);
+
+  void Add(const Result<ResultSet>& answer);
+  void AddError(const Status& status);
+  /// The bytes of Add(ResultSet) for a one-column, one-row int64 answer
+  /// with zero statistics — an `\insert`'s row id — without building
+  /// the ResultSet.
+  void AddInt64Answer(std::string_view column, int64_t value);
+
+  uint32_t num_added() const { return added_; }
+  std::string Finish();
+
+ private:
+  BufferWriter out_;
+  uint32_t num_answers_;
+  uint32_t added_ = 0;
+};
 
 std::string EncodeStatementResponse(const StatementResponse& response);
 Result<StatementResponse> DecodeStatementResponse(std::string_view payload);

@@ -57,6 +57,27 @@ TEST(BufferIoTest, TruncatedStringLengthFails) {
   EXPECT_EQ(in.ReadString().status().code(), StatusCode::kOutOfRange);
 }
 
+TEST(BufferIoTest, ShortReadsSayWhatWasMissing) {
+  BufferWriter out;
+  out.WriteU32(7);
+  out.WriteU8(1);
+  BufferReader in(out.buffer());
+  uint64_t wide = 0;
+  EXPECT_FALSE(in.Read(wide));
+  EXPECT_EQ(in.remaining(), 5u);  // a failed read consumes nothing
+  EXPECT_EQ(in.error().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(in.error().message(), "truncated: need 8 bytes, have 5");
+  EXPECT_EQ(in.ReadU64().status().message(),
+            "truncated: need 8 bytes, have 5");
+  uint32_t narrow = 0;
+  EXPECT_TRUE(in.Read(narrow));
+  EXPECT_EQ(narrow, 7u);
+  bool flag = false;
+  EXPECT_TRUE(in.Read(flag));
+  EXPECT_TRUE(flag);
+  EXPECT_TRUE(in.exhausted());
+}
+
 TEST(BufferIoTest, HugeDeclaredLengthFailsCleanly) {
   BufferWriter out;
   out.WriteU64(UINT64_MAX);  // a string header promising 2^64 bytes

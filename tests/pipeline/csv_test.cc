@@ -1,8 +1,13 @@
 #include "pipeline/csv.h"
 
+#include <cmath>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
+
+#include "core/meta_commands.h"
 
 namespace fungusdb {
 namespace {
@@ -152,6 +157,180 @@ TEST(CsvSourceTest, TypeErrorStopsWithError) {
   CsvSource source(&input, MixedSchema(), options);
   EXPECT_FALSE(source.Next().has_value());
   EXPECT_EQ(source.status().code(), StatusCode::kParseError);
+}
+
+// Grammar pins: what `\insert` and CsvSource accept, and the errors they
+// give, so a faster parser cannot quietly change the language.
+
+TEST(InsertGrammarTest, TabsAndRunsOfSpacesSeparateWords) {
+  for (const char* statement :
+       {"\\insert t 1,a", "\\insert\tt\t1,a", "  \\insert   t \t 1,a \t",
+        "\\insert\r\n t\n\v\f1,a\r\n"}) {
+    const std::optional<InsertStatement> insert = SplitInsert(statement);
+    ASSERT_TRUE(insert.has_value()) << statement;
+    EXPECT_EQ(insert->table, "t") << statement;
+    EXPECT_EQ(insert->csv, "1,a") << statement;
+  }
+  // The fields are the rest of the statement, inner spaces kept.
+  EXPECT_EQ(SplitInsert("\\insert t  1, 2 ,\"x  y\"  ")->csv,
+            "1, 2 ,\"x  y\"");
+}
+
+TEST(InsertGrammarTest, OnlyTheInsertCommandSplits) {
+  EXPECT_FALSE(SplitInsert("\\insertt t 1").has_value());
+  EXPECT_FALSE(SplitInsert("\\Insert t 1").has_value());
+  EXPECT_FALSE(SplitInsert("insert t 1").has_value());
+  EXPECT_FALSE(SplitInsert("SELECT 1").has_value());
+  EXPECT_FALSE(SplitInsert("").has_value());
+}
+
+TEST(InsertGrammarTest, MissingTableOrFieldsIsAUsageError) {
+  for (const char* statement : {"\\insert", "  \\insert \t", "\\insert t",
+                                "\\insert t \t "}) {
+    const std::optional<InsertStatement> insert = SplitInsert(statement);
+    ASSERT_TRUE(insert.has_value()) << statement;
+    EXPECT_TRUE(insert->csv.empty()) << statement;
+    const Status status =
+        ParseInsertRow(*insert, Status::TableNotFound("unused")).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << statement;
+    EXPECT_EQ(status.message(), "usage: \\insert <table> <csv fields>");
+  }
+  EXPECT_EQ(SplitInsert("\\insert")->table, "");
+  EXPECT_EQ(SplitInsert("\\insert t")->table, "t");
+}
+
+TEST(InsertGrammarTest, QuotedFieldsHoldCommasAndDoubledQuotes) {
+  const std::vector<Value> row =
+      ParseCsvRow(MixedSchema(), "1,2.5,\"a, \"\"b\"\", c\",true").value();
+  EXPECT_EQ(row[2].AsString(), "a, \"b\", c");
+  // Quotes may open mid-field; an unterminated quote runs to the end.
+  EXPECT_EQ(SplitCsvLine("x\"y,z\"w,v", ',')[0], "xy,zw");
+  const auto open = SplitCsvLine("a,\"b,c", ',');
+  ASSERT_EQ(open.size(), 2u);
+  EXPECT_EQ(open[1], "b,c");
+  EXPECT_EQ(SplitCsvLine("\"\"", ',')[0], "");
+  EXPECT_EQ(SplitCsvLine("\"\"\"\"", ',')[0], "\"");
+}
+
+TEST(InsertGrammarTest, CrlfLineEnds) {
+  EXPECT_EQ(ParseCsvRow(MixedSchema(), "1,2.5,x,true\r").value()[3].AsBool(),
+            true);
+  const Schema text = Schema::Make({{"s", DataType::kString, true}}).value();
+  EXPECT_EQ(ParseCsvRow(text, "x\r").value()[0].AsString(), "x");
+  EXPECT_EQ(ParseCsvRow(text, "\"x\"\r").value()[0].AsString(), "x");
+  // Only a final '\r' outside quotes is a line end.
+  EXPECT_EQ(ParseCsvRow(text, "x\ry").value()[0].AsString(), "x\ry");
+  EXPECT_EQ(ParseCsvRow(text, "\"x\r").value()[0].AsString(), "x\r");
+
+  std::istringstream input("1,2.5,x,true\r\n2,,y,false\r\n");
+  CsvOptions options;
+  options.has_header = false;
+  CsvSource source(&input, MixedSchema(), options);
+  EXPECT_EQ((*source.Next())[2].AsString(), "x");
+  const std::vector<Value> second = *source.Next();
+  EXPECT_EQ(second[2].AsString(), "y");
+  EXPECT_FALSE(second[3].AsBool());
+  EXPECT_FALSE(source.Next().has_value());
+  EXPECT_TRUE(source.status().ok());
+}
+
+TEST(InsertGrammarTest, EmptyFieldsBecomeNull) {
+  const Schema nullable =
+      Schema::Make({{"i", DataType::kInt64, true},
+                    {"f", DataType::kFloat64, true},
+                    {"s", DataType::kString, true},
+                    {"b", DataType::kBool, true},
+                    {"t", DataType::kTimestamp, true}})
+          .value();
+  const std::vector<Value> row = ParseCsvRow(nullable, ",,,,").value();
+  EXPECT_TRUE(row[0].is_null());
+  EXPECT_TRUE(row[1].is_null());
+  EXPECT_EQ(row[2].AsString(), "");  // strings keep the empty string
+  EXPECT_TRUE(row[3].is_null());
+  EXPECT_TRUE(row[4].is_null());
+  // `\insert` follows each column's nullability...
+  EXPECT_EQ(ParseCsvRow(MixedSchema(), ",1,x,true").status().message(),
+            "not an int64: ''");
+  // ...CsvSource its empty_is_null option.
+  std::istringstream input(",,x,\n");
+  CsvOptions options;
+  options.has_header = false;
+  CsvSource source(&input, MixedSchema(), options);
+  const std::vector<Value> record = *source.Next();
+  EXPECT_TRUE(record[0].is_null());
+  EXPECT_TRUE(record[3].is_null());
+}
+
+TEST(InsertGrammarTest, FloatFormsStrtodAccepts) {
+  auto f = [](const char* text) {
+    return ParseCsvField(text, DataType::kFloat64, true).value().AsFloat64();
+  };
+  EXPECT_EQ(f(" 2.5"), 2.5);
+  EXPECT_EQ(f("\t2.5"), 2.5);
+  EXPECT_EQ(f("+1"), 1.0);
+  EXPECT_EQ(f("-0.25"), -0.25);
+  EXPECT_EQ(f("1e3"), 1000.0);
+  EXPECT_EQ(f("1E+3"), 1000.0);
+  EXPECT_EQ(f(".5"), 0.5);
+  EXPECT_EQ(f("5."), 5.0);
+  EXPECT_EQ(f("0x1p3"), 8.0);
+  EXPECT_EQ(f("0X1.8P1"), 3.0);
+  EXPECT_EQ(f("inf"), HUGE_VAL);
+  EXPECT_EQ(f("-Infinity"), -HUGE_VAL);
+  EXPECT_EQ(f("1e400"), HUGE_VAL);  // overflow saturates, as strtod does
+  EXPECT_EQ(f("1e-400"), 0.0);
+  EXPECT_TRUE(std::isnan(f("nan")));
+  EXPECT_TRUE(std::isnan(f("NAN")));
+  EXPECT_TRUE(std::isnan(f("nan(7)")));
+  EXPECT_EQ(f("0.1"), 0.1);
+  EXPECT_EQ(f("123456789012345678901234567890"), 1.2345678901234568e29);
+}
+
+TEST(InsertGrammarTest, TrailingGarbageIsRejectedWithTheSameText) {
+  const std::pair<const char*, DataType> bad[] = {
+      {"2.5 ", DataType::kFloat64},   {"1.5x", DataType::kFloat64},
+      {"1e", DataType::kFloat64},     {"0x1p3z", DataType::kFloat64},
+      {"nan(", DataType::kFloat64},   {"--1", DataType::kFloat64},
+      {".", DataType::kFloat64},      {"infx", DataType::kFloat64},
+      {"7 ", DataType::kInt64},       {" 7", DataType::kInt64},
+      {"+7", DataType::kInt64},       {"7.0", DataType::kInt64},
+      {"1 ", DataType::kTimestamp},   {"true ", DataType::kBool},
+  };
+  const char* kTypeName[] = {"int64", "float64", "string", "bool",
+                             "timestamp"};
+  for (const auto& [text, type] : bad) {
+    const Status status = ParseCsvField(text, type, true).status();
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << text;
+    EXPECT_EQ(status.message(), std::string("not a") +
+                                    (type == DataType::kInt64 ? "n " : " ") +
+                                    kTypeName[static_cast<int>(type)] +
+                                    ": '" + text + "'");
+  }
+  // CsvSource prefixes the line number; `\insert` reports the field.
+  EXPECT_EQ(ParseCsvRow(MixedSchema(), "1,2.5 ,x,true").status().message(),
+            "not a float64: '2.5 '");
+  std::istringstream input("1,2.5,x,true\n1,2.5 ,x,true\n");
+  CsvOptions options;
+  options.has_header = false;
+  CsvSource source(&input, MixedSchema(), options);
+  EXPECT_TRUE(source.Next().has_value());
+  EXPECT_FALSE(source.Next().has_value());
+  EXPECT_EQ(source.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(source.status().message(), "line 2: not a float64: '2.5 '");
+}
+
+TEST(InsertGrammarTest, FieldCountIsCheckedBeforeFieldErrors) {
+  const Status status = ParseCsvRow(MixedSchema(), "x,y").status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "expected 4 fields, got 2");
+  EXPECT_EQ(ParseCsvRow(MixedSchema(), "x,1,a,true,extra").status().message(),
+            "expected 4 fields, got 5");
+  std::istringstream input("x,y\n");
+  CsvOptions options;
+  options.has_header = false;
+  CsvSource source(&input, MixedSchema(), options);
+  EXPECT_FALSE(source.Next().has_value());
+  EXPECT_EQ(source.status().message(), "line 1: expected 4 fields, got 2");
 }
 
 TEST(WriteCsvTest, TableRoundTrip) {

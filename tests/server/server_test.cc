@@ -8,9 +8,11 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "core/meta_commands.h"
 #include "fungus/retention_fungus.h"
 #include "persist/snapshot.h"
 #include "server/client.h"
@@ -603,6 +605,133 @@ TEST(ServerInsertRunTest, ReadersSeeWholeRunsOnly) {
   const ResultSet final_count =
       writer.ExecuteOne("SELECT count(*) AS n FROM t").value();
   EXPECT_EQ(final_count.at(0, 0).AsInt64(), kBatches * kBatchRows);
+}
+
+// `\insert`'s grammar as the writer's runs see it: any whitespace between
+// words, and a statement without fields stays in the run and answers its
+// usage error in its own slot.
+TEST(ServerInsertRunTest, GrammarPins) {
+  std::unique_ptr<Server> server = StartServer();
+  FUNGUSDB_CHECK_OK(
+      server->database().CreateTable("t", SharedSchema()).status());
+  Client client = ConnectTo(*server);
+  const uint64_t epoch_before = server->database().epochs().epoch();
+  const std::vector<Result<ResultSet>> results =
+      client
+          .Execute({"\\insert t 1", "\\insert t", "\\insert\tt\t2",
+                    "  \\insert   t \t 3 \r\n", "\\insert t \t"})
+          .value();
+  // One run is one write section.
+  EXPECT_EQ(server->database().epochs().epoch(), epoch_before + 1);
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_EQ(results[0].value().at(0, 0).AsInt64(), 0);
+  EXPECT_EQ(results[2].value().at(0, 0).AsInt64(), 1);
+  EXPECT_EQ(results[3].value().at(0, 0).AsInt64(), 2);
+  for (const size_t usage : {1, 4}) {
+    EXPECT_EQ(results[usage].status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(results[usage].status().message(),
+              "usage: \\insert <table> <csv fields>");
+  }
+  const ResultSet sum =
+      client.ExecuteOne("SELECT sum(a) AS s FROM t").value();
+  EXPECT_EQ(sum.at(0, 0).AsInt64(), 6);
+}
+
+// Golden wire bytes: fungusd's answers to these requests, pinned by the
+// FNV-1a hash of the response payload as the server encoded it before
+// insert runs wrote their acks straight into the payload.
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+std::string RawResponse(const Server& server, uint64_t request_id,
+                        std::vector<std::string> statements,
+                        uint64_t deadline_micros = 0) {
+  UniqueFd fd = ConnectTcp("127.0.0.1", server.port()).value();
+  StatementRequest request;
+  request.request_id = request_id;
+  request.deadline_micros = deadline_micros;
+  request.statements = std::move(statements);
+  FUNGUSDB_CHECK_OK(WriteFrame(fd.get(), FrameType::kStatementRequest,
+                               EncodeStatementRequest(request)));
+  const Frame frame = ReadFrame(fd.get()).value();
+  EXPECT_EQ(frame.header.type, FrameType::kStatementResponse);
+  return frame.payload;
+}
+
+TEST(WireGoldenTest, FiveHundredAcks) {
+  std::unique_ptr<Server> server = StartServer();
+  FUNGUSDB_CHECK_OK(
+      server->database().CreateTable("t", SharedSchema()).status());
+  std::vector<std::string> inserts;
+  StatementResponse expected;
+  expected.request_id = 41;
+  for (int i = 0; i < 500; ++i) {
+    inserts.push_back("\\insert t " + std::to_string(i));
+    expected.results.push_back(RowIdResult(static_cast<RowId>(i)));
+  }
+  const std::string payload = RawResponse(*server, 41, inserts);
+  EXPECT_EQ(payload.size(), 30012u);
+  EXPECT_EQ(Fnv1a(payload), 0xfd4d435d20e4bdcbull);
+  EXPECT_EQ(payload, EncodeStatementResponse(expected));
+}
+
+TEST(WireGoldenTest, MixedBatchAnswersInOrder) {
+  std::unique_ptr<Server> server = StartServer();
+  const Schema schema = Schema::Make({{"a", DataType::kInt64, false},
+                                      {"s", DataType::kString, true}})
+                            .value();
+  FUNGUSDB_CHECK_OK(server->database().CreateTable("t", schema).status());
+  const std::string payload = RawResponse(
+      *server, 42,
+      {"\\insert t 1,one", "\\insert t 2,", "\\insert t x,bad",
+       "\\insert t 3", "\\insert t 4,\"f,o\"\"ur\"",
+       "SELECT count(*) AS n, max(a) AS m FROM t", "\\insert t 5,five",
+       "\\insert ghost 6,six", "\\insert t", "\\insert t 7,seven\r"});
+  EXPECT_EQ(Fnv1a(payload), 0x6f0fe02e25805f1cull);
+  const StatementResponse response = DecodeStatementResponse(payload).value();
+  ASSERT_EQ(response.results.size(), 10u);
+  EXPECT_EQ(response.results[4].value().at(0, 0).AsInt64(), 2);
+  EXPECT_EQ(response.results[5].value().at(0, 0).AsInt64(), 3);
+  EXPECT_EQ(response.results[6].value().at(0, 0).AsInt64(), 3);
+  EXPECT_EQ(response.results[7].status().error_code(),
+            ErrorCode::kTableNotFound);
+  EXPECT_EQ(response.results[9].value().at(0, 0).AsInt64(), 4);
+}
+
+TEST(WireGoldenTest, OverloadedAnswerIsUnchanged) {
+  ServerOptions options;
+  options.queue_capacity = 0;
+  std::unique_ptr<Server> server = StartServer(options);
+  const std::string payload =
+      RawResponse(*server, 43, {"SELECT 1", "\\now"});
+  const std::string message = "request queue is full; retry later";
+  std::string answer("\x00\xd2\x07\x00\x00", 5);  // failed, E:2002
+  answer += std::string("\x22\0\0\0\0\0\0\0", 8) + message;
+  EXPECT_EQ(payload, std::string("\x2b\0\0\0\0\0\0\0\x02\0\0\0", 12) +
+                         answer + answer);
+  EXPECT_EQ(Fnv1a(payload), 0xd294a554a2ce7912ull);
+}
+
+TEST(WireGoldenTest, TimeoutAnswerIsUnchanged) {
+  std::unique_ptr<Server> server = StartServer();
+  FUNGUSDB_CHECK_OK(
+      server->database().CreateTable("t", SharedSchema()).status());
+  std::vector<std::string> inserts;
+  for (int i = 0; i < 64; ++i) inserts.push_back("\\insert t 1");
+  const std::string payload =
+      RawResponse(*server, 44, inserts, /*deadline_micros=*/1);
+  const std::string message = "deadline exceeded before execution";
+  const std::string answer = std::string("\x00\xd3\x07\x00\x00", 5) +
+                             std::string("\x22\0\0\0\0\0\0\0", 8) + message;
+  ASSERT_GE(payload.size(), 12 + answer.size());
+  EXPECT_EQ(payload.substr(0, 12),
+            std::string("\x2c\0\0\0\0\0\0\0\x40\0\0\0", 12));
+  EXPECT_EQ(payload.substr(payload.size() - answer.size()), answer);
 }
 
 }  // namespace

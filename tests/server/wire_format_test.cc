@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/meta_commands.h"
 #include "query/result_set_serde.h"
 
 namespace fungusdb::server {
@@ -177,6 +178,77 @@ TEST(WireFormatTest, ResultSetSerdeRejectsRowCountLargerThanPayload) {
   BufferReader in(out.buffer());
   EXPECT_EQ(DeserializeResultSet(in).status().error_code(),
             ErrorCode::kWireFormat);
+}
+
+TEST(WireFormatTest, TruncatedFrameNamesTheShortfall) {
+  StatementResponse response;
+  response.request_id = 5;
+  response.results.push_back(SampleResultSet());
+  const std::string payload = EncodeStatementResponse(response);
+  // Cut inside the last stats counter: the read needs 8 bytes and finds 3.
+  const Status status =
+      DecodeStatementResponse(
+          std::string_view(payload).substr(0, payload.size() - 5))
+          .status();
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(status.message(), "truncated: need 8 bytes, have 3");
+  // A frame cut before its request's count.
+  EXPECT_EQ(DecodeStatementRequest(std::string(10, '\0')).status().message(),
+            "truncated: need 8 bytes, have 2");
+}
+
+TEST(WireFormatTest, StatementResponseRejectsEveryTruncation) {
+  StatementResponse response;
+  response.request_id = 3;
+  response.results.push_back(SampleResultSet());
+  response.results.push_back(Status::Timeout("late"));
+  const std::string payload = EncodeStatementResponse(response);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(
+        DecodeStatementResponse(std::string_view(payload).substr(0, len)).ok())
+        << "prefix of " << len << " bytes decoded";
+  }
+}
+
+// The row-id answers fungusd writes for an insert run are the bytes of a
+// RowIdResult ResultSet: pinned by length and FNV-1a hash as encoded
+// before the encoder wrote them directly.
+TEST(WireFormatTest, RowIdAnswersMatchRowIdResultSets) {
+  StatementResponse expected;
+  expected.request_id = 41;
+  ResponseEncoder encoder(41, 500);
+  for (int i = 0; i < 500; ++i) {
+    expected.results.push_back(RowIdResult(static_cast<RowId>(i)));
+    encoder.AddInt64Answer(kRowIdColumn, i);
+  }
+  EXPECT_EQ(encoder.num_added(), 500u);
+  const std::string payload = encoder.Finish();
+  ASSERT_EQ(payload.size(), 30012u);
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : payload) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  EXPECT_EQ(hash, 0xfd4d435d20e4bdcbull);
+  EXPECT_EQ(payload, EncodeStatementResponse(expected));
+  // One answer spelled out: ok, one column "row_id", one row, int64 tag 1,
+  // the id, three zero counters.
+  BufferWriter one;
+  SerializeInt64Answer(kRowIdColumn, 0x0102, one);
+  EXPECT_EQ(one.buffer(),
+            std::string("\x01\0\0\0\x06\0\0\0\0\0\0\0row_id"
+                        "\x01\0\0\0\0\0\0\0\x01\x02\x01\0\0\0\0\0\0",
+                        35) +
+                std::string(24, '\0'));
+}
+
+TEST(WireFormatTest, RequestEncodesFromTheCallersStatements) {
+  const std::vector<std::string> statements = {"\\insert t 1", "SELECT 1"};
+  StatementRequest request;
+  request.request_id = 9;
+  request.deadline_micros = 77;
+  request.statements = statements;
+  EXPECT_EQ(EncodeStatementRequest(9, 77, statements),
+            EncodeStatementRequest(request));
 }
 
 TEST(WireFormatTest, EmptyResultSetRoundTrips) {

@@ -216,6 +216,26 @@ Status MakeCorpus(const std::string& dir) {
                   server::EncodeFrame(
                       server::FrameType::kStatementRequest,
                       server::EncodeStatementRequest(request))));
+
+    // The two large answers the write and read paths send: a write
+    // batch's 500 row ids, and a 2,000-row, two-column projection.
+    server::ResponseEncoder acks(8, 500);
+    for (int r = 0; r < 500; ++r) acks.AddInt64Answer(kRowIdColumn, r);
+    FUNGUSDB_RETURN_IF_ERROR(
+        WriteFile(root / "frame" / "acks.bin", acks.Finish()));
+
+    ResultSet projection;
+    projection.column_names = {"sensor", "value"};
+    for (int r = 0; r < 2000; ++r) {
+      projection.rows.push_back(
+          {Value::Int64(r % 97), Value::Float64(r * 0.25)});
+    }
+    projection.stats.rows_scanned = 200000;
+    projection.stats.rows_matched = 2000;
+    server::ResponseEncoder projected(9, 1);
+    projected.Add(projection);
+    FUNGUSDB_RETURN_IF_ERROR(
+        WriteFile(root / "frame" / "projection.bin", projected.Finish()));
   }
   // Snapshot seeds for fuzz_snapshot: a database whose freeze policy
   // has fired, so the file carries frozen string segments (dictionary +
