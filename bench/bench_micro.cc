@@ -1,12 +1,15 @@
 // Microbenchmarks (google-benchmark) for the hot paths underneath the
-// experiment harnesses: append, scan, decay ticks, query execution,
-// sketch updates, and the write path's parse and wire codec. These
+// experiment harnesses: append, scan, decay ticks, freeze and thaw,
+// query execution, sketch updates, and the write path's parse and wire
+// codec. These
 // calibrate the absolute numbers quoted in EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 
+#include "common/random.h"
 #include "core/database.h"
 #include "core/meta_commands.h"
 #include "fungus/egi_fungus.h"
@@ -74,6 +77,84 @@ void BM_RetentionTick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RetentionTick)->Arg(10000)->Arg(100000);
+
+/// `(sensor int64, value float64, site string)` rows with 64 distinct
+/// sites, as fungusbench's `readings` table receives them.
+std::vector<std::vector<Value>> RandomReadings(Rng& rng, size_t n) {
+  std::vector<std::vector<Value>> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    char site[8];
+    std::snprintf(site, sizeof(site), "s%02d",
+                  static_cast<int>(rng.NextBounded(64)));
+    rows.push_back({Value::Int64(static_cast<int64_t>(rng.NextBounded(1000))),
+                    Value::Float64(static_cast<double>(rng.NextBounded(400)) /
+                                   4.0),
+                    Value::String(site)});
+  }
+  return rows;
+}
+
+Schema ReadingsSchema() {
+  return Schema::Make({{"sensor", DataType::kInt64, false},
+                       {"value", DataType::kFloat64, false},
+                       {"site", DataType::kString, false}})
+      .value();
+}
+
+// The decay tick of fungusbench's ingest_decay cycle: retention 630 s
+// on a 60 s clock, segments frozen after 2 idle ticks, and 4,000 rows
+// inserted per 60 s cycle. Each tick kills one cycle's rows (a whole
+// segment and part of the one the rot front cuts), decrements the
+// straddler row by row, folds the rest, and freezes what went idle.
+// Only the tick is timed, not the inserts before it.
+void BM_IngestDecayTick(benchmark::State& state) {
+  Database db;
+  db.CreateTable("readings", ReadingsSchema()).value();
+  db.AttachFungus("readings", std::make_unique<RetentionFungus>(630 * kSecond),
+                  60 * kSecond)
+      .value();
+  FUNGUSDB_CHECK_OK(db.SetFreezeAfterIdleTicks("readings", 2));
+  Rng rng(22);
+  auto insert_cycle = [&] {
+    const std::vector<std::vector<Value>> rows = RandomReadings(rng, 4000);
+    for (const Result<RowId>& row : db.Insert("readings", rows)) {
+      FUNGUSDB_CHECK_OK(row.status());
+    }
+  };
+  // Warm up into the steady state: a full retention window of cycles,
+  // then enough more for the freeze policy to have caught up.
+  for (int c = 0; c < 40; ++c) {
+    insert_cycle();
+    db.AdvanceTime(60 * kSecond).value();
+  }
+  for (auto _ : state) {
+    insert_cycle();
+    const auto begin = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(db.AdvanceTime(60 * kSecond));
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - begin)
+                               .count());
+  }
+}
+BENCHMARK(BM_IngestDecayTick)->UseManualTime()->Unit(benchmark::kMicrosecond);
+
+// Freeze then thaw one full 4096-row segment of the readings shape:
+// the encode, the block checksum and the decode back to plain vectors.
+void BM_FreezeThaw(benchmark::State& state) {
+  const Schema schema = ReadingsSchema();
+  Segment seg(schema, 0, 4096, /*track_access=*/false);
+  Rng rng(22);
+  for (const std::vector<Value>& row : RandomReadings(rng, 4096)) {
+    seg.Append(row, 0);
+  }
+  for (auto _ : state) {
+    seg.Freeze();
+    seg.Thaw();
+  }
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_FreezeThaw)->Unit(benchmark::kMicrosecond);
 
 void BM_EgiTick(benchmark::State& state) {
   Table t = FilledTable(100000);

@@ -45,15 +45,21 @@ void ShardPlanContext::DecaySegmentUniform(uint64_t seg_no,
          "planned fold targets a foreign shard");
   // Foldability is stable between here and the apply phase: nothing
   // mutates the table until every planner passed the barrier, and the
-  // apply worker handles a shard's folds before its row actions.
-  if (table_->options().lazy_decay && seg.CanFoldUniformDecay(delta)) {
-    plan_.folds.push_back(ShardFold{seg_no, delta});
-    return;
-  }
-  const size_t n = seg.num_rows();
-  for (size_t off = 0; off < n; ++off) {
-    if (seg.IsLive(off)) Decay(seg.first_row() + off, delta);
-  }
+  // apply worker handles a shard's segment actions before its row
+  // actions.
+  const bool fold =
+      table_->options().lazy_decay && seg.CanFoldUniformDecay(delta);
+  plan_.segments.push_back(SegmentAction{
+      seg_no, fold ? SegmentAction::Op::kFold : SegmentAction::Op::kDecay,
+      delta});
+}
+
+void ShardPlanContext::KillSegment(uint64_t seg_no) {
+  assert(table_->ShardIdOf(seg_no * table_->options().rows_per_segment) ==
+             shard_id_ &&
+         "planned kill targets a foreign shard");
+  plan_.segments.push_back(
+      SegmentAction{seg_no, SegmentAction::Op::kKill, 0.0});
 }
 
 DecayContext::DecayContext(Table* table, Timestamp now)
@@ -100,10 +106,14 @@ void DecayContext::DecaySegmentUniform(uint64_t seg_no, const Segment& seg,
     ++stats_.segments_folded;
     return;
   }
-  const size_t n = seg.num_rows();
-  for (size_t off = 0; off < n; ++off) {
-    if (seg.IsLive(off)) Decay(seg.first_row() + off, delta);
-  }
+  const size_t killed_before = killed_.size();
+  const uint64_t touched = table_->DecaySegment(seg_no, delta, &killed_);
+  stats_.NoteSegmentRows(touched, killed_.size() - killed_before);
+}
+
+void DecayContext::KillSegment(uint64_t seg_no) {
+  const uint64_t killed = table_->KillSegment(seg_no, &killed_);
+  stats_.NoteSegmentRows(killed, killed);
 }
 
 }  // namespace fungusdb

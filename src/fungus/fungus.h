@@ -25,6 +25,13 @@ struct DecayStats {
                                   // to rows (the lazy path's true cost;
                                   // filled in by the scheduler)
 
+  /// Accounts one segment-granular call that touched `touched` live
+  /// rows and killed `killed` of them, as that many per-row calls would.
+  void NoteSegmentRows(uint64_t touched, uint64_t killed) {
+    tuples_touched += touched;
+    tuples_killed += killed;
+  }
+
   DecayStats& operator+=(const DecayStats& other) {
     tuples_touched += other.tuples_touched;
     tuples_killed += other.tuples_killed;
@@ -58,14 +65,19 @@ class DecayContext {
   /// Kills the tuple immediately.
   void Kill(RowId row);
 
-  /// Decreases every live row of segment `seg_no` by the same `delta`,
-  /// none of which can die from it. Folds the decrement as segment
-  /// metadata when the table allows it (lazy decay on and the segment
-  /// proves no death possible — DESIGN.md §14), otherwise decays row by
-  /// row; observable state is bit-identical either way. A fungus must
-  /// not mix this with per-row ops against the same segment in one tick.
+  /// Decreases every live row of segment `seg_no` by the same `delta`.
+  /// Folds the decrement as segment metadata when the table allows it
+  /// (lazy decay on and the segment proves no death possible — DESIGN.md
+  /// §14), otherwise decrements every live row in one call
+  /// (Table::DecaySegment); observable state and stats are those of
+  /// Decay() on each live row either way. A fungus must not mix this
+  /// with per-row ops against the same segment in one tick.
   void DecaySegmentUniform(uint64_t seg_no, const Segment& seg,
                            double delta);
+
+  /// Kill() on every live row of segment `seg_no`, in one call. Same
+  /// no-mixing rule as DecaySegmentUniform.
+  void KillSegment(uint64_t seg_no);
 
   /// Records a seed planted (bookkeeping only).
   void NoteSeed() { ++stats_.seeds_planted; }
@@ -97,18 +109,23 @@ struct ShardAction {
   double amount = 0.0;  // delta for kDecay, target freshness for kSet
 };
 
-/// One planned segment-uniform decrement (lazy decay): the whole
-/// segment proved foldable at plan time, so the apply worker records a
-/// pending decrement instead of row writes.
-struct ShardFold {
+/// One planned action against every live row of one segment of a
+/// single shard: a uniform decrement folded as a pending decrement (the
+/// segment proved foldable at plan time, so no row is written), the
+/// same decrement applied to every live row, or a kill of every live
+/// row. The apply worker makes one segment-granular call for each.
+struct SegmentAction {
+  enum class Op : uint8_t { kFold, kDecay, kKill };
+
   uint64_t seg_no = 0;
-  double delta = 0.0;
+  Op op = Op::kFold;
+  double delta = 0.0;  // kFold and kDecay
 };
 
 /// Everything one shard's planner produced for one tick.
 struct ShardPlan {
   std::vector<ShardAction> actions;  // own-shard rows, in plan order
-  std::vector<ShardFold> folds;      // own-shard segments, in plan order
+  std::vector<SegmentAction> segments;  // own-shard segments, plan order
   uint64_t seeds_planted = 0;
   uint64_t segments_skipped = 0;  // segments bypassed via zone maps
 };
@@ -153,13 +170,16 @@ class ShardPlanContext {
   void Kill(RowId row);
 
   /// Plans a uniform decrement over every live row of segment `seg_no`
-  /// (which must belong to this shard). Folds when the table allows it,
-  /// otherwise expands into per-row Decay actions — the apply phase
-  /// then produces bit-identical state either way. Same contract as
+  /// (which must belong to this shard): a fold when the table allows it,
+  /// otherwise a decrement of every live row — the apply phase then
+  /// produces bit-identical state either way. Same contract as
   /// DecayContext::DecaySegmentUniform: no mixing with per-row ops
   /// against the same segment in one tick.
   void DecaySegmentUniform(uint64_t seg_no, const Segment& seg,
                            double delta);
+
+  /// Plans a kill of every live row of segment `seg_no` (same contract).
+  void KillSegment(uint64_t seg_no);
 
   /// Records a seed planted (bookkeeping only).
   void NoteSeed() { ++plan_.seeds_planted; }

@@ -19,7 +19,7 @@ namespace {
 ///    tick would set the value it already has. The EFFECTIVE bounds make
 ///    this decision identical with lazy decay on or off.
 /// When max_ts is at least `retention` old, every row is expired and the
-/// segment bulk-kills without computing per-row ages. Otherwise, a
+/// segment is killed whole in one call. Otherwise, a
 /// segment whose rows all predate `prev_tick` already had its
 /// per-row formula pass, and since then every row aged by exactly
 /// now - prev_tick — one uniform decrement, the foldable shape.
@@ -39,8 +39,11 @@ void TickSegment(uint64_t seg_no, const Segment& seg, Timestamp now,
     ctx.NoteSegmentSkipped();
     return;
   }
-  const bool all_expired = now - zone.max_ts >= retention;
-  if (!all_expired && prev_tick.has_value() && zone.max_ts <= *prev_tick) {
+  if (now - zone.max_ts >= retention) {
+    ctx.KillSegment(seg_no);
+    return;
+  }
+  if (prev_tick.has_value() && zone.max_ts <= *prev_tick) {
     const double delta = static_cast<double>(now - *prev_tick) /
                          static_cast<double>(retention);
     ctx.DecaySegmentUniform(seg_no, seg, delta);
@@ -50,10 +53,6 @@ void TickSegment(uint64_t seg_no, const Segment& seg, Timestamp now,
   for (size_t off = 0; off < n; ++off) {
     if (!seg.IsLive(off)) continue;
     const RowId row = seg.first_row() + off;
-    if (all_expired) {
-      ctx.Kill(row);
-      continue;
-    }
     const Duration age = now - seg.InsertTime(off);
     if (age >= retention) {
       ctx.Kill(row);

@@ -67,32 +67,36 @@ std::vector<RowId> DecayScheduler::RunShardedTick(Attachment& a,
   auto apply_one = [&](size_t s) {
     FUNGUS_TRACE_SPAN("decay.apply.shard", s);
     Shard& shard = table.shard(s);
-    // Folds first: the plan-time foldability proof assumes the segment
-    // is untouched since the barrier, and the planner never mixes a
-    // fold with row actions against the same segment.
-    for (const ShardFold& fold : plans[s].folds) {
-      auto it = shard.segments().find(fold.seg_no);
-      if (it == shard.segments().end()) continue;
-      const uint64_t live = it->second->live_count();
-      if (shard.TryFoldUniformDecay(fold.seg_no, fold.delta)) {
-        stats[s].tuples_touched += live;
-        ++stats[s].segments_folded;
-      } else {
-        // Unreachable while the stability argument holds; decay row by
-        // row so a soft refusal still yields the planned state.
-        const Segment& seg = *it->second;
-        const size_t n = seg.num_rows();
-        for (size_t off = 0; off < n; ++off) {
-          if (!seg.IsLive(off)) continue;
-          const RowId row = seg.first_row() + off;
-          ++stats[s].tuples_touched;
-          FUNGUSDB_CHECK_OK(shard.DecayFreshness(row, fold.delta));
-          if (!shard.IsLive(row)) {
-            killed[s].push_back(row);
-            ++stats[s].tuples_killed;
+    // Segment actions first: the plan-time foldability proof assumes
+    // the segment is untouched since the barrier, and the planner never
+    // mixes a segment action with row actions against the same segment.
+    for (const SegmentAction& action : plans[s].segments) {
+      const size_t killed_before = killed[s].size();
+      uint64_t touched = 0;
+      switch (action.op) {
+        case SegmentAction::Op::kFold: {
+          auto it = shard.segments().find(action.seg_no);
+          if (it == shard.segments().end()) continue;
+          if (shard.TryFoldUniformDecay(action.seg_no, action.delta)) {
+            stats[s].tuples_touched += it->second->live_count();
+            ++stats[s].segments_folded;
+            continue;
           }
+          // Unreachable while the stability argument holds; decrement
+          // the rows so a soft refusal still yields the planned state.
+          touched = shard.DecaySegment(action.seg_no, action.delta,
+                                       &killed[s]);
+          break;
         }
+        case SegmentAction::Op::kDecay:
+          touched = shard.DecaySegment(action.seg_no, action.delta,
+                                       &killed[s]);
+          break;
+        case SegmentAction::Op::kKill:
+          touched = shard.KillSegment(action.seg_no, &killed[s]);
+          break;
       }
+      stats[s].NoteSegmentRows(touched, killed[s].size() - killed_before);
     }
     for (const ShardAction& action : plans[s].actions) {
       if (!shard.IsLive(action.row)) continue;  // killed earlier this plan
@@ -175,6 +179,10 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
     if (due == nullptr) break;
 
     const Timestamp tick_time = due->next_tick;
+    // The tick's span and its children split it into fungus, death
+    // observers, reclamation, freeze and metrics; the remainder is the
+    // post-tick check and the epoch publication.
+    FUNGUS_TRACE_SPAN("decay.tick");
     const int64_t tick_begin_us = SteadyMicros();
     // One tick == one decay epoch on every shard of the table; folds
     // stamp the advanced value into the segments they cover.
@@ -183,7 +191,7 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
     DecayStats tick_stats;
     std::vector<RowId> tick_killed;
     {
-      FUNGUS_TRACE_SPAN("decay.tick");
+      FUNGUS_TRACE_SPAN("decay.fungus");
       if (due->fungus->SupportsShardedTick() &&
           due->table->num_shards() > 1) {
         tick_killed = RunShardedTick(*due, tick_time, &tick_stats);
@@ -204,11 +212,15 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
     ++ticks;
 
     if (!tick_killed.empty()) {
+      FUNGUS_TRACE_SPAN("decay.observers", tick_killed.size());
       for (const DeathObserver& obs : observers_) {
         obs(*due->table, tick_killed, tick_time);
       }
     }
-    due->table->ReclaimDeadSegments();
+    {
+      FUNGUS_TRACE_SPAN("decay.reclaim");
+      due->table->ReclaimDeadSegments();
+    }
     // Freeze pass (DESIGN.md §15): full segments idle for the
     // configured number of ticks move to the encoded cold tier. Still
     // inside the tick's write section, so readers never observe a
@@ -216,13 +228,17 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
     // an armed fsck audits the frozen image every tick.
     const uint64_t freeze_idle =
         due->table->options().freeze_after_idle_ticks;
-    if (freeze_idle > 0) due->table->FreezeColdSegments(freeze_idle);
+    if (freeze_idle > 0) {
+      FUNGUS_TRACE_SPAN("decay.freeze");
+      due->table->FreezeColdSegments(freeze_idle);
+    }
     if (post_tick_check_) post_tick_check_(*due->table, tick_time);
     // Apply phase fully published (kills, cooking, reclamation, check):
     // this tick is now its own epoch on the owner's virtual timeline.
     if (epoch_publisher_) epoch_publisher_();
 
     if (metrics_ != nullptr) {
+      FUNGUS_TRACE_SPAN("decay.metrics");
       const std::string table_label = "table=" + due->table->name();
       metrics_->IncrementCounter("fungusdb.decay.ticks");
       metrics_->IncrementCounter("fungusdb.decay.ticks", table_label);

@@ -5,8 +5,10 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -124,6 +126,34 @@ Status WriteAll(int fd, std::string_view data) {
       return Errno("send");
     }
     written += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+Status WriteAll(int fd, std::string_view head, std::string_view body) {
+  while (!head.empty() || !body.empty()) {
+    iovec parts[2] = {};
+    int count = 0;
+    for (const std::string_view part : {head, body}) {
+      if (part.empty()) continue;
+      parts[count].iov_base = const_cast<char*>(part.data());
+      parts[count].iov_len = part.size();
+      ++count;
+    }
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = static_cast<size_t>(count);
+    // sendmsg is writev with flags: MSG_NOSIGNAL keeps a closed peer an
+    // error, not SIGPIPE, as in WriteAll above.
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("sendmsg");
+    }
+    const size_t sent = static_cast<size_t>(n);
+    const size_t from_head = std::min(sent, head.size());
+    head.remove_prefix(from_head);
+    body.remove_prefix(sent - from_head);
   }
   return Status::OK();
 }

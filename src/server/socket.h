@@ -59,6 +59,13 @@ Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port);
 /// Writes all of `data`, retrying on short writes and EINTR.
 Status WriteAll(int fd, std::string_view data);
 
+/// Writes all of `head` then all of `body` without joining them: each
+/// attempt is one gather send of what is left of both, so a short
+/// header never leaves on its own for Nagle to hold back the body (the
+/// accepted side does not set TCP_NODELAY). Retries on short writes
+/// and EINTR.
+Status WriteAll(int fd, std::string_view head, std::string_view body);
+
 /// Reads exactly `len` bytes into `buffer`. A clean EOF before the
 /// first byte fails with ConnectionClosed (distinguishable by error
 /// code); EOF mid-buffer fails with WireFormat (torn frame).

@@ -143,13 +143,23 @@ Result<StatementResponse> DecodeStatementResponse(
   return response;
 }
 
-std::string EncodeFrame(FrameType type, std::string_view payload) {
+namespace {
+
+/// The 12-byte frame header; short enough for std::string's inline
+/// buffer, so building it allocates nothing.
+std::string EncodeFrameHeader(FrameType type, size_t payload_size) {
   BufferWriter out;
   out.WriteU32(kWireMagic);
   out.WriteU32(static_cast<uint32_t>(kWireVersion) |
                (static_cast<uint32_t>(type) << 16));
-  out.WriteU32(static_cast<uint32_t>(payload.size()));
-  std::string frame = out.Release();
+  out.WriteU32(static_cast<uint32_t>(payload_size));
+  return out.Release();
+}
+
+}  // namespace
+
+std::string EncodeFrame(FrameType type, std::string_view payload) {
+  std::string frame = EncodeFrameHeader(type, payload.size());
   frame.append(payload.data(), payload.size());
   return frame;
 }
@@ -194,7 +204,9 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload) {
   if (payload.size() > kMaxPayloadBytes) {
     return Status::WireFormat("refusing to send oversized frame");
   }
-  return WriteAll(fd, EncodeFrame(type, payload));
+  // Header and payload leave in one gather write: no copy of the
+  // payload behind the header, and no header-only segment.
+  return WriteAll(fd, EncodeFrameHeader(type, payload.size()), payload);
 }
 
 Result<Frame> ReadFrame(int fd) {

@@ -20,6 +20,24 @@ std::unique_ptr<Column> MakeColumn(DataType type) {
   return nullptr;
 }
 
+namespace internal_column {
+
+std::vector<bool> ValidBits(const uint8_t* valid, size_t n,
+                            size_t* null_count) {
+  size_t nulls = 0;
+  for (size_t i = 0; i < n; ++i) nulls += valid[i] == 0 ? 1 : 0;
+  *null_count = nulls;
+  std::vector<bool> bits = CellVector<bool>(n);
+  if (nulls == 0) {
+    bits.flip();
+  } else {
+    for (size_t i = 0; i < n; ++i) bits[i] = valid[i] != 0;
+  }
+  return bits;
+}
+
+}  // namespace internal_column
+
 std::optional<uint32_t> FindDictionaryCode(
     const std::vector<std::string>& dict, std::string_view needle) {
   for (size_t i = 0; i < dict.size(); ++i) {

@@ -1,6 +1,7 @@
 #ifndef FUNGUSDB_STORAGE_COLUMN_H_
 #define FUNGUSDB_STORAGE_COLUMN_H_
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -77,6 +78,23 @@ struct ColumnTraits<bool> {
   static bool Unwrap(const Value& v) { return v.AsBool(); }
 };
 
+/// A vector of `n` value-initialized cells with the capacity `n`
+/// appends grow a column's vector to (the next power of two), so a
+/// column built in bulk — a thaw — has the MemoryUsage of the column it
+/// was frozen from.
+template <typename T>
+std::vector<T> CellVector(size_t n) {
+  std::vector<T> cells;
+  cells.reserve(std::bit_ceil(n));
+  cells.resize(n);
+  return cells;
+}
+
+/// Validity bits for `valid[0, n)` (0 = null), sized as CellVector;
+/// counts the nulls into `*null_count`.
+std::vector<bool> ValidBits(const uint8_t* valid, size_t n,
+                            size_t* null_count);
+
 }  // namespace internal_column
 
 /// Concrete column storing `T` contiguously. `TimestampColumn` is a
@@ -86,6 +104,14 @@ template <typename T>
 class TypedColumn : public Column {
  public:
   TypedColumn() = default;
+
+  /// A column over `data` with `valid[i] == 0` marking null cells, whose
+  /// slots must hold T{} — a thaw's bulk path. Both vectors get the
+  /// capacity `data.size()` appends grow them to.
+  TypedColumn(std::vector<T> data, const uint8_t* valid)
+      : data_(std::move(data)) {
+    valid_ = internal_column::ValidBits(valid, data_.size(), &null_count_);
+  }
 
   DataType type() const override {
     return internal_column::ColumnTraits<T>::kType;
@@ -222,6 +248,12 @@ class StringColumn : public Column {
 class TimestampColumn : public Column {
  public:
   TimestampColumn() = default;
+
+  /// Bulk construction, as TypedColumn's.
+  TimestampColumn(std::vector<Timestamp> data, const uint8_t* valid)
+      : data_(std::move(data)) {
+    valid_ = internal_column::ValidBits(valid, data_.size(), &null_count_);
+  }
 
   DataType type() const override { return DataType::kTimestamp; }
   size_t size() const override { return data_.size(); }

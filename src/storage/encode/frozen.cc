@@ -51,7 +51,8 @@ size_t FrozenColumn::HeapBytes() const {
   return bytes;
 }
 
-void FrozenColumn::Serialize(BufferWriter& out) const {
+template <typename Writer>
+void FrozenColumn::Serialize(Writer& out) const {
   out.WriteU8(static_cast<uint8_t>(type));
   out.WriteU64(null_count);
   out.WriteU64(plain_bytes);
@@ -141,7 +142,8 @@ size_t FrozenSegment::MemoryUsage() const {
   return bytes;
 }
 
-void FrozenSegment::Serialize(BufferWriter& out) const {
+template <typename Writer>
+void FrozenSegment::Serialize(Writer& out) const {
   out.WriteU64(num_rows);
   out.WriteU64(plain_bytes);
   ts.Serialize(out);
@@ -200,9 +202,14 @@ Result<FrozenSegment> FrozenSegment::Deserialize(BufferReader& in) {
 }
 
 uint32_t FrozenSegment::ComputeChecksum() const {
-  BufferWriter payload;
-  Serialize(payload);
-  return Crc32(payload.buffer());
+  Crc32Writer crc;
+  Serialize(crc);
+  return crc.checksum();
 }
+
+template void FrozenColumn::Serialize(BufferWriter&) const;
+template void FrozenColumn::Serialize(Crc32Writer&) const;
+template void FrozenSegment::Serialize(BufferWriter&) const;
+template void FrozenSegment::Serialize(Crc32Writer&) const;
 
 }  // namespace fungusdb::encode

@@ -34,7 +34,8 @@ struct FrozenColumn {
 
   /// Heap bytes; the owner counts sizeof(FrozenColumn).
   size_t HeapBytes() const;
-  void Serialize(BufferWriter& out) const;
+  template <typename Writer>
+  void Serialize(Writer& out) const;
   static Result<FrozenColumn> Deserialize(BufferReader& in,
                                           uint64_t num_rows);
 };
@@ -80,11 +81,14 @@ struct FrozenSegment {
   /// once.
   size_t MemoryUsage() const;
 
-  /// Canonical payload bytes (checksum excluded).
-  void Serialize(BufferWriter& out) const;
+  /// Canonical payload bytes (checksum excluded), to a BufferWriter or
+  /// a Crc32Writer: one definition of the bytes for both.
+  template <typename Writer>
+  void Serialize(Writer& out) const;
   static Result<FrozenSegment> Deserialize(BufferReader& in);
 
-  /// CRC-32 of the current canonical payload.
+  /// CRC-32 of the current canonical payload, streamed over the fields
+  /// (no serialized copy): equal to Crc32 over Serialize()'s bytes.
   uint32_t ComputeChecksum() const;
 };
 

@@ -32,6 +32,16 @@ double NumericCell(const Column& col, size_t pos) {
   }
 }
 
+/// Null cells of a plain column hold T{}: the slot Append(Null) writes.
+template <typename T>
+void ClearNullSlots(const encode::FrozenColumn& fc, const uint8_t* valid,
+                    std::vector<T>& cells) {
+  if (fc.null_count == 0) return;
+  for (size_t off = 0; off < cells.size(); ++off) {
+    if (!valid[off]) cells[off] = T{};
+  }
+}
+
 void WidenColumnZone(ColumnZone& zone, double v) {
   if (std::isnan(v)) {
     zone.has_nan = true;
@@ -138,6 +148,37 @@ bool Segment::Kill(size_t off) {
     zone_map_.max_f = -std::numeric_limits<double>::infinity();
   }
   return true;
+}
+
+size_t Segment::KillAllLive(std::vector<uint64_t>* killed) {
+  assert(!frozen_);
+  const size_t n = num_rows();
+  const size_t dead = live_count_;
+  for (size_t off = 0; off < n; ++off) {
+    if (!alive_[off]) continue;
+    alive_[off] = 0;
+    freshness_[off] = 0.0;
+    killed->push_back(first_row_ + off);
+  }
+  live_count_ = 0;
+  zone_map_.min_f = std::numeric_limits<double>::infinity();
+  zone_map_.max_f = -std::numeric_limits<double>::infinity();
+  return dead;
+}
+
+size_t Segment::DecayAllLive(double delta, std::vector<uint64_t>* killed) {
+  assert(!frozen_);
+  assert(pending_decay_.empty());
+  const size_t n = num_rows();
+  size_t dead = 0;
+  for (size_t off = 0; off < n; ++off) {
+    if (!alive_[off]) continue;
+    if (SetFreshness(off, freshness_[off] - delta)) {
+      killed->push_back(first_row_ + off);
+      ++dead;
+    }
+  }
+  return dead;
 }
 
 Value Segment::GetValue(size_t off, size_t col) const {
@@ -290,10 +331,15 @@ void Segment::Freeze() {
     fc.type = col.type();
     fc.null_count = col.null_count();
     fc.plain_bytes = col.MemoryUsage();
-    for (size_t off = 0; off < n; ++off) {
-      valid[off] = col.IsNull(off) ? 0 : 1;
+    if (fc.null_count == 0) {
+      fc.validity.values = {1};
+      fc.validity.ends = {n};
+    } else {
+      for (size_t off = 0; off < n; ++off) {
+        valid[off] = col.IsNull(off) ? 0 : 1;
+      }
+      fc.validity = encode::RleBytes::Pack(valid.data(), n);
     }
-    fc.validity = encode::RleBytes::Pack(valid.data(), n);
     switch (fc.type) {
       case DataType::kInt64:
         fc.ints = encode::PackedInts::Pack(
@@ -358,66 +404,52 @@ void Segment::Thaw() {
   columns_.reserve(fz->columns.size());
   std::vector<uint8_t> valid(n);
   for (encode::FrozenColumn& fc : fz->columns) {
-    std::unique_ptr<Column> col = MakeColumn(fc.type);
     fc.validity.Decode(0, n, valid.data());
     switch (fc.type) {
       case DataType::kInt64: {
-        auto& typed = static_cast<Int64Column&>(*col);
-        for (size_t off = 0; off < n; ++off) {
-          // Null cells re-enter through Append(Null) so the backing
-          // vector regains the exact T{} slot freeze captured.
-          if (!valid[off]) {
-            col->Append(Value::Null());
-          } else {
-            typed.AppendTyped(fc.ints.Get(off));
-          }
-        }
+        std::vector<int64_t> cells = internal_column::CellVector<int64_t>(n);
+        fc.ints.Decode(0, n, cells.data());
+        ClearNullSlots(fc, valid.data(), cells);
+        columns_.push_back(
+            std::make_unique<Int64Column>(std::move(cells), valid.data()));
         break;
       }
       case DataType::kTimestamp: {
-        auto& typed = static_cast<TimestampColumn&>(*col);
-        for (size_t off = 0; off < n; ++off) {
-          if (!valid[off]) {
-            col->Append(Value::Null());
-          } else {
-            typed.AppendTyped(static_cast<Timestamp>(fc.ints.Get(off)));
-          }
-        }
+        std::vector<Timestamp> cells =
+            internal_column::CellVector<Timestamp>(n);
+        fc.ints.Decode(0, n, cells.data());
+        ClearNullSlots(fc, valid.data(), cells);
+        columns_.push_back(std::make_unique<TimestampColumn>(std::move(cells),
+                                                             valid.data()));
         break;
       }
       case DataType::kFloat64: {
-        auto& typed = static_cast<Float64Column&>(*col);
-        for (size_t off = 0; off < n; ++off) {
-          if (!valid[off]) {
-            col->Append(Value::Null());
-          } else {
-            typed.AppendTyped(fc.doubles[off]);
-          }
-        }
+        std::vector<double> cells = internal_column::CellVector<double>(n);
+        std::copy(fc.doubles.begin(), fc.doubles.end(), cells.begin());
+        ClearNullSlots(fc, valid.data(), cells);
+        columns_.push_back(
+            std::make_unique<Float64Column>(std::move(cells), valid.data()));
         break;
       }
       case DataType::kString: {
         std::vector<uint32_t> codes(n);
         fc.strings.codes.Decode(0, n, codes.data());
-        col = std::make_unique<StringColumn>(std::move(fc.strings.dict),
-                                             std::move(codes), valid.data());
+        columns_.push_back(std::make_unique<StringColumn>(
+            std::move(fc.strings.dict), std::move(codes), valid.data()));
         break;
       }
       case DataType::kBool: {
-        auto& typed = static_cast<BoolColumn&>(*col);
-        std::vector<uint8_t> bits(n);
-        fc.bools.Decode(0, n, bits.data());
+        std::vector<uint8_t> bytes(n);
+        fc.bools.Decode(0, n, bytes.data());
+        std::vector<bool> cells = internal_column::CellVector<bool>(n);
         for (size_t off = 0; off < n; ++off) {
-          if (!valid[off]) {
-            col->Append(Value::Null());
-          } else {
-            typed.AppendTyped(bits[off] != 0);
-          }
+          cells[off] = valid[off] != 0 && bytes[off] != 0;
         }
+        columns_.push_back(
+            std::make_unique<BoolColumn>(std::move(cells), valid.data()));
         break;
       }
     }
-    columns_.push_back(std::move(col));
   }
 }
 

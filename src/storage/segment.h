@@ -159,6 +159,19 @@ class Segment {
   /// Requires a thawed segment.
   bool Kill(size_t off);
 
+  // --- Whole-segment mutators: the per-row mutators above applied to
+  // every live row in offset order, in one pass. Each appends the row
+  // ids of the rows it killed to `killed`, in offset order, and returns
+  // how many. Same requirements as the per-row mutators (thawed, no
+  // pending decay). ---
+
+  /// Kill(off) for every live row.
+  size_t KillAllLive(std::vector<uint64_t>* killed);
+
+  /// SetFreshness(off, Freshness(off) - delta) for every live row, so
+  /// the results are bit-identical to decrementing row by row.
+  size_t DecayAllLive(double delta, std::vector<uint64_t>* killed);
+
   Timestamp InsertTime(size_t off) const {
     return frozen_ ? static_cast<Timestamp>(frozen_->ts.Get(off))
                    : ts_.at(off);

@@ -1,5 +1,7 @@
 #include "storage/shard.h"
 
+#include <cassert>
+
 namespace fungusdb {
 
 Segment* Shard::FindSegment(RowId row, size_t* offset) const {
@@ -67,19 +69,12 @@ Status Shard::SetFreshness(RowId row, double f) {
   if (seg == nullptr) {
     return Status::NotFound("row " + std::to_string(row) + " not present");
   }
-  // First mutating touch: thaw if frozen, then pending decrements must
-  // land before any per-row write (Segment::SetFreshness works in
-  // stored space).
   TouchForWrite(seg);
-  rows_materialized_ += seg->MaterializePendingDecay(decay_epoch_);
   if (!seg->IsLive(off)) {
     return Status::FailedPrecondition("row " + std::to_string(row) +
                                       " is already dead");
   }
-  if (seg->SetFreshness(off, f)) {
-    --live_rows_;
-    ++rows_killed_;
-  }
+  if (seg->SetFreshness(off, f)) NoteKilled(1);
   return Status::OK();
 }
 
@@ -93,15 +88,11 @@ Status Shard::DecayFreshness(RowId row, double delta) {
     return Status::NotFound("row " + std::to_string(row) + " not present");
   }
   TouchForWrite(seg);
-  rows_materialized_ += seg->MaterializePendingDecay(decay_epoch_);
   if (!seg->IsLive(off)) {
     return Status::FailedPrecondition("row " + std::to_string(row) +
                                       " is already dead");
   }
-  if (seg->SetFreshness(off, seg->Freshness(off) - delta)) {
-    --live_rows_;
-    ++rows_killed_;
-  }
+  if (seg->SetFreshness(off, seg->Freshness(off) - delta)) NoteKilled(1);
   return Status::OK();
 }
 
@@ -115,12 +106,33 @@ Status Shard::Kill(RowId row) {
   // zone bounds and live set change — thaw if frozen, and keep the
   // invariant that a mutated segment holds no pending decay.
   TouchForWrite(seg);
-  rows_materialized_ += seg->MaterializePendingDecay(decay_epoch_);
-  if (seg->Kill(off)) {
-    --live_rows_;
-    ++rows_killed_;
-  }
+  if (seg->Kill(off)) NoteKilled(1);
   return Status::OK();
+}
+
+Segment* Shard::TouchLiveSegment(uint64_t seg_no) {
+  auto it = segments_.find(seg_no);
+  if (it == segments_.end() || it->second->live_count() == 0) return nullptr;
+  TouchForWrite(it->second.get());
+  return it->second.get();
+}
+
+uint64_t Shard::KillSegment(uint64_t seg_no, std::vector<RowId>* killed) {
+  Segment* seg = TouchLiveSegment(seg_no);
+  if (seg == nullptr) return 0;
+  const uint64_t dead = seg->KillAllLive(killed);
+  NoteKilled(dead);
+  return dead;
+}
+
+uint64_t Shard::DecaySegment(uint64_t seg_no, double delta,
+                             std::vector<RowId>* killed) {
+  assert(delta >= 0.0);
+  Segment* seg = TouchLiveSegment(seg_no);
+  if (seg == nullptr) return 0;
+  const uint64_t touched = seg->live_count();
+  NoteKilled(seg->DecayAllLive(delta, killed));
+  return touched;
 }
 
 std::optional<RowId> Shard::OldestLive() const {

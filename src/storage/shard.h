@@ -138,6 +138,20 @@ class Shard {
   /// Discards the tuple immediately.
   FUNGUS_REQUIRES_APPLY_PHASE Status Kill(RowId row);
 
+  // --- Segment-granular mutators: Kill / DecayFreshness on every live
+  // row of segment `seg_no`, with exactly their results (freshness,
+  // liveness, counters, thaw and materialization accounting) but one
+  // segment lookup, at most one thaw and one materialization. Rows
+  // killed are appended to `killed` in insertion order. Return the live
+  // rows touched; a segment with none (or absent) is left untouched. ---
+
+  FUNGUS_REQUIRES_APPLY_PHASE uint64_t KillSegment(
+      uint64_t seg_no, std::vector<RowId>* killed);
+
+  /// `delta` >= 0.
+  FUNGUS_REQUIRES_APPLY_PHASE uint64_t DecaySegment(
+      uint64_t seg_no, double delta, std::vector<RowId>* killed);
+
   // --- Shard-local navigation along the time axis. ---
 
   std::optional<RowId> OldestLive() const;
@@ -197,14 +211,26 @@ class Shard {
   uint64_t segments_frozen_ = 0;
   uint64_t thaw_count_ = 0;
 
-  /// Thaws `seg` if frozen — the prologue of every per-row mutator —
-  /// and stamps the touch epoch either way.
+  /// Thaws `seg` if frozen and stamps the touch epoch either way, then
+  /// applies its pending decrements (a per-row write works in stored
+  /// space) — the prologue of every mutator.
   void TouchForWrite(Segment* seg) {
     if (seg->is_frozen()) {
       seg->Thaw();
       ++thaw_count_;
     }
     seg->set_last_touch_epoch(decay_epoch_);
+    rows_materialized_ += seg->MaterializePendingDecay(decay_epoch_);
+  }
+
+  /// Live segment `seg_no` after TouchForWrite, or nullptr when it is
+  /// absent or holds no live row (nothing to touch).
+  Segment* TouchLiveSegment(uint64_t seg_no);
+
+  /// Counts rows a mutator killed.
+  void NoteKilled(uint64_t rows) {
+    live_rows_ -= rows;
+    rows_killed_ += rows;
   }
 };
 

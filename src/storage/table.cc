@@ -111,6 +111,16 @@ Status Table::Kill(RowId row) {
   return ShardFor(row).Kill(row);
 }
 
+uint64_t Table::KillSegment(uint64_t seg_no, std::vector<RowId>* killed) {
+  return shards_[seg_no % shards_.size()].KillSegment(seg_no, killed);
+}
+
+uint64_t Table::DecaySegment(uint64_t seg_no, double delta,
+                             std::vector<RowId>* killed) {
+  return shards_[seg_no % shards_.size()].DecaySegment(seg_no, delta,
+                                                       killed);
+}
+
 Result<Timestamp> Table::InsertTime(RowId row) const {
   size_t off;
   Segment* seg = FindSegment(row, &off);

@@ -146,6 +146,14 @@ class Table {
   /// Discards the tuple immediately (consuming queries, retention).
   Status Kill(RowId row);
 
+  /// Kill / DecayFreshness on every live row of segment `seg_no` in one
+  /// call (Shard::KillSegment / DecaySegment): at most one thaw and one
+  /// materialization, identical results. Rows that died are appended to
+  /// `killed` in insertion order. Return the live rows touched.
+  uint64_t KillSegment(uint64_t seg_no, std::vector<RowId>* killed);
+  uint64_t DecaySegment(uint64_t seg_no, double delta,
+                        std::vector<RowId>* killed);
+
   /// Insertion time `t`. Fails on reclaimed rows.
   Result<Timestamp> InsertTime(RowId row) const;
 

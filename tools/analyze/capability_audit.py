@@ -23,8 +23,8 @@ contracts that are not lock-shaped. This audit carries both halves:
                   and their ACQUIRE attributes, so dropped pins and
                   untracked acquisitions stay compile-visible.
   apply-phase     shard-state mutators (Shard::SetFreshness /
-                  DecayFreshness / Kill / TryFoldUniformDecay /
-                  FreezeColdSegments, marked
+                  DecayFreshness / Kill / KillSegment / DecaySegment /
+                  TryFoldUniformDecay / FreezeColdSegments, marked
                   FUNGUS_REQUIRES_APPLY_PHASE in shard.h) may only be
                   called from the apply phase: storage/table.cc,
                   fungus/scheduler.cc, verify/corruptor.cc. Clang TSA
@@ -90,8 +90,9 @@ APPLY_PHASE_ALLOWLIST = {
     "src/verify/corruptor.cc",   # test-only corruption seeder
 }
 
-SHARD_MUTATORS = ("SetFreshness", "DecayFreshness", "Kill",
-                  "TryFoldUniformDecay", "FreezeColdSegments")
+SHARD_MUTATORS = ("SetFreshness", "DecayFreshness", "Kill", "KillSegment",
+                  "DecaySegment", "TryFoldUniformDecay",
+                  "FreezeColdSegments")
 
 RE_RAW_MUTEX = re.compile(
     r"std\s*::\s*(?:mutex|shared_mutex|recursive_mutex|timed_mutex"
