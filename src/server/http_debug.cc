@@ -188,7 +188,7 @@ void HttpDebugServer::Handle(int fd) {
        << "Content-Length: " << response.body.size() << "\r\n"
        << "Connection: close\r\n\r\n";
   // Best-effort: the client may already be gone, which is fine.
-  const Status written = WriteAll(fd, head.str() + response.body);
+  const Status written = WriteAll(fd, head.str(), response.body);
   (void)written;
 }
 

@@ -117,17 +117,7 @@ Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port) {
 }
 
 Status WriteAll(int fd, std::string_view data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + written,
-                             data.size() - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("send");
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  return WriteAll(fd, data, {});
 }
 
 Status WriteAll(int fd, std::string_view head, std::string_view body) {
@@ -144,7 +134,7 @@ Status WriteAll(int fd, std::string_view head, std::string_view body) {
     message.msg_iov = parts;
     message.msg_iovlen = static_cast<size_t>(count);
     // sendmsg is writev with flags: MSG_NOSIGNAL keeps a closed peer an
-    // error, not SIGPIPE, as in WriteAll above.
+    // error, not SIGPIPE.
     const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -56,7 +56,7 @@ Result<uint16_t> LocalPort(int fd);
 /// request/response, so Nagle only adds latency.
 Result<UniqueFd> ConnectTcp(const std::string& host, uint16_t port);
 
-/// Writes all of `data`, retrying on short writes and EINTR.
+/// Writes all of `data`: the gather form below with an empty body.
 Status WriteAll(int fd, std::string_view data);
 
 /// Writes all of `head` then all of `body` without joining them: each

@@ -49,11 +49,7 @@ std::optional<uint32_t> FindDictionaryCode(
 StringColumn::StringColumn(std::vector<std::string> dict,
                            std::vector<uint32_t> codes, const uint8_t* valid)
     : codes_(std::move(codes)), dict_(std::move(dict)) {
-  valid_.resize(codes_.size());
-  for (size_t i = 0; i < codes_.size(); ++i) {
-    valid_[i] = valid[i] != 0;
-    if (!valid_[i]) ++null_count_;
-  }
+  valid_ = internal_column::ValidBits(valid, codes_.size(), &null_count_);
 }
 
 void StringColumn::Append(const Value& value) {

@@ -127,8 +127,19 @@ struct PackedInts {
 
   int64_t Get(size_t i) const {
     assert(i < count);
+    return Extract(i * bit_width);
+  }
+
+  void Decode(size_t begin, size_t n, int64_t* out) const {
+    assert(begin + n <= count);
+    size_t bit = begin * bit_width;
+    for (size_t i = 0; i < n; ++i, bit += bit_width) out[i] = Extract(bit);
+  }
+
+  /// The value whose delta starts at bit `bit` of `words`: the one
+  /// definition of the packing layout that Get and Decode share.
+  int64_t Extract(size_t bit) const {
     if (bit_width == 0) return base;
-    const size_t bit = i * bit_width;
     const size_t word = bit >> 6;
     const size_t shift = bit & 63;
     uint64_t delta = words[word] >> shift;
@@ -137,25 +148,6 @@ struct PackedInts {
     }
     if (bit_width < 64) delta &= (uint64_t{1} << bit_width) - 1;
     return static_cast<int64_t>(static_cast<uint64_t>(base) + delta);
-  }
-
-  void Decode(size_t begin, size_t n, int64_t* out) const {
-    assert(begin + n <= count);
-    if (bit_width == 0 || bit_width == 64) {
-      for (size_t i = 0; i < n; ++i) out[i] = Get(begin + i);
-      return;
-    }
-    // Get() unrolled into a cursor: same words, shifts and mask.
-    const uint64_t mask = (uint64_t{1} << bit_width) - 1;
-    size_t bit = begin * bit_width;
-    for (size_t i = 0; i < n; ++i, bit += bit_width) {
-      const size_t word = bit >> 6;
-      const size_t shift = bit & 63;
-      uint64_t delta = words[word] >> shift;
-      if (shift + bit_width > 64) delta |= words[word + 1] << (64 - shift);
-      out[i] = static_cast<int64_t>(static_cast<uint64_t>(base) +
-                                    (delta & mask));
-    }
   }
 
   /// Writes the canonical bytes to a BufferWriter or a Crc32Writer.

@@ -112,13 +112,12 @@ Status Table::Kill(RowId row) {
 }
 
 uint64_t Table::KillSegment(uint64_t seg_no, std::vector<RowId>* killed) {
-  return shards_[seg_no % shards_.size()].KillSegment(seg_no, killed);
+  return shards_[ShardIdOfSegment(seg_no)].KillSegment(seg_no, killed);
 }
 
 uint64_t Table::DecaySegment(uint64_t seg_no, double delta,
                              std::vector<RowId>* killed) {
-  return shards_[seg_no % shards_.size()].DecaySegment(seg_no, delta,
-                                                       killed);
+  return shards_[ShardIdOfSegment(seg_no)].DecaySegment(seg_no, delta, killed);
 }
 
 Result<Timestamp> Table::InsertTime(RowId row) const {
@@ -252,7 +251,7 @@ uint32_t Table::AccessCount(RowId row) const {
 
 bool Table::TryFoldUniformDecay(uint64_t seg_no, double delta) {
   if (!options_.lazy_decay) return false;
-  Shard& shard = shards_[seg_no % shards_.size()];
+  Shard& shard = shards_[ShardIdOfSegment(seg_no)];
   return shard.TryFoldUniformDecay(seg_no, delta);
 }
 

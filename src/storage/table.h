@@ -263,10 +263,14 @@ class Table {
 
   size_t num_shards() const { return shards_.size(); }
 
+  /// Shard owning segment `seg_no`: segments are dealt round-robin.
+  uint32_t ShardIdOfSegment(uint64_t seg_no) const {
+    return static_cast<uint32_t>(seg_no % shards_.size());
+  }
+
   /// Shard owning `row` (valid for any RowId, even reclaimed ones).
   uint32_t ShardIdOf(RowId row) const {
-    return static_cast<uint32_t>((row / options_.rows_per_segment) %
-                                 shards_.size());
+    return ShardIdOfSegment(row / options_.rows_per_segment);
   }
 
   Shard& shard(size_t i) { return shards_[i]; }

@@ -57,7 +57,7 @@ Status TestCorruptor::MisassignSegment(Table& table, uint64_t seg_no) {
     return Status::FailedPrecondition(
         "misassignment needs num_shards > 1");
   }
-  Shard& home = table.shards_[seg_no % table.num_shards()];
+  Shard& home = table.shards_[table.ShardIdOfSegment(seg_no)];
   auto it = home.segments_.find(seg_no);
   if (it == home.segments_.end()) return NoSuchSegment(seg_no);
   Shard& wrong = table.shards_[(seg_no + 1) % table.num_shards()];
@@ -249,7 +249,7 @@ Status TestCorruptor::CorruptPendingDecay(Table& table, uint64_t seg_no) {
   // A decrement of 2.0 exceeds any legal freshness, so the effective
   // floor goes negative — the fold predicate would have refused it.
   seg.pending_decay_.push_back(2.0);
-  const Shard& shard = table.shard(seg_no % table.num_shards());
+  const Shard& shard = table.shard(table.ShardIdOfSegment(seg_no));
   seg.decay_epoch_ = shard.decay_epoch() + 1;
   return Status::OK();
 }
