@@ -125,7 +125,7 @@ void Run() {
     const size_t num_fields = t->schema().num_fields();
     std::vector<uint64_t> plain(num_fields, 0);
     std::vector<uint64_t> encoded(num_fields, 0);
-    for (const auto& [seg_no, seg] : t->segment_index()) {
+    for (const auto& [seg_no, seg] : t->segments()) {
       if (!seg->is_frozen()) continue;
       const encode::FrozenSegment& fz = seg->frozen();
       for (size_t c = 0; c < num_fields && c < fz.columns.size(); ++c) {

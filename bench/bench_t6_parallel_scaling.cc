@@ -1,16 +1,16 @@
-// Experiment T6 — shard-per-core scaling: morsel scans and decay ticks.
+// Experiment T6 — pool-width sweep: morsel scans scale, tick outcomes
+// do not depend on the pool.
 //
-// Claim (PR 1, sharded kernel): with a table partitioned into shards,
-// scan throughput and decay-tick cost scale with the thread count while
-// decay outcomes stay byte-identical — the shard count fixes the
-// algorithm, threads only change the execution schedule.
+// Claim: morsel-driven scan throughput scales with the Database pool's
+// width, while decay-tick outcomes stay byte-identical at every width —
+// ticks run serially on the writer, and the pool only fans out scans.
 //
-// Setup: a 1M-row, 8-shard IoT table per thread count (1/2/4/8). Each
-// run measures (a) fast-path scan throughput over repeated range
-// queries, (b) wall-clock cost of 20 EGI decay ticks, and (c) a
-// checksum of the surviving (row, freshness) pairs. The checksum column
-// must be identical down the sweep; speedups depend on the host's
-// actual core count.
+// Setup: a 1M-row IoT table per pool width (1/2/4/8). Each run measures
+// (a) fast-path scan throughput over repeated range queries, (b)
+// wall-clock cost of 20 EGI decay ticks, and (c) a checksum of the
+// surviving (row, freshness) pairs. The checksum column must be
+// identical down the sweep; scan speedups depend on the host's actual
+// core count, and decay_ms should not move with the width.
 //
 // A second sweep (d) pits lazy epoch decay against eager row walks on a
 // table whose segments are all frozen (uniform retention decrement,
@@ -54,7 +54,8 @@ uint64_t LiveChecksum(const Table& t) {
 }
 
 void Run() {
-  bench::Banner("T6", "parallel scaling: morsel scans + sharded decay");
+  bench::Banner("T6",
+                "pool width: morsel scans scale, tick outcomes do not move");
   bench::JsonReport report("T6");
 
   bench::TablePrinter printer({"threads", "scan_rows_per_s", "scan_speedup",
@@ -75,8 +76,7 @@ void Run() {
     Database db(opts);
     IotWorkload workload(IotWorkload::Params{});
     TableOptions topts;
-    topts.rows_per_segment = 4096;  // ~244 morsels over 8 shards
-    topts.num_shards = 8;
+    topts.rows_per_segment = 4096;  // ~244 morsels
     db.CreateTable("readings", workload.schema(), topts).value();
     db.Ingest("readings", workload, kRows).value();
     const TableHandle t = db.GetTable("readings").value();
@@ -92,8 +92,8 @@ void Run() {
     const double scan_rows_per_s =
         static_cast<double>(scanned) / (scan_watch.ElapsedMicros() / 1e6);
 
-    // (b) Parallel decay ticks (EGI: the heaviest fungus — RNG seeding,
-    // cross-shard spread, per-row decay).
+    // (b) Decay ticks (EGI: the heaviest fungus — RNG seeding, spread,
+    // per-row decay).
     EgiFungus::Params p;
     p.seeds_per_tick = 64.0;
     p.decay_step = 0.08;
@@ -152,7 +152,6 @@ void Run() {
     IotWorkload workload(IotWorkload::Params{});
     TableOptions topts;
     topts.rows_per_segment = 4096;
-    topts.num_shards = 8;
     topts.lazy_decay = lazy;
     db.CreateTable("readings", workload.schema(), topts).value();
     db.Ingest("readings", workload, kRows).value();

@@ -97,7 +97,7 @@ void Run(uint64_t rows) {
   const int kFractions[] = {0, 50, 90, 99};
   for (int pct : kFractions) {
     // Freezing is monotone across fractions: top up to the target.
-    // FreezeColdSegments walks segments oldest-first per shard, so the
+    // FreezeColdSegments walks segments oldest-first, so the
     // frozen set is a prefix of the time axis and the hot tail stays
     // plain until the fraction reaches it.
     const size_t target =

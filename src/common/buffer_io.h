@@ -35,6 +35,12 @@ class BufferWriter {
     buffer_.append(s.data(), s.size());
   }
 
+  /// Overwrites the u64 written at byte `pos` — a length prefix written
+  /// as a placeholder before the bytes it counts.
+  void PatchU64(size_t pos, uint64_t v) {
+    std::memcpy(buffer_.data() + pos, &v, sizeof(v));
+  }
+
   /// Capacity for `bytes` more, when the caller knows the size ahead.
   void Reserve(size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
 

@@ -61,8 +61,8 @@ class HistogramMetric {
 /// current update rates (hot loops accumulate locally and flush once).
 ///
 /// Every series carries an optional label — a single "key=value" string
-/// ("table=events", "shard=3", "code=2002") — so one metric name fans
-/// out into per-table / per-shard / per-error-code series. The empty
+/// ("table=events", "worker=writer", "code=2002") — so one metric name
+/// fans out into per-table / per-worker / per-error-code series. The empty
 /// label is the plain, unlabeled series. Names follow the documented
 /// convention `fungusdb.<subsystem>.<name>` (DESIGN.md §12), enforced
 /// by the `metric-naming` lint rule.

@@ -27,11 +27,6 @@ uint64_t SplitMix64::Next() {
   return z ^ (z >> 31);
 }
 
-uint64_t SplitSeed(uint64_t seed, uint64_t stream) {
-  SplitMix64 sm(seed ^ ((stream + 1) * 0x9E3779B97F4A7C15ULL));
-  return sm.Next();
-}
-
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.Next();

@@ -74,12 +74,6 @@ class Rng {
   double cached_gaussian_ = 0.0;
 };
 
-/// Mixes a base seed with a stream index into an independent stream seed
-/// (SplitMix64 over the golden-ratio-spread index). Used to split one
-/// fungus seed into per-(tick, shard) RNG streams that are deterministic
-/// regardless of how many threads execute the shards.
-uint64_t SplitSeed(uint64_t seed, uint64_t stream);
-
 /// Zipfian generator over [0, n) with skew parameter theta in [0, 1).
 /// theta = 0 is uniform; typical "skewed" workloads use 0.8-0.99.
 /// Uses the Gray et al. (SIGMOD 1994) rejection-free formula with

@@ -3,7 +3,6 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 
 namespace fungusdb {
@@ -106,19 +105,10 @@ void ThreadPool::ParallelFor(size_t n,
   // The cursor is used up, so every index is claimed; wait for the ones
   // helpers are still running.
   if (job->done.load(std::memory_order_acquire) == n) return;
-  const auto wait_start = std::chrono::steady_clock::now();
-  {
-    MutexLock lock(job->mu);
-    while (job->done.load(std::memory_order_acquire) != n) {
-      job->done_cv.Wait(job->mu);
-    }
+  MutexLock lock(job->mu);
+  while (job->done.load(std::memory_order_acquire) != n) {
+    job->done_cv.Wait(job->mu);
   }
-  barrier_wait_micros_.fetch_add(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - wait_start)
-              .count()),
-      std::memory_order_relaxed);
 }
 
 }  // namespace fungusdb

@@ -13,9 +13,9 @@
 
 namespace fungusdb {
 
-/// A small fixed-size worker pool for shard-parallel phases (decay ticks)
-/// and morsel-driven scans. One pool serves a whole Database: the writer,
-/// the decay scheduler and every read worker call ParallelFor on it.
+/// A small fixed-size worker pool for morsel-driven scans. One pool serves
+/// a whole Database: the writer's engine and every read worker call
+/// ParallelFor on it.
 /// Concurrent Sessions are coordinators of the same pool at once; the
 /// writer's statements and decay ticks exclude reads under the epoch.
 ///
@@ -29,7 +29,7 @@ namespace fungusdb {
 /// parallel tests compare against.
 ///
 /// Work distribution is morsel-style (a shared atomic cursor), so uneven
-/// shards load-balance automatically, while all outputs are indexed by
+/// morsels load-balance automatically, while all outputs are indexed by
 /// morsel so merge order never depends on which thread ran what.
 class ThreadPool {
  public:
@@ -50,13 +50,7 @@ class ThreadPool {
   /// several threads at once. fn must not throw.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Microseconds coordinators spent blocked on indices a helper had
-  /// claimed but not finished, summed over all ParallelFor calls.
-  uint64_t barrier_wait_micros() const {
-    return barrier_wait_micros_.load(std::memory_order_relaxed);
-  }
-
-  /// Total ParallelFor indices dispatched (morsels + shard tasks).
+  /// Total ParallelFor indices dispatched.
   uint64_t tasks_dispatched() const {
     return tasks_dispatched_.load(std::memory_order_relaxed);
   }
@@ -69,7 +63,6 @@ class ThreadPool {
   CondVar work_cv_;
   std::deque<std::function<void()>> queue_ FUNGUS_GUARDED_BY(mu_);
   bool stopping_ FUNGUS_GUARDED_BY(mu_) = false;
-  std::atomic<uint64_t> barrier_wait_micros_{0};
   std::atomic<uint64_t> tasks_dispatched_{0};
 };
 

@@ -19,7 +19,7 @@ struct TraceEvent {
   const char* name = nullptr;
   uint64_t start_us = 0;  // microseconds since the tracer epoch
   uint64_t dur_us = 0;
-  uint64_t arg = 0;  // site-defined detail (shard no, segment count, ...)
+  uint64_t arg = 0;  // site-defined detail (segment count, ...)
   uint32_t tid = 0;  // tracer-assigned small thread id (1-based)
   bool has_arg = false;
 };

@@ -38,8 +38,7 @@ Database::Database(DatabaseOptions options)
       slow_query_micros_(SlowQueryEnvMicros()) {
   epochs_.set_metrics(&metrics_);
   scheduler_.set_metrics(&metrics_);
-  scheduler_.set_thread_pool(pool_.get());
-  // Every decay tick publishes its own epoch: the apply phase is the
+  // Every decay tick publishes its own epoch: a finished tick is the
   // moment the virtual timeline visibly moves, and readers dispatched
   // after the enclosing write section pin the newest tick's state.
   scheduler_.set_epoch_publisher([this] { epochs_.Publish(); });

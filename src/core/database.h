@@ -47,13 +47,11 @@ struct DatabaseOptions {
   bool record_access = true;
 
   /// Width of the Database's one pool (including the coordinating
-  /// thread), shared by shard-parallel decay ticks and the morsel-driven
-  /// scans of the writer and every Session. 0 picks the CPUs the process
-  /// may run on (its affinity mask). 1 runs everything inline — same
-  /// results, one core: parallel outcomes are deterministic in the
-  /// thread count by construction (they may depend on a table's
-  /// num_shards, which is a storage property, not an execution
-  /// property).
+  /// thread), shared by the morsel-driven scans of the writer and every
+  /// Session. 0 picks the CPUs the process may run on (its affinity
+  /// mask). 1 runs everything inline — same results, one core: scan
+  /// results are deterministic in the thread count by construction, and
+  /// decay ticks run serially on the writer whatever the width.
   size_t num_threads = 0;
 };
 
@@ -291,8 +289,8 @@ class Database {
   MetricsRegistry metrics_;
   // Mutable: const introspection (Health, Fsck, TableNames) still pins.
   mutable EpochManager epochs_;
-  // Declared before engine_/scheduler_ users; destroyed after them, so
-  // no parallel phase can outlive its pool.
+  // Declared before engine_, its user; destroyed after it, so no
+  // parallel scan can outlive its pool.
   std::unique_ptr<ThreadPool> pool_;
   Cellar cellar_;
   Kitchen kitchen_;

@@ -26,7 +26,7 @@ class TableHandle {
   const Schema& schema() const { return table_->schema(); }
   const TableOptions& options() const { return table_->options(); }
 
-  // --- Statistics (computed over the table's shards on demand). ---
+  // --- Statistics (the table's own counters). ---
   uint64_t live_rows() const { return table_->live_rows(); }
   uint64_t total_appended() const { return table_->total_appended(); }
   uint64_t rows_killed() const { return table_->rows_killed(); }

@@ -52,8 +52,10 @@ void EgiFungus::Tick(DecayContext& ctx) {
   }
 
   // Phase 2: spread to direct neighbours along the time axis, then decay
-  // every infected tuple at equal rate. Spreading is computed against a
-  // snapshot so freshly infected neighbours start decaying next tick.
+  // every infected tuple at equal rate. Spreading walks a snapshot of the
+  // infection set, so a neighbour infected this tick does not spread
+  // further until the next tick — but it does decay this tick, with its
+  // infector (the paper's "at equal rate"; DESIGN.md §4).
   std::vector<RowId> frontier(infected_.begin(), infected_.end());
   for (RowId row : frontier) {
     if (params_.spread_probability > 0.0) {
@@ -84,114 +86,6 @@ void EgiFungus::Tick(DecayContext& ctx) {
   }
 }
 
-std::optional<RowId> EgiFungus::SampleSeedInShard(const Shard& shard,
-                                                 Rng& rng) {
-  const std::optional<RowId> lo = shard.OldestLive();
-  const std::optional<RowId> hi = shard.NewestLive();
-  if (!lo.has_value()) return std::nullopt;
-  const RowId span = *hi - *lo + 1;
-  // Same age-biased rejection sampling as the serial path, but over the
-  // shard's own row range; candidates landing in a gap (a row owned by
-  // another shard, or a dead stretch) are rejected or snapped to the
-  // nearest live row of THIS shard.
-  RowId candidate = *lo;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const double u = std::pow(rng.NextDouble(), params_.age_bias);
-    candidate = *lo + static_cast<RowId>(u * static_cast<double>(span));
-    if (candidate > *hi) candidate = *hi;
-    if (shard.IsLive(candidate)) return candidate;
-  }
-  std::optional<RowId> next = shard.NextLiveInShard(candidate);
-  if (next.has_value()) return next;
-  return shard.PrevLiveInShard(candidate);
-}
-
-void EgiFungus::BeginShardedTick(const Table& table, Timestamp now) {
-  (void)now;
-  if (shard_states_.size() != table.num_shards()) {
-    shard_states_.assign(table.num_shards(), ShardState{});
-  }
-}
-
-void EgiFungus::PlanShard(ShardPlanContext& ctx) {
-  ShardState& state = shard_states_[ctx.shard_id()];
-  state.outbox.clear();
-  const Table& table = ctx.table();
-  Rng rng(ctx.StreamSeed(params_.rng_seed));
-
-  // Phase 1: seed new infections, age-biased within the shard. The
-  // table-wide expected seeding rate is preserved by splitting it evenly
-  // across shards (fractional share resolved by Bernoulli draw).
-  const double expected =
-      params_.seeds_per_tick / static_cast<double>(table.num_shards());
-  int seeds = static_cast<int>(expected);
-  const double frac = expected - seeds;
-  if (rng.NextBernoulli(frac)) ++seeds;
-  for (int i = 0; i < seeds; ++i) {
-    std::optional<RowId> seed = SampleSeedInShard(ctx.shard(), rng);
-    if (!seed.has_value()) break;
-    if (state.infected.insert(*seed).second) ctx.NoteSeed();
-  }
-
-  // Phase 2: spread to direct neighbours along the GLOBAL time axis.
-  // Neighbours may belong to another shard, so targets go through the
-  // outbox and join their shard's infection set after the barrier —
-  // they start decaying next tick.
-  if (params_.spread_probability > 0.0) {
-    for (RowId row : state.infected) {
-      if (rng.NextBernoulli(params_.spread_probability)) {
-        const std::optional<RowId> prev = table.PrevLive(row);
-        if (prev.has_value()) state.outbox.push_back(*prev);
-      }
-      if (rng.NextBernoulli(params_.spread_probability)) {
-        const std::optional<RowId> next = table.NextLive(row);
-        if (next.has_value()) state.outbox.push_back(*next);
-      }
-    }
-  }
-
-  // Phase 3: every infected tuple of this shard decays at equal rate.
-  // Rows that died since last tick are skipped here and pruned in
-  // FinishShardedTick (planning must not mutate shared state).
-  for (RowId row : state.infected) {
-    ctx.Decay(row, params_.decay_step);
-  }
-}
-
-void EgiFungus::FinishShardedTick(const Table& table,
-                                  const std::vector<RowId>& killed) {
-  (void)killed;
-  // Prune dead tuples from the infection sets (killed this tick by the
-  // applied plans, or earlier by other fungi / consuming queries); the
-  // rot boundary lives on in the still-live infected neighbours.
-  for (ShardState& state : shard_states_) {
-    for (auto it = state.infected.begin(); it != state.infected.end();) {
-      if (!table.IsLive(*it)) {
-        it = state.infected.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // Merge outboxes in shard order — deterministic, and by now all kills
-  // are applied, so only still-live targets join the infection front.
-  for (ShardState& source : shard_states_) {
-    for (RowId target : source.outbox) {
-      if (!table.IsLive(target)) continue;
-      shard_states_[table.ShardIdOf(target)].infected.insert(target);
-    }
-    source.outbox.clear();
-  }
-}
-
-std::set<RowId> EgiFungus::AllInfected() const {
-  std::set<RowId> all = infected_;
-  for (const ShardState& state : shard_states_) {
-    all.insert(state.infected.begin(), state.infected.end());
-  }
-  return all;
-}
-
 std::string EgiFungus::Describe() const {
   return "egi(seeds=" + FormatDouble(params_.seeds_per_tick, 2) +
          "/tick, step=" + FormatDouble(params_.decay_step, 3) +
@@ -201,7 +95,6 @@ std::string EgiFungus::Describe() const {
 
 void EgiFungus::Reset() {
   infected_.clear();
-  shard_states_.clear();
   rng_ = Rng(params_.rng_seed);
 }
 

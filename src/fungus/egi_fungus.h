@@ -17,10 +17,11 @@ namespace fungusdb {
 ///      (the paper: "inversely randomly correlated with its age" — old
 ///      tuples are more likely to be picked; decay starts where data is
 ///      stale) and infect them.
-///   2. *Spread & decay.* Every infected tuple loses `decay_step`
-///      freshness, and infects its direct live neighbours along the time
-///      axis (previous/next row in insertion order) with probability
-///      `spread_probability`, "at equal rate".
+///   2. *Spread & decay.* Every infected tuple infects its direct live
+///      neighbours along the time axis (previous/next row in insertion
+///      order) with probability `spread_probability`; then every
+///      infected tuple — including a neighbour infected this tick —
+///      loses `decay_step` freshness, "at equal rate".
 ///
 /// An infected region therefore grows bidirectionally while its interior
 /// dies — contiguous "rotting spots", the Blue-Cheese effect. Once a
@@ -55,54 +56,19 @@ class EgiFungus : public Fungus {
   std::string Describe() const override;
   void Reset() override;
 
-  // --- Sharded tick. ---
-  //
-  // Each shard keeps its own infection set and plans with an RNG stream
-  // derived from (rng_seed, tick, shard), so outcomes depend on the
-  // shard count but never on the thread count. Seeding draws an
-  // age-biased position within the shard's own slice of the time axis
-  // (shards interleave segments, so every shard sees the full age
-  // spectrum); expected seeds per shard are seeds_per_tick / num_shards.
-  // Spread looks up direct time-axis neighbours through the *global*
-  // table — safe because planning is read-only — and routes every spread
-  // target (own-shard or foreign) through a per-shard outbox that
-  // FinishShardedTick merges after the barrier, so neighbour infection
-  // crosses shard boundaries and newly spread-to tuples start decaying
-  // on the next tick.
-  bool SupportsShardedTick() const override { return true; }
-  void BeginShardedTick(const Table& table, Timestamp now) override;
-  void PlanShard(ShardPlanContext& ctx) override;
-  void FinishShardedTick(const Table& table,
-                         const std::vector<RowId>& killed) override;
-
   const Params& params() const { return params_; }
 
   /// Currently infected, still-live tuples (exposed for tests and the
-  /// blue-cheese visualizer). Serial-tick state only.
+  /// blue-cheese visualizer).
   const std::set<RowId>& infected() const { return infected_; }
 
-  /// Infected tuples across serial and per-shard state (merged).
-  std::set<RowId> AllInfected() const;
-
  private:
-  /// Per-shard infection bookkeeping for sharded ticks.
-  struct ShardState {
-    std::set<RowId> infected;
-    // Spread targets discovered while planning (any shard's rows);
-    // merged into the owning shards' infection sets after the barrier.
-    std::vector<RowId> outbox;
-  };
-
   /// Draws one live row, age-biased; nullopt when the table is empty.
   std::optional<RowId> SampleSeed(const Table& table);
-
-  /// Shard-local variant: age-biased draw over the shard's own rows.
-  std::optional<RowId> SampleSeedInShard(const Shard& shard, Rng& rng);
 
   Params params_;
   Rng rng_;
   std::set<RowId> infected_;
-  std::vector<ShardState> shard_states_;
 };
 
 }  // namespace fungusdb

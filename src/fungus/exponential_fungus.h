@@ -37,19 +37,11 @@ class ExponentialFungus : public Fungus {
   std::string Describe() const override;
   void Reset() override;
 
-  /// Uniform decay is embarrassingly partitionable: every shard applies
-  /// the same multiplicative factor to its own rows. Outcomes are
-  /// identical to the serial Tick for any shard count.
-  bool SupportsShardedTick() const override { return true; }
-  void BeginShardedTick(const Table& table, Timestamp now) override;
-  void PlanShard(ShardPlanContext& ctx) override;
-
   const Params& params() const { return params_; }
 
  private:
   Params params_;
   Timestamp last_tick_;
-  double tick_factor_ = 1.0;  // exp(-lambda*dt) of the tick being planned
 };
 
 }  // namespace fungusdb

@@ -21,9 +21,9 @@ namespace fungusdb {
 /// DecaySegmentUniform turns into an O(1) segment-metadata write when
 /// the table runs lazy decay. Accumulated decrements track the formula
 /// to within float rounding; a row dies when its freshness reaches 0 or
-/// its segment ages past retention wholesale. Both execution modes and
-/// both tick paths (serial / sharded) take identical branches, so
-/// outcomes stay bit-identical across all four combinations.
+/// its segment ages past retention wholesale. Both execution modes
+/// (lazy / eager) take identical branches, so outcomes stay
+/// bit-identical either way.
 class RetentionFungus : public Fungus {
  public:
   explicit RetentionFungus(Duration retention);
@@ -31,13 +31,6 @@ class RetentionFungus : public Fungus {
   std::string_view name() const override { return "retention"; }
   void Tick(DecayContext& ctx) override;
   std::string Describe() const override;
-
-  /// Age-based decay is a pure per-row function of (now, insert time,
-  /// previous tick time), so shards plan independently with outcomes
-  /// identical to the serial Tick for any shard count.
-  bool SupportsShardedTick() const override { return true; }
-  void BeginShardedTick(const Table& table, Timestamp now) override;
-  void PlanShard(ShardPlanContext& ctx) override;
 
   /// Drops the previous-tick marker; the next tick runs formula passes
   /// everywhere, exactly like a freshly attached fungus.
@@ -51,9 +44,6 @@ class RetentionFungus : public Fungus {
   /// Segments entirely older than this already had their formula pass,
   /// making them candidates for the uniform-decrement branch.
   std::optional<Timestamp> last_tick_;
-  /// last_tick_ as of the start of the in-flight sharded tick — what
-  /// the (possibly concurrent) planners read.
-  std::optional<Timestamp> plan_prev_tick_;
 };
 
 }  // namespace fungusdb

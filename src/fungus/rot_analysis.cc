@@ -125,8 +125,8 @@ std::string RenderTierAxis(const Table& table, size_t width) {
     bool any_plain = false;
     for (uint64_t seg_no = begin / rps; seg_no <= (end - 1) / rps;
          ++seg_no) {
-      auto it = table.segment_index().find(seg_no);
-      if (it == table.segment_index().end()) continue;  // reclaimed
+      auto it = table.segments().find(seg_no);
+      if (it == table.segments().end()) continue;  // reclaimed
       (it->second->is_frozen() ? any_frozen : any_plain) = true;
     }
     strip.push_back(any_frozen ? (any_plain ? '~' : 'F')

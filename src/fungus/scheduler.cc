@@ -38,135 +38,6 @@ void DecayScheduler::AddDeathObserver(DeathObserver observer) {
   observers_.push_back(std::move(observer));
 }
 
-std::vector<RowId> DecayScheduler::RunShardedTick(Attachment& a,
-                                                  Timestamp tick_time,
-                                                  DecayStats* tick_stats) {
-  Table& table = *a.table;
-  const size_t num_shards = table.num_shards();
-  const uint64_t tick_index = a.stats.ticks;
-  const uint64_t barrier_before =
-      pool_ != nullptr ? pool_->barrier_wait_micros() : 0;
-
-  a.fungus->BeginShardedTick(table, tick_time);
-
-  // Phase 1 — plan: read-only over the frozen table, one planner per
-  // shard, mutations recorded instead of applied.
-  std::vector<ShardPlan> plans(num_shards);
-  auto plan_one = [&](size_t s) {
-    FUNGUS_TRACE_SPAN("decay.plan.shard", s);
-    ShardPlanContext ctx(&table, static_cast<uint32_t>(s), tick_time,
-                         tick_index);
-    a.fungus->PlanShard(ctx);
-    plans[s] = ctx.TakePlan();
-  };
-
-  // Phase 2 — apply: each worker owns exactly one shard, so all writes
-  // are disjoint; killed rows and stats accumulate per shard.
-  std::vector<std::vector<RowId>> killed(num_shards);
-  std::vector<DecayStats> stats(num_shards);
-  auto apply_one = [&](size_t s) {
-    FUNGUS_TRACE_SPAN("decay.apply.shard", s);
-    Shard& shard = table.shard(s);
-    // Segment actions first: the plan-time foldability proof assumes
-    // the segment is untouched since the barrier, and the planner never
-    // mixes a segment action with row actions against the same segment.
-    for (const SegmentAction& action : plans[s].segments) {
-      const size_t killed_before = killed[s].size();
-      uint64_t touched = 0;
-      switch (action.op) {
-        case SegmentAction::Op::kFold: {
-          auto it = shard.segments().find(action.seg_no);
-          if (it == shard.segments().end()) continue;
-          if (shard.TryFoldUniformDecay(action.seg_no, action.delta)) {
-            stats[s].tuples_touched += it->second->live_count();
-            ++stats[s].segments_folded;
-            continue;
-          }
-          // Unreachable while the stability argument holds; decrement
-          // the rows so a soft refusal still yields the planned state.
-          touched = shard.DecaySegment(action.seg_no, action.delta,
-                                       &killed[s]);
-          break;
-        }
-        case SegmentAction::Op::kDecay:
-          touched = shard.DecaySegment(action.seg_no, action.delta,
-                                       &killed[s]);
-          break;
-        case SegmentAction::Op::kKill:
-          touched = shard.KillSegment(action.seg_no, &killed[s]);
-          break;
-      }
-      stats[s].NoteSegmentRows(touched, killed[s].size() - killed_before);
-    }
-    for (const ShardAction& action : plans[s].actions) {
-      if (!shard.IsLive(action.row)) continue;  // killed earlier this plan
-      ++stats[s].tuples_touched;
-      // Rows were checked live under this plan, so the shard mutators
-      // cannot fail; a failure means the planner saw a different table.
-      switch (action.op) {
-        case ShardAction::Op::kDecay:
-          FUNGUSDB_CHECK_OK(shard.DecayFreshness(action.row, action.amount));
-          break;
-        case ShardAction::Op::kSet:
-          FUNGUSDB_CHECK_OK(shard.SetFreshness(action.row, action.amount));
-          break;
-        case ShardAction::Op::kKill:
-          FUNGUSDB_CHECK_OK(shard.Kill(action.row));
-          break;
-      }
-      if (!shard.IsLive(action.row)) {
-        killed[s].push_back(action.row);
-        ++stats[s].tuples_killed;
-      }
-    }
-    stats[s].seeds_planted = plans[s].seeds_planted;
-    stats[s].segments_skipped = plans[s].segments_skipped;
-  };
-
-  {
-    FUNGUS_TRACE_SPAN("decay.plan", num_shards);
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_shards, plan_one);
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) plan_one(s);
-    }
-  }
-  {
-    FUNGUS_TRACE_SPAN("decay.apply", num_shards);
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_shards, apply_one);
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) apply_one(s);
-    }
-  }
-
-  // Merge: death observers (and the Kitchen behind them) see one list
-  // per tick in insertion order, independent of shard/thread schedule.
-  std::vector<RowId> all_killed;
-  size_t total_killed = 0;
-  for (const auto& k : killed) total_killed += k.size();
-  all_killed.reserve(total_killed);
-  for (const auto& k : killed) {
-    all_killed.insert(all_killed.end(), k.begin(), k.end());
-  }
-  std::sort(all_killed.begin(), all_killed.end());
-  for (const DecayStats& s : stats) *tick_stats += s;
-
-  a.fungus->FinishShardedTick(table, all_killed);
-
-  if (metrics_ != nullptr) {
-    metrics_->IncrementCounter("fungusdb.parallel.shard_ticks",
-                               static_cast<int64_t>(num_shards));
-    if (pool_ != nullptr) {
-      metrics_->IncrementCounter(
-          "fungusdb.parallel.barrier_wait_us",
-          static_cast<int64_t>(pool_->barrier_wait_micros() -
-                               barrier_before));
-    }
-  }
-  return all_killed;
-}
-
 uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
   uint64_t ticks = 0;
   while (true) {
@@ -184,24 +55,17 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
     // post-tick check and the epoch publication.
     FUNGUS_TRACE_SPAN("decay.tick");
     const int64_t tick_begin_us = SteadyMicros();
-    // One tick == one decay epoch on every shard of the table; folds
-    // stamp the advanced value into the segments they cover.
-    due->table->AdvanceDecayEpochs();
+    // One tick == one decay epoch of the table; folds stamp the
+    // advanced value into the segments they cover.
+    due->table->AdvanceDecayEpoch();
     const uint64_t materialized_before = due->table->rows_materialized();
-    DecayStats tick_stats;
-    std::vector<RowId> tick_killed;
+    DecayContext ctx(due->table, tick_time);
     {
       FUNGUS_TRACE_SPAN("decay.fungus");
-      if (due->fungus->SupportsShardedTick() &&
-          due->table->num_shards() > 1) {
-        tick_killed = RunShardedTick(*due, tick_time, &tick_stats);
-      } else {
-        DecayContext ctx(due->table, tick_time);
-        due->fungus->Tick(ctx);
-        tick_stats = ctx.stats();
-        tick_killed = ctx.killed();
-      }
+      due->fungus->Tick(ctx);
     }
+    DecayStats tick_stats = ctx.stats();
+    const std::vector<RowId>& tick_killed = ctx.killed();
     // Materialization this tick triggered (per-row fallbacks landing on
     // previously folded segments) — the lazy path's deferred cost.
     tick_stats.rows_materialized =
@@ -233,8 +97,8 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
       due->table->FreezeColdSegments(freeze_idle);
     }
     if (post_tick_check_) post_tick_check_(*due->table, tick_time);
-    // Apply phase fully published (kills, cooking, reclamation, check):
-    // this tick is now its own epoch on the owner's virtual timeline.
+    // Tick fully applied (kills, cooking, reclamation, check): it is
+    // now its own epoch on the owner's virtual timeline.
     if (epoch_publisher_) epoch_publisher_();
 
     if (metrics_ != nullptr) {

@@ -10,7 +10,6 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "fungus/fungus.h"
 
 namespace fungusdb {
@@ -36,8 +35,7 @@ class DecayScheduler {
   /// Debug hook run after every tick (post-reclamation) on the table
   /// that ticked — the CHECK AFTER TICK tripwire. The hook decides what
   /// to do about a violation (the one Database installs aborts with the
-  /// fsck report); the scheduler just guarantees the call happens while
-  /// no parallel phase is running.
+  /// fsck report).
   using PostTickCheck = std::function<void(Table&, Timestamp)>;
 
   /// Per-attachment cumulative statistics.
@@ -84,22 +82,16 @@ class DecayScheduler {
   size_t num_attachments() const;
 
   /// Optional sink for scheduler metrics ("fungusdb.decay.*",
-  /// "fungusdb.parallel.*", "fungusdb.rot.oldest_live_ts"). Not owned.
+  /// "fungusdb.storage.*", "fungusdb.rot.oldest_live_ts"). Not owned.
   void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  /// Optional worker pool for shard-parallel ticks. Not owned. Without a
-  /// pool (or with a single-thread pool) sharded ticks still run the
-  /// two-phase plan/apply pipeline, just inline — outcomes are identical
-  /// by construction, which is what the determinism tests assert.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Installs (or clears, with nullptr) the CHECK AFTER TICK hook.
   void set_post_tick_check(PostTickCheck check) {
     post_tick_check_ = std::move(check);
   }
 
-  /// Called after each tick's apply phase is fully published (kills,
-  /// cooking, reclamation, post-tick check) — the Database wires this
+  /// Called after each tick is fully applied (kills, cooking,
+  /// reclamation, post-tick check) — the Database wires this
   /// to EpochManager::Publish so readers dispatched after the enclosing
   /// write section pin a per-tick epoch, never a half-applied one.
   void set_epoch_publisher(std::function<void()> publisher) {
@@ -120,11 +112,6 @@ class DecayScheduler {
     bool active = false;
   };
 
-  /// Runs one tick of `a` through the sharded plan/apply pipeline,
-  /// returning the tick's merged (RowId-sorted) death list.
-  std::vector<RowId> RunShardedTick(Attachment& a, Timestamp tick_time,
-                                    DecayStats* tick_stats);
-
   const Attachment* AttachmentForTable(const Table* table) const;
 
   std::vector<Attachment> attachments_;
@@ -132,7 +119,6 @@ class DecayScheduler {
   PostTickCheck post_tick_check_;
   std::function<void()> epoch_publisher_;
   MetricsRegistry* metrics_ = nullptr;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace fungusdb

@@ -21,7 +21,7 @@ std::string EncodeEntry(const JournalEntry& entry) {
       WriteSchema(out, entry.schema);
       out.WriteU64(entry.table_options.rows_per_segment);
       out.WriteBool(entry.table_options.track_access);
-      out.WriteU64(entry.table_options.num_shards);
+      out.WriteU64(1);  // the retired num_shards slot; readers ignore it
       break;
     case JournalEntry::Kind::kDropTable:
       out.WriteString(entry.table_name);
@@ -60,11 +60,11 @@ Result<JournalEntry> DecodeEntry(std::string_view payload) {
       entry.table_options.rows_per_segment = rows;
       FUNGUSDB_ASSIGN_OR_RETURN(entry.table_options.track_access,
                                 in.ReadBool());
+      // The retired num_shards slot: validated, then ignored.
       FUNGUSDB_ASSIGN_OR_RETURN(uint64_t num_shards, in.ReadU64());
       if (num_shards == 0 || num_shards > (1u << 12)) {
         return Status::ParseError("implausible num_shards");
       }
-      entry.table_options.num_shards = num_shards;
       break;
     }
     case JournalEntry::Kind::kDropTable: {

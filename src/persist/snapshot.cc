@@ -55,9 +55,10 @@ void WriteTableChunks(const Table& table, BufferWriter& out,
   WriteSchema(out, table.schema());
   out.WriteU64(table.options().rows_per_segment);
   out.WriteBool(table.options().track_access);
-  out.WriteU64(table.options().num_shards);
+  // The retired num_shards slot: always 1 (readers ignore it).
+  out.WriteU64(1);
   const size_t num_fields = table.schema().num_fields();
-  for (const auto& [seg_no, seg] : table.segment_index()) {
+  for (const auto& [seg_no, seg] : table.segments()) {
     if (seg->is_frozen()) {
       // The canonical encoded block goes to disk verbatim. With a base
       // index, an unchanged segment (same identity, same checksum)
@@ -79,9 +80,13 @@ void WriteTableChunks(const Table& table, BufferWriter& out,
         out.WriteU32(base->crc);
         if (stats != nullptr) ++stats->frozen_blocks_reused;
       } else {
-        BufferWriter block;
-        fz.Serialize(block);
-        out.WriteString(block.buffer());
+        // The same bytes as WriteString of a serialized copy: a u64
+        // length placeholder, the block serialized in place, then the
+        // length patched in.
+        const size_t length_at = out.size();
+        out.WriteU64(0);
+        fz.Serialize(out);
+        out.PatchU64(length_at, out.size() - length_at - sizeof(uint64_t));
         out.WriteU32(fz.checksum);
         if (stats != nullptr) ++stats->frozen_blocks_rewritten;
       }
@@ -115,11 +120,12 @@ Result<Table> DeserializeTable(BufferReader& in, uint32_t version) {
   }
   options.rows_per_segment = rows_per_segment;
   FUNGUSDB_ASSIGN_OR_RETURN(options.track_access, in.ReadBool());
+  // The retired num_shards slot: validated, then ignored. Shards only
+  // partitioned the segments, so the rows are the same whatever it says.
   FUNGUSDB_ASSIGN_OR_RETURN(uint64_t num_shards, in.ReadU64());
   if (num_shards == 0 || num_shards > (1u << 12)) {
     return Status::ParseError("implausible num_shards");
   }
-  options.num_shards = num_shards;
 
   Table table(std::move(name), std::move(schema), options);
   const size_t num_fields = table.schema().num_fields();
@@ -327,7 +333,7 @@ Result<SnapshotBlockIndex> IndexSnapshotBlocks(const std::string& data) {
     FUNGUSDB_ASSIGN_OR_RETURN(Schema schema, ReadSchema(in));
     FUNGUSDB_RETURN_IF_ERROR(in.ReadU64().status());  // rows_per_segment
     FUNGUSDB_RETURN_IF_ERROR(in.ReadBool().status());  // track_access
-    FUNGUSDB_RETURN_IF_ERROR(in.ReadU64().status());  // num_shards
+    FUNGUSDB_RETURN_IF_ERROR(in.ReadU64().status());  // retired num_shards
     for (;;) {
       FUNGUSDB_ASSIGN_OR_RETURN(uint8_t kind, in.ReadU8());
       if (kind == kChunkEnd) break;

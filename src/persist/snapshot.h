@@ -15,7 +15,8 @@
 namespace fungusdb {
 
 /// Snapshot format version written by SerializeDatabase. Version 2
-/// added TableOptions::num_shards; version 3 replaced the flat
+/// added a per-table num_shards slot (retired: written as 1, read and
+/// ignored); version 3 replaced the flat
 /// live-row list with per-segment chunks so frozen segments persist as
 /// their canonical encoded block (with a per-block CRC-32) and
 /// incremental snapshots can splice unchanged blocks from a base file.

@@ -70,7 +70,7 @@ void Segment::Append(const std::vector<Value>& values, Timestamp now) {
   assert(!frozen_);
   assert(values.size() == columns_.size());
   // A new row must not inherit decrements from ticks that predate it —
-  // the shard materializes before appending (mutating touch).
+  // the table materializes before appending (mutating touch).
   assert(pending_decay_.empty());
   if (ts_.size() == ts_.capacity()) {
     // The per-row vectors grow with the rows, so an open tail costs what

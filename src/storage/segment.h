@@ -152,7 +152,7 @@ class Segment {
   /// this for every infected tuple; most writes repeat the old value
   /// when the clock did not advance). Returns true when this call
   /// killed the tuple. Requires no pending decay and a thawed segment
-  /// (the shard mutators thaw and materialize first).
+  /// (the table mutators thaw and materialize first).
   bool SetFreshness(size_t off, double f);
 
   /// Tombstones the tuple (idempotent). Returns true if it was live.
@@ -243,7 +243,7 @@ class Segment {
   /// and drops it. Requires is_frozen().
   void Thaw();
 
-  /// Shard tick epoch of the last mutating touch (append, per-row
+  /// Table tick epoch of the last mutating touch (append, per-row
   /// freshness write, thaw) — the temperature the freeze policy reads.
   /// Uniform folds deliberately do not count: a segment only touched
   /// by folds is exactly the cold case freezing targets.
@@ -264,7 +264,7 @@ class Segment {
   }
 
   /// Folds a uniform decrement (caller proved CanFoldUniformDecay) and
-  /// stamps the shard tick epoch it belongs to. O(1) on both tiers —
+  /// stamps the table tick epoch it belongs to. O(1) on both tiers —
   /// folding never thaws, which is what keeps ticks over frozen
   /// segments O(segments).
   void FoldUniformDecay(double delta, uint64_t epoch) {
@@ -286,7 +286,7 @@ class Segment {
   /// Uniform decrements folded but not yet applied, in fold order.
   const std::vector<double>& pending_decay() const { return pending_decay_; }
 
-  /// Shard tick epoch this segment is current through (last fold or
+  /// Table tick epoch this segment is current through (last fold or
   /// materialization; 0 if never touched by a fold).
   uint64_t decay_epoch() const { return decay_epoch_; }
 

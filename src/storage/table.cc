@@ -1,20 +1,27 @@
 #include "storage/table.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace fungusdb {
+namespace {
+
+Status NotPresent(RowId row) {
+  return Status::NotFound("row " + std::to_string(row) + " not present");
+}
+
+Status AlreadyDead(RowId row) {
+  return Status::FailedPrecondition("row " + std::to_string(row) +
+                                    " is already dead");
+}
+
+}  // namespace
 
 Table::Table(std::string name, Schema schema, TableOptions options)
     : name_(std::move(name)),
       schema_(std::move(schema)),
       options_(options) {
   assert(options_.rows_per_segment > 0);
-  if (options_.num_shards == 0) options_.num_shards = 1;
-  shards_.reserve(options_.num_shards);
-  for (size_t s = 0; s < options_.num_shards; ++s) {
-    shards_.emplace_back(static_cast<uint32_t>(s),
-                         options_.rows_per_segment);
-  }
 }
 
 Result<RowId> Table::Append(const std::vector<Value>& values, Timestamp now) {
@@ -40,37 +47,55 @@ Result<RowId> Table::Append(const std::vector<Value>& values, Timestamp now) {
 
   const RowId row = next_row_;
   const uint64_t seg_no = row / options_.rows_per_segment;
-  Shard& shard = ShardFor(row);
-  Segment* seg =
-      shard.GetOrCreateSegment(seg_no, schema_, options_.track_access);
-  segment_index_[seg_no] = seg;
-  seg->Append(values, now);
-  shard.NoteAppend();
+  std::unique_ptr<Segment>& slot = segments_[seg_no];
+  if (slot == nullptr) {
+    slot = std::make_unique<Segment>(
+        schema_, seg_no * options_.rows_per_segment,
+        options_.rows_per_segment, options_.track_access);
+  }
+  // Appending is a mutating touch, and a new row must not inherit
+  // decrements from ticks that predate it. Appends only land in
+  // non-full segments, which are never frozen — stamping the touch
+  // epoch is all the freeze policy needs here.
+  slot->set_last_touch_epoch(decay_epoch_);
+  rows_materialized_ += slot->MaterializePendingDecay(decay_epoch_);
+  slot->Append(values, now);
+  ++live_rows_;
   ++next_row_;
   return row;
-}
-
-uint64_t Table::live_rows() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.live_rows();
-  return total;
-}
-
-uint64_t Table::rows_killed() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.rows_killed();
-  return total;
 }
 
 Segment* Table::FindSegment(RowId row, size_t* offset) const {
   if (row >= next_row_) return nullptr;
   const uint64_t seg_no = row / options_.rows_per_segment;
-  auto it = segment_index_.find(seg_no);
-  if (it == segment_index_.end()) return nullptr;
+  auto it = segments_.find(seg_no);
+  if (it == segments_.end()) return nullptr;
   const size_t off = row - it->second->first_row();
   if (off >= it->second->num_rows()) return nullptr;
   *offset = off;
-  return it->second;
+  return it->second.get();
+}
+
+void Table::TouchForWrite(Segment* seg) {
+  if (seg->is_frozen()) {
+    seg->Thaw();
+    ++thaw_count_;
+  }
+  seg->set_last_touch_epoch(decay_epoch_);
+  rows_materialized_ += seg->MaterializePendingDecay(decay_epoch_);
+}
+
+Segment* Table::TouchRow(RowId row, size_t* offset) {
+  Segment* seg = FindSegment(row, offset);
+  if (seg != nullptr) TouchForWrite(seg);
+  return seg;
+}
+
+Segment* Table::TouchLiveSegment(uint64_t seg_no) {
+  auto it = segments_.find(seg_no);
+  if (it == segments_.end() || it->second->live_count() == 0) return nullptr;
+  TouchForWrite(it->second.get());
+  return it->second.get();
 }
 
 bool Table::Contains(RowId row) const {
@@ -91,41 +116,59 @@ double Table::Freshness(RowId row) const {
 }
 
 Status Table::SetFreshness(RowId row, double f) {
-  if (row >= next_row_) {
-    return Status::NotFound("row " + std::to_string(row) + " not present");
-  }
-  return ShardFor(row).SetFreshness(row, f);
+  size_t off;
+  Segment* seg = TouchRow(row, &off);
+  if (seg == nullptr) return NotPresent(row);
+  if (!seg->IsLive(off)) return AlreadyDead(row);
+  if (seg->SetFreshness(off, f)) NoteKilled(1);
+  return Status::OK();
 }
 
 Status Table::DecayFreshness(RowId row, double delta) {
-  if (row >= next_row_) {
-    return Status::NotFound("row " + std::to_string(row) + " not present");
+  if (delta < 0.0) {
+    return Status::InvalidArgument("decay delta must be >= 0");
   }
-  return ShardFor(row).DecayFreshness(row, delta);
+  size_t off;
+  Segment* seg = TouchRow(row, &off);
+  if (seg == nullptr) return NotPresent(row);
+  if (!seg->IsLive(off)) return AlreadyDead(row);
+  if (seg->SetFreshness(off, seg->Freshness(off) - delta)) NoteKilled(1);
+  return Status::OK();
 }
 
 Status Table::Kill(RowId row) {
-  if (row >= next_row_) {
-    return Status::NotFound("row " + std::to_string(row) + " not present");
-  }
-  return ShardFor(row).Kill(row);
+  // Kill() leaves other rows' stored freshness alone, but the segment's
+  // zone bounds and live set change — thaw if frozen, and keep the
+  // invariant that a mutated segment holds no pending decay.
+  size_t off;
+  Segment* seg = TouchRow(row, &off);
+  if (seg == nullptr) return NotPresent(row);
+  if (seg->Kill(off)) NoteKilled(1);
+  return Status::OK();
 }
 
 uint64_t Table::KillSegment(uint64_t seg_no, std::vector<RowId>* killed) {
-  return shards_[ShardIdOfSegment(seg_no)].KillSegment(seg_no, killed);
+  Segment* seg = TouchLiveSegment(seg_no);
+  if (seg == nullptr) return 0;
+  const uint64_t dead = seg->KillAllLive(killed);
+  NoteKilled(dead);
+  return dead;
 }
 
 uint64_t Table::DecaySegment(uint64_t seg_no, double delta,
                              std::vector<RowId>* killed) {
-  return shards_[ShardIdOfSegment(seg_no)].DecaySegment(seg_no, delta, killed);
+  assert(delta >= 0.0);
+  Segment* seg = TouchLiveSegment(seg_no);
+  if (seg == nullptr) return 0;
+  const uint64_t touched = seg->live_count();
+  NoteKilled(seg->DecayAllLive(delta, killed));
+  return touched;
 }
 
 Result<Timestamp> Table::InsertTime(RowId row) const {
   size_t off;
   Segment* seg = FindSegment(row, &off);
-  if (seg == nullptr) {
-    return Status::NotFound("row " + std::to_string(row) + " not present");
-  }
+  if (seg == nullptr) return NotPresent(row);
   return seg->InsertTime(off);
 }
 
@@ -136,9 +179,7 @@ Result<Value> Table::GetValue(RowId row, size_t col) const {
   }
   size_t off;
   Segment* seg = FindSegment(row, &off);
-  if (seg == nullptr) {
-    return Status::NotFound("row " + std::to_string(row) + " not present");
-  }
+  if (seg == nullptr) return NotPresent(row);
   return seg->GetValue(off, col);
 }
 
@@ -149,9 +190,7 @@ Result<Value> Table::GetValueByName(RowId row,
     return Value::TimestampVal(t);
   }
   if (name == kFreshnessColumnName) {
-    if (!Contains(row)) {
-      return Status::NotFound("row " + std::to_string(row) + " not present");
-    }
+    if (!Contains(row)) return NotPresent(row);
     return Value::Float64(Freshness(row));
   }
   auto idx = schema_.FindField(name);
@@ -162,7 +201,7 @@ Result<Value> Table::GetValueByName(RowId row,
 }
 
 std::optional<RowId> Table::OldestLive() const {
-  for (const auto& [seg_no, seg] : segment_index_) {
+  for (const auto& [seg_no, seg] : segments_) {
     if (seg->live_count() == 0) continue;
     const size_t n = seg->num_rows();
     for (size_t off = 0; off < n; ++off) {
@@ -173,7 +212,7 @@ std::optional<RowId> Table::OldestLive() const {
 }
 
 std::optional<RowId> Table::NewestLive() const {
-  for (auto it = segment_index_.rbegin(); it != segment_index_.rend();
+  for (auto it = segments_.rbegin(); it != segments_.rend();
        ++it) {
     const Segment& seg = *it->second;
     if (seg.live_count() == 0) continue;
@@ -189,8 +228,8 @@ std::optional<RowId> Table::PrevLive(RowId row) const {
   RowId cursor = std::min<RowId>(row, next_row_) - 1;
   // Walk segments in descending order starting at cursor's segment.
   uint64_t seg_no = cursor / options_.rows_per_segment;
-  auto it = segment_index_.upper_bound(seg_no);
-  while (it != segment_index_.begin()) {
+  auto it = segments_.upper_bound(seg_no);
+  while (it != segments_.begin()) {
     --it;
     const Segment& seg = *it->second;
     if (seg.live_count() > 0 && seg.first_row() <= cursor) {
@@ -208,8 +247,8 @@ std::optional<RowId> Table::NextLive(RowId row) const {
   const RowId cursor = row + 1;
   if (cursor >= next_row_) return std::nullopt;
   const uint64_t seg_no = cursor / options_.rows_per_segment;
-  for (auto it = segment_index_.lower_bound(seg_no);
-       it != segment_index_.end(); ++it) {
+  for (auto it = segments_.lower_bound(seg_no);
+       it != segments_.end(); ++it) {
     const Segment& seg = *it->second;
     if (seg.live_count() == 0) continue;
     const size_t n = seg.num_rows();
@@ -223,9 +262,9 @@ std::optional<RowId> Table::NextLive(RowId row) const {
 
 std::vector<const Segment*> Table::LiveSegments() const {
   std::vector<const Segment*> out;
-  out.reserve(segment_index_.size());
-  for (const auto& [seg_no, seg] : segment_index_) {
-    if (seg->live_count() > 0) out.push_back(seg);
+  out.reserve(segments_.size());
+  for (const auto& [seg_no, seg] : segments_) {
+    if (seg->live_count() > 0) out.push_back(seg.get());
   }
   return out;
 }
@@ -251,64 +290,74 @@ uint32_t Table::AccessCount(RowId row) const {
 
 bool Table::TryFoldUniformDecay(uint64_t seg_no, double delta) {
   if (!options_.lazy_decay) return false;
-  Shard& shard = shards_[ShardIdOfSegment(seg_no)];
-  return shard.TryFoldUniformDecay(seg_no, delta);
+  auto it = segments_.find(seg_no);
+  if (it == segments_.end()) return false;
+  Segment& seg = *it->second;
+  if (!seg.CanFoldUniformDecay(delta)) return false;
+  seg.FoldUniformDecay(delta, decay_epoch_);
+  return true;
 }
 
 size_t Table::MaterializePendingDecay() {
   size_t rows = 0;
-  for (Shard& shard : shards_) rows += shard.MaterializeAllPending();
+  for (auto& [seg_no, seg] : segments_) {
+    rows += seg->MaterializePendingDecay(decay_epoch_);
+  }
+  rows_materialized_ += rows;
   return rows;
 }
 
-uint64_t Table::rows_materialized() const {
-  uint64_t total = 0;
-  for (const Shard& s : shards_) total += s.rows_materialized();
-  return total;
+void Table::RecomputeZoneMaps() {
+  for (auto& [seg_no, seg] : segments_) {
+    // A recount is a mutating touch: RecomputeZoneMap thaws a frozen
+    // segment internally; account for it here.
+    if (seg->is_frozen()) {
+      ++thaw_count_;
+      seg->set_last_touch_epoch(decay_epoch_);
+    }
+    rows_materialized_ += seg->MaterializePendingDecay(decay_epoch_);
+    seg->RecomputeZoneMap();
+  }
 }
 
 size_t Table::FreezeColdSegments(uint64_t min_idle_epochs,
                                  size_t max_segments) {
   if (options_.track_access) return 0;
   size_t frozen = 0;
-  for (Shard& shard : shards_) {
+  for (auto& [seg_no, seg] : segments_) {
     if (frozen >= max_segments) break;
-    frozen += shard.FreezeColdSegments(min_idle_epochs,
-                                       max_segments - frozen);
+    if (!seg->can_freeze()) continue;
+    if (decay_epoch_ - seg->last_touch_epoch() < min_idle_epochs) continue;
+    seg->Freeze();
+    ++frozen;
   }
+  segments_frozen_ += frozen;
   return frozen;
 }
 
 StorageStats Table::GetStorageStats() const {
   StorageStats stats;
-  stats.total_segments = segment_index_.size();
-  for (const Shard& shard : shards_) {
-    stats.segments_frozen_total += shard.segments_frozen();
-    stats.thaw_count += shard.thaw_count();
-    for (const auto& [seg_no, seg] : shard.segments()) {
-      if (!seg->is_frozen()) continue;
-      ++stats.frozen_segments;
-      stats.encoded_bytes += seg->MemoryUsage();
-      stats.plain_bytes_before += seg->frozen().plain_bytes;
-    }
+  stats.total_segments = segments_.size();
+  stats.segments_frozen_total = segments_frozen_;
+  stats.thaw_count = thaw_count_;
+  for (const auto& [seg_no, seg] : segments_) {
+    if (!seg->is_frozen()) continue;
+    ++stats.frozen_segments;
+    stats.encoded_bytes += seg->MemoryUsage();
+    stats.plain_bytes_before += seg->frozen().plain_bytes;
   }
   return stats;
 }
 
 uint64_t Table::ReclaimDeadSegments() {
-  uint64_t freed = 0;
-  std::vector<uint64_t> removed;
-  for (Shard& shard : shards_) {
-    removed.clear();
-    freed += shard.ReclaimDeadSegments(&removed);
-    for (uint64_t seg_no : removed) segment_index_.erase(seg_no);
-  }
-  return freed;
+  return std::erase_if(segments_, [](const auto& entry) {
+    return entry.second->full() && entry.second->live_count() == 0;
+  });
 }
 
 size_t Table::MemoryUsage() const {
   size_t bytes = sizeof(Table);
-  for (const Shard& shard : shards_) bytes += shard.MemoryUsage();
+  for (const auto& [seg_no, seg] : segments_) bytes += seg->MemoryUsage();
   return bytes;
 }
 

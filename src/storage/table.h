@@ -12,7 +12,6 @@
 #include "common/result.h"
 #include "storage/schema.h"
 #include "storage/segment.h"
-#include "storage/shard.h"
 #include "storage/value.h"
 
 namespace fungusdb {
@@ -29,13 +28,6 @@ struct TableOptions {
 
   /// Maintain a per-tuple access counter (needed by ImportanceFungus).
   bool track_access = false;
-
-  /// Partitions of the table along the time axis (segments are dealt to
-  /// shards round-robin by segment number). 1 keeps the classic
-  /// single-partition layout; > 1 enables shard-parallel decay ticks.
-  /// The shard count is a property of the table, NOT of the thread pool,
-  /// so decay outcomes never depend on how many threads execute them.
-  size_t num_shards = 1;
 
   /// Fold provably-uniform decay ticks into per-segment pending
   /// decrements instead of rewriting rows (DESIGN.md §14). Observable
@@ -54,9 +46,8 @@ struct TableOptions {
   uint64_t freeze_after_idle_ticks = 0;
 };
 
-/// Point-in-time storage-tier accounting for one table, summed over
-/// shards. Reported by `\storage`, the rot report and the
-/// fungusdb.storage.* metrics.
+/// Point-in-time storage-tier accounting for one table. Reported by
+/// `\storage`, the rot report and the fungusdb.storage.* metrics.
 struct StorageStats {
   uint64_t total_segments = 0;
   uint64_t frozen_segments = 0;
@@ -75,16 +66,14 @@ struct StorageStats {
 /// freshness reaches 0 is discarded (tombstoned, and its segment freed
 /// once fully dead).
 ///
-/// Storage is partitioned into `num_shards` Shards, each owning its
-/// segments and live/killed counts; the table keeps an ordered, non-owning
-/// segment map for RowId routing and global time-axis iteration.
+/// The table owns its segments in one map ordered by segment number
+/// (== time order), which serves RowId routing, time-axis iteration and
+/// persistence alike, and keeps the live / killed / lazy-decay / tier
+/// counters beside it.
 ///
-/// Threading contract: structural mutations (Append, reclamation) and
-/// cross-shard reads are coordinator-thread-only. During a parallel decay
-/// phase, workers mutate disjoint shards through shard-scoped mutators
-/// and the coordinator stays out until the barrier. Aggregate counters
-/// (live_rows, rows_killed) are therefore summed over shards on demand
-/// instead of being maintained centrally.
+/// Threading contract: every mutator runs on the writer thread inside
+/// its exclusive epoch section (core/epoch.h); nothing mutates a table
+/// concurrently.
 ///
 /// Snapshot-read visibility: the table itself carries no versioning —
 /// concurrent readers (core/session.h) are made safe purely by the
@@ -122,11 +111,11 @@ class Table {
   /// Total tuples ever appended (== next RowId).
   uint64_t total_appended() const { return next_row_; }
 
-  /// Currently live tuples — the extent of R (summed over shards).
-  uint64_t live_rows() const;
+  /// Currently live tuples — the extent of R.
+  uint64_t live_rows() const { return live_rows_; }
 
   /// Tuples discarded so far (by fungi or consuming queries).
-  uint64_t rows_killed() const;
+  uint64_t rows_killed() const { return rows_killed_; }
 
   /// True if the row id was appended and its segment still exists.
   bool Contains(RowId row) const;
@@ -147,9 +136,12 @@ class Table {
   Status Kill(RowId row);
 
   /// Kill / DecayFreshness on every live row of segment `seg_no` in one
-  /// call (Shard::KillSegment / DecaySegment): at most one thaw and one
-  /// materialization, identical results. Rows that died are appended to
-  /// `killed` in insertion order. Return the live rows touched.
+  /// call, with exactly their results (freshness, liveness, counters,
+  /// thaw and materialization accounting) but one segment lookup, at
+  /// most one thaw and one materialization. Rows that died are appended
+  /// to `killed` in insertion order. Return the live rows touched; a
+  /// segment with none (or absent) is left untouched. DecaySegment's
+  /// `delta` is >= 0.
   uint64_t KillSegment(uint64_t seg_no, std::vector<RowId>* killed);
   uint64_t DecaySegment(uint64_t seg_no, double delta,
                         std::vector<RowId>* killed);
@@ -175,7 +167,7 @@ class Table {
   /// Calls fn(RowId) for every live tuple in insertion order.
   template <typename Fn>
   void ForEachLive(Fn&& fn) const {
-    for (const auto& [seg_no, seg] : segment_index_) {
+    for (const auto& [seg_no, seg] : segments_) {
       if (seg->live_count() == 0) continue;
       const size_t n = seg->num_rows();
       for (size_t off = 0; off < n; ++off) {
@@ -190,7 +182,7 @@ class Table {
   /// through per-row id resolution.
   template <typename Fn>
   void ForEachLiveSegment(Fn&& fn) const {
-    for (const auto& [seg_no, seg] : segment_index_) {
+    for (const auto& [seg_no, seg] : segments_) {
       if (seg->live_count() == 0) continue;
       fn(static_cast<const Segment&>(*seg));
     }
@@ -214,77 +206,62 @@ class Table {
   uint64_t ReclaimDeadSegments();
 
   /// Recomputes every segment's zone map exactly (O(rows)); tightens
-  /// bounds that incremental widening left loose. Coordinator-only.
-  void RecomputeZoneMaps() {
-    for (Shard& shard : shards_) shard.RecomputeZoneMaps();
-  }
+  /// bounds that incremental widening left loose (snapshot/journal
+  /// load). Materializes pending decay first — a recount must describe
+  /// what rows actually hold — and counts as a mutating touch.
+  void RecomputeZoneMaps();
 
   /// Number of segments currently held (live or partially dead).
-  size_t num_segments() const { return segment_index_.size(); }
+  size_t num_segments() const { return segments_.size(); }
 
   // --- Lazy decay (DESIGN.md §14). ---
 
-  /// Advances every shard's tick epoch. Called by the scheduler once
-  /// per decay tick over this table, before plan/apply work starts.
-  /// Coordinator-only.
-  void AdvanceDecayEpochs() {
-    for (Shard& shard : shards_) shard.AdvanceDecayEpoch();
-  }
+  /// Advances the table's tick epoch. Called by the scheduler once per
+  /// decay tick over this table, before the fungus runs; folds stamp
+  /// the advanced value into the segments they cover.
+  void AdvanceDecayEpoch() { ++decay_epoch_; }
+
+  /// Ticks folded or accounted so far (every segment's decay_epoch is
+  /// <= this — the `decay-epoch` fsck rule).
+  uint64_t decay_epoch() const { return decay_epoch_; }
 
   /// Folds `delta` as a uniform decrement over segment `seg_no` when
-  /// lazy decay is enabled and the segment proves it safe. Returns
-  /// whether it folded; on false the caller decays row by row. Same
-  /// threading contract as the per-row mutators: coordinator thread or
-  /// the owning shard's apply-phase worker.
+  /// lazy decay is enabled and the segment proves it safe (see
+  /// Segment::CanFoldUniformDecay). Returns whether it folded; on false
+  /// the caller decays row by row.
   bool TryFoldUniformDecay(uint64_t seg_no, double delta);
 
   /// Applies all pending decrements everywhere (snapshot write, tests).
-  /// Returns live rows rewritten. Coordinator-only.
+  /// Returns live rows rewritten.
   size_t MaterializePendingDecay();
 
-  /// Cumulative live-row rewrites performed by lazy materialization,
-  /// summed over shards.
-  uint64_t rows_materialized() const;
+  /// Cumulative live-row rewrites performed by lazy materialization
+  /// (the price actually paid for deferred ticks).
+  uint64_t rows_materialized() const { return rows_materialized_; }
 
   // --- Tiered storage (DESIGN.md §15). ---
 
-  /// Freezes cold full segments (idle for >= `min_idle_epochs` ticks)
-  /// into the encoded tier, at most `max_segments` across the table
-  /// (oldest first per shard; the bench uses the cap to build exact
-  /// frozen fractions). Returns segments frozen. Same threading
-  /// contract as the per-row mutators.
+  /// Freezes cold full segments into the encoded tier, oldest first. A
+  /// segment is cold when at least `min_idle_epochs` ticks passed since
+  /// its last mutating touch (append, per-row write, thaw — uniform
+  /// folds do not reset the clock). At most `max_segments` freeze per
+  /// call (the bench uses the cap to build exact frozen fractions).
+  /// Returns segments frozen.
   size_t FreezeColdSegments(uint64_t min_idle_epochs,
                             size_t max_segments = SIZE_MAX);
 
-  /// Current + cumulative tier accounting, summed over shards.
+  /// Current + cumulative tier accounting.
   StorageStats GetStorageStats() const;
-
-  // --- Sharding. ---
-
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Shard owning segment `seg_no`: segments are dealt round-robin.
-  uint32_t ShardIdOfSegment(uint64_t seg_no) const {
-    return static_cast<uint32_t>(seg_no % shards_.size());
-  }
-
-  /// Shard owning `row` (valid for any RowId, even reclaimed ones).
-  uint32_t ShardIdOf(RowId row) const {
-    return ShardIdOfSegment(row / options_.rows_per_segment);
-  }
-
-  Shard& shard(size_t i) { return shards_[i]; }
-  const Shard& shard(size_t i) const { return shards_[i]; }
 
   /// Heap bytes held by all current segments.
   size_t MemoryUsage() const;
 
-  /// Read-only view of the routing index, keyed by segment number. For
-  /// the invariant checker (cross-checked against shard ownership) and
-  /// other verification walkers; regular callers use the iteration
-  /// helpers above.
-  const std::map<uint64_t, Segment*>& segment_index() const {
-    return segment_index_;
+  /// The segments, keyed and ordered by segment number (first_row /
+  /// rows_per_segment, so iteration is insertion order and reclaimed
+  /// ranges are simply absent). For persistence and verification
+  /// walkers; regular callers use the iteration helpers above.
+  const std::map<uint64_t, std::unique_ptr<Segment>>& segments() const {
+    return segments_;
   }
 
  private:
@@ -295,19 +272,37 @@ class Table {
   /// or out of range.
   Segment* FindSegment(RowId row, size_t* offset) const;
 
-  /// Shard owning `row`'s segment.
-  Shard& ShardFor(RowId row) { return shards_[ShardIdOf(row)]; }
+  /// Thaws `seg` if frozen and stamps the touch epoch either way, then
+  /// applies its pending decrements (a per-row write works in stored
+  /// space) — the prologue of every mutator.
+  void TouchForWrite(Segment* seg);
+
+  /// Live segment `seg_no` after TouchForWrite, or nullptr when it is
+  /// absent or holds no live row (nothing to touch).
+  Segment* TouchLiveSegment(uint64_t seg_no);
+
+  /// FindSegment, then TouchForWrite on the segment found.
+  Segment* TouchRow(RowId row, size_t* offset);
+
+  /// Counts rows a mutator killed.
+  void NoteKilled(uint64_t rows) {
+    live_rows_ -= rows;
+    rows_killed_ += rows;
+  }
 
   std::string name_;
   Schema schema_;
   TableOptions options_;
-  std::vector<Shard> shards_;
-  // Non-owning routing index keyed by segment number (first_row /
-  // rows_per_segment); ordered, so iteration is insertion order and
-  // reclaimed ranges are simply absent. Mutated only on the coordinator
-  // thread (Append / reclamation); parallel phases read it freely.
-  std::map<uint64_t, Segment*> segment_index_;
+  std::map<uint64_t, std::unique_ptr<Segment>> segments_;
   RowId next_row_ = 0;
+  uint64_t live_rows_ = 0;
+  uint64_t rows_killed_ = 0;
+  // Tick counter for lazy decay: advanced once per decay tick; folds
+  // stamp it into segments.
+  uint64_t decay_epoch_ = 0;
+  uint64_t rows_materialized_ = 0;
+  uint64_t segments_frozen_ = 0;
+  uint64_t thaw_count_ = 0;
 };
 
 }  // namespace fungusdb

@@ -1,7 +1,6 @@
 #include "verify/corruptor.h"
 
 #include <optional>
-#include <utility>
 
 namespace fungusdb {
 namespace {
@@ -52,27 +51,12 @@ Status TestCorruptor::ResurrectRow(Table& table, RowId row) {
   return Status::OK();
 }
 
-Status TestCorruptor::MisassignSegment(Table& table, uint64_t seg_no) {
-  if (table.num_shards() < 2) {
-    return Status::FailedPrecondition(
-        "misassignment needs num_shards > 1");
-  }
-  Shard& home = table.shards_[table.ShardIdOfSegment(seg_no)];
-  auto it = home.segments_.find(seg_no);
-  if (it == home.segments_.end()) return NoSuchSegment(seg_no);
-  Shard& wrong = table.shards_[(seg_no + 1) % table.num_shards()];
-  wrong.segments_.emplace(seg_no, std::move(it->second));
-  home.segments_.erase(it);
-  // The routing index still points at the same Segment object (its
-  // address did not change), exactly like a bookkeeping bug would
-  // leave it.
-  return Status::OK();
-}
+void TestCorruptor::MiscountLiveRows(Table& table) { ++table.live_rows_; }
 
 Status TestCorruptor::OverfillColumn(Table& table, uint64_t seg_no,
                                      size_t col) {
-  auto it = table.segment_index_.find(seg_no);
-  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  auto it = table.segments_.find(seg_no);
+  if (it == table.segments_.end()) return NoSuchSegment(seg_no);
   Segment& seg = *it->second;
   if (col >= seg.columns_.size()) {
     return Status::OutOfRange("column " + std::to_string(col) +
@@ -83,8 +67,8 @@ Status TestCorruptor::OverfillColumn(Table& table, uint64_t seg_no,
 }
 
 Status TestCorruptor::StaleZoneMap(Table& table, uint64_t seg_no) {
-  auto it = table.segment_index_.find(seg_no);
-  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  auto it = table.segments_.find(seg_no);
+  if (it == table.segments_.end()) return NoSuchSegment(seg_no);
   Segment& seg = *it->second;
   if (seg.num_rows() == 0) {
     return Status::FailedPrecondition(
@@ -99,8 +83,8 @@ Status TestCorruptor::StaleZoneMap(Table& table, uint64_t seg_no) {
 }
 
 Status TestCorruptor::CorruptFrozenChecksum(Table& table, uint64_t seg_no) {
-  auto it = table.segment_index_.find(seg_no);
-  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  auto it = table.segments_.find(seg_no);
+  if (it == table.segments_.end()) return NoSuchSegment(seg_no);
   Segment& seg = *it->second;
   if (!seg.is_frozen()) {
     return Status::FailedPrecondition(
@@ -123,8 +107,8 @@ Status TestCorruptor::CorruptFrozenChecksum(Table& table, uint64_t seg_no) {
 Status TestCorruptor::CorruptFrozenDictionaryCode(Table& table,
                                                   uint64_t seg_no,
                                                   size_t col) {
-  auto it = table.segment_index_.find(seg_no);
-  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  auto it = table.segments_.find(seg_no);
+  if (it == table.segments_.end()) return NoSuchSegment(seg_no);
   Segment& seg = *it->second;
   if (!seg.is_frozen()) {
     return Status::FailedPrecondition(
@@ -157,8 +141,8 @@ Status TestCorruptor::CorruptFrozenDictionaryCode(Table& table,
 Status TestCorruptor::TruncateFrozenStringCodes(Table& table,
                                                 uint64_t seg_no,
                                                 size_t col) {
-  auto it = table.segment_index_.find(seg_no);
-  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  auto it = table.segments_.find(seg_no);
+  if (it == table.segments_.end()) return NoSuchSegment(seg_no);
   Segment& seg = *it->second;
   if (!seg.is_frozen()) {
     return Status::FailedPrecondition(
@@ -185,8 +169,8 @@ Status TestCorruptor::TruncateFrozenStringCodes(Table& table,
 Status TestCorruptor::CorruptStringDictionary(Table& table, uint64_t seg_no,
                                               size_t col,
                                               DictionaryDamage damage) {
-  auto it = table.segment_index_.find(seg_no);
-  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  auto it = table.segments_.find(seg_no);
+  if (it == table.segments_.end()) return NoSuchSegment(seg_no);
   Segment& seg = *it->second;
   if (seg.is_frozen()) {
     return Status::FailedPrecondition(
@@ -238,8 +222,8 @@ Status TestCorruptor::CorruptStringDictionary(Table& table, uint64_t seg_no,
 }
 
 Status TestCorruptor::CorruptPendingDecay(Table& table, uint64_t seg_no) {
-  auto it = table.segment_index_.find(seg_no);
-  if (it == table.segment_index_.end()) return NoSuchSegment(seg_no);
+  auto it = table.segments_.find(seg_no);
+  if (it == table.segments_.end()) return NoSuchSegment(seg_no);
   Segment& seg = *it->second;
   if (seg.live_count() == 0) {
     return Status::FailedPrecondition(
@@ -249,8 +233,7 @@ Status TestCorruptor::CorruptPendingDecay(Table& table, uint64_t seg_no) {
   // A decrement of 2.0 exceeds any legal freshness, so the effective
   // floor goes negative — the fold predicate would have refused it.
   seg.pending_decay_.push_back(2.0);
-  const Shard& shard = table.shard(table.ShardIdOfSegment(seg_no));
-  seg.decay_epoch_ = shard.decay_epoch() + 1;
+  seg.decay_epoch_ = table.decay_epoch() + 1;
   return Status::OK();
 }
 

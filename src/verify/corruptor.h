@@ -12,8 +12,8 @@ namespace fungusdb {
 /// normal mutators enforce. This is the seeder behind the fsck test
 /// fixtures and `funguscheck` demos: each method plants exactly the
 /// corruption one invariant-checker rule exists to catch, so tests can
-/// assert detection with precise coordinates. Friend of Table, Shard
-/// and Segment; never use it outside tests and verification tooling.
+/// assert detection with precise coordinates. Friend of Table and
+/// Segment; never use it outside tests and verification tooling.
 class TestCorruptor {
  public:
   /// Writes `raw` straight into the freshness vector of a live row —
@@ -25,10 +25,9 @@ class TestCorruptor {
   /// plus the live-count accounting rules.
   static Status ResurrectRow(Table& table, RowId row);
 
-  /// Moves a segment out of its round-robin home shard into the next
-  /// shard. Requires num_shards > 1. Caught by `shard-round-robin` and
-  /// `routing-index`.
-  static Status MisassignSegment(Table& table, uint64_t seg_no);
+  /// Adds one to the table's live-row counter without touching any
+  /// segment. Caught by `live-count` and `row-accounting`.
+  static void MiscountLiveRows(Table& table);
 
   /// Appends a phantom null cell to one user column so its length no
   /// longer matches the segment's row count. Caught by `column-length`.
@@ -79,7 +78,7 @@ class TestCorruptor {
   /// Folds a pending decrement large enough to drive the segment's
   /// effective freshness floor below zero — the deferred death a
   /// correct fold can never produce — and stamps a decay epoch ahead
-  /// of the shard's tick counter. Requires a live row in the segment.
+  /// of the table's tick counter. Requires a live row in the segment.
   /// Caught by `decay-epoch` (both the epoch-ordering and the
   /// deferred-death arm).
   static Status CorruptPendingDecay(Table& table, uint64_t seg_no);

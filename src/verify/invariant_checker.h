@@ -12,19 +12,18 @@
 namespace fungusdb::verify {
 
 /// One broken invariant with the most precise coordinates available.
-/// Fields that do not apply stay at -1 (e.g. a shard-level violation
-/// has no row). `invariant` is the stable rule name listed in
+/// Fields that do not apply stay at -1 (e.g. a table-level violation
+/// has no segment or row). `invariant` is the stable rule name listed in
 /// DESIGN.md §9 — tests and tools match on it.
 struct Violation {
   std::string invariant;
   std::string table;
-  int64_t shard = -1;
   int64_t segment = -1;  // global segment number
   int64_t row = -1;      // RowId
   int64_t column = -1;   // user column index
   std::string detail;
 
-  /// "table 'events' shard 1 segment 3 row 12300: freshness-range: ...".
+  /// "table 'events' segment 3 row 12300: freshness-range: ...".
   std::string ToString() const;
 };
 
@@ -50,13 +49,12 @@ struct Report {
   Status ToStatus() const;
 };
 
-/// fsck for FungusDB storage: walks Table → Shard → Segment → Column
-/// and verifies the structural invariants the decay laws rely on
+/// fsck for FungusDB storage: walks Table → Segment → Column and
+/// verifies the structural invariants the decay laws rely on
 /// (freshness ∈ (0,1] for live tuples, dead-row exclusion from live
-/// iteration, shard round-robin ownership, segment time-ordering,
-/// row-count/column-length agreement, counter accounting). Read-only
-/// and coordinator-thread-only: never run it while a parallel phase is
-/// mutating shards.
+/// iteration, segment time-ordering, row-count/column-length agreement,
+/// counter accounting). Read-only: run it on the writer thread or under
+/// a read pin, never while the table is being mutated.
 class InvariantChecker {
  public:
   struct Options {

@@ -1,5 +1,7 @@
 #include "fungus/egi_fungus.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "fungus/rot_analysis.h"
@@ -98,6 +100,35 @@ TEST(EgiFungusTest, SpreadInfectsNeighbours) {
   DecayContext c2(&t, 1);
   fungus.Tick(c2);
   EXPECT_GT(fungus.infected().size(), before);
+}
+
+TEST(EgiFungusTest, NeighboursInfectedThisTickDecayThisTick) {
+  // The spread rule (DESIGN.md §4): "at equal rate" — a neighbour
+  // infected by this tick's spread decays in this tick, with its
+  // infector, so after the first tick the seed and both its neighbours
+  // (one, at an edge of the time axis) all sit at 1 - decay_step.
+  Table t = FilledTable(16);
+  EgiFungus::Params p;
+  p.seeds_per_tick = 1.0;
+  p.decay_step = 0.125;
+  p.spread_probability = 1.0;
+  EgiFungus fungus(p);
+  DecayContext ctx(&t, 0);
+  fungus.Tick(ctx);
+  ASSERT_EQ(ctx.stats().seeds_planted, 1u);
+  const std::set<RowId>& infected = fungus.infected();
+  const bool at_edge = infected.count(0) > 0 || infected.count(15) > 0;
+  EXPECT_EQ(infected.size(), at_edge ? 2u : 3u);
+  EXPECT_EQ(*infected.rbegin() - *infected.begin() + 1, infected.size());
+  for (RowId row : infected) {
+    EXPECT_EQ(t.Freshness(row), 1.0 - p.decay_step) << "row " << row;
+  }
+  for (RowId row = 0; row < 16; ++row) {
+    if (infected.count(row) == 0) {
+      EXPECT_EQ(t.Freshness(row), 1.0) << "row " << row;
+    }
+  }
+  EXPECT_EQ(ctx.stats().tuples_touched, infected.size());
 }
 
 TEST(EgiFungusTest, CreatesContiguousRottingSpots) {

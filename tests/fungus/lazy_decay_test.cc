@@ -36,7 +36,6 @@ std::unique_ptr<Database> MakeDb(bool lazy) {
   auto db = std::make_unique<Database>();
   TableOptions opts;
   opts.rows_per_segment = 8;
-  opts.num_shards = 3;
   opts.lazy_decay = lazy;
   FUNGUSDB_CHECK_OK(db->CreateTable("r", EventSchema(), opts).status());
   FUNGUSDB_CHECK_OK(
@@ -181,7 +180,7 @@ TEST(LazyDecayDifferentialTest, RandomizedMixedWorkloadIsBitIdentical) {
 // TSan target: epoch-pinned readers reconstruct effective freshness
 // (stored - pending) while the writer's ticks keep folding new pending
 // decrements into the same segments. Any unsynchronized access between
-// the fold (apply phase) and a reader's replay of pending_decay() is a
+// the writer's fold and a reader's replay of pending_decay() is a
 // race this test exists to surface.
 TEST(LazyDecayConcurrencyTest, ReadersRaceFoldingTicks) {
   constexpr int kRows = 2048;
@@ -190,8 +189,7 @@ TEST(LazyDecayConcurrencyTest, ReadersRaceFoldingTicks) {
 
   Database db;
   TableOptions opts;
-  opts.rows_per_segment = 64;  // ~32 segments over 4 shards
-  opts.num_shards = 4;
+  opts.rows_per_segment = 64;  // 32 segments
   opts.lazy_decay = true;
   FUNGUSDB_CHECK_OK(db.CreateTable("r", EventSchema(), opts).status());
   for (int i = 0; i < kRows; ++i) {

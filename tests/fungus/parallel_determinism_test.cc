@@ -2,6 +2,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "core/database.h"
@@ -12,11 +13,10 @@
 namespace fungusdb {
 namespace {
 
-// The determinism contract of the sharded kernel: a table's decay
-// outcome may depend on its shard count (a storage property) but never
-// on the database's thread count (an execution property). These tests
-// run the same workload at 1, 2, and 8 threads and require bit-identical
-// live-row sets and freshness values.
+// Decay outcomes never depend on the database's pool width (an
+// execution property): ticks run serially on the writer, and the pool
+// only fans out scans. These tests run the same workload at 1, 2, and 8
+// threads and require bit-identical live-row sets and freshness values.
 
 constexpr size_t kThreadCounts[] = {1, 2, 8};
 
@@ -54,14 +54,13 @@ std::unique_ptr<Fungus> MakeFungus(Kind kind) {
 }
 
 /// Builds a database with `num_threads`, runs `ticks` one-second decay
-/// ticks of `kind` over an 8-shard table, and fingerprints the result.
+/// ticks of `kind` over a 32-segment table, and fingerprints the result.
 Fingerprint RunWorkload(Kind kind, size_t num_threads, uint64_t ticks) {
   DatabaseOptions db_opts;
   db_opts.num_threads = num_threads;
   Database db(db_opts);
   TableOptions t_opts;
   t_opts.rows_per_segment = 16;
-  t_opts.num_shards = 8;
   db.CreateTable("t", OneColumnSchema(), t_opts).value();
   const Table* table = &db.GetTable("t").value().table();
   // Spread insertions along the time axis (8 batches, 5 s apart) so
@@ -100,7 +99,7 @@ void ExpectIdenticalAcrossThreadCounts(Kind kind, uint64_t ticks) {
 
 TEST(ParallelDeterminismTest, EgiIdenticalAt1_2_8Threads) {
   // EGI exercises the hardest case: RNG-driven seeding plus
-  // neighbour-spread that crosses shard boundaries through the outbox.
+  // neighbour-spread that crosses segment boundaries.
   ExpectIdenticalAcrossThreadCounts(Kind::kEgi, /*ticks=*/25);
 }
 
@@ -126,16 +125,15 @@ TEST(ParallelDeterminismTest, EgiDecayActuallyHappened) {
   EXPECT_TRUE(any_decayed);
 }
 
-TEST(ParallelDeterminismTest, EgiSpreadCrossesShardBoundaries) {
-  // With rows_per_segment=1 and 8 shards, every row's direct time-axis
-  // neighbours live in *other* shards, so any spread at all proves the
-  // outbox routes infection across shard boundaries.
+TEST(ParallelDeterminismTest, EgiSpreadCrossesSegmentBoundaries) {
+  // With rows_per_segment=1 every row's direct time-axis neighbours live
+  // in other segments, so any spread at all proves infection crosses
+  // segment boundaries.
   DatabaseOptions db_opts;
   db_opts.num_threads = 2;
   Database db(db_opts);
   TableOptions t_opts;
   t_opts.rows_per_segment = 1;
-  t_opts.num_shards = 8;
   db.CreateTable("t", OneColumnSchema(), t_opts).value();
   for (int64_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(db.Insert("t", {Value::Int64(i)}).ok());
@@ -149,34 +147,14 @@ TEST(ParallelDeterminismTest, EgiSpreadCrossesShardBoundaries) {
   ASSERT_TRUE(db.AttachFungus("t", std::move(fungus), kSecond).ok());
   ASSERT_TRUE(db.AdvanceTime(6 * kSecond).ok());
 
-  const std::set<RowId> infected = egi->AllInfected();
+  const std::set<RowId>& infected = egi->infected();
   ASSERT_GT(infected.size(), 1u);
-  std::set<uint32_t> shards_touched;
-  const Table* table = &db.GetTable("t").value().table();
+  std::set<uint64_t> segments_touched;
   for (RowId row : infected) {
-    shards_touched.insert(table->ShardIdOf(row));
+    segments_touched.insert(row / t_opts.rows_per_segment);
   }
-  EXPECT_GT(shards_touched.size(), 1u)
-      << "infection never left its seed shard";
-}
-
-TEST(ParallelDeterminismTest, ShardedParallelCountersAdvance) {
-  DatabaseOptions db_opts;
-  db_opts.num_threads = 4;
-  Database db(db_opts);
-  TableOptions t_opts;
-  t_opts.rows_per_segment = 8;
-  t_opts.num_shards = 4;
-  db.CreateTable("t", OneColumnSchema(), t_opts).value();
-  for (int64_t i = 0; i < 128; ++i) {
-    ASSERT_TRUE(db.Insert("t", {Value::Int64(i)}).ok());
-  }
-  ASSERT_TRUE(db.AttachFungus("t", MakeFungus(Kind::kExponential), kSecond)
-                  .ok());
-  ASSERT_TRUE(db.AdvanceTime(10 * kSecond).ok());
-  EXPECT_EQ(db.metrics().GetCounter("fungusdb.parallel.shard_ticks"),
-            10 * 4);
-  EXPECT_EQ(db.metrics().GetCounter("fungusdb.decay.ticks"), 10);
+  EXPECT_GT(segments_touched.size(), 1u)
+      << "infection never left its seed segment";
 }
 
 }  // namespace

@@ -117,48 +117,5 @@ TEST(RetentionFungusTest, SkipsFrozenFreshSegmentsViaZoneMap) {
   EXPECT_NEAR(t.Freshness(4), 1.0 - 10.0 / 60.0, 1e-9);
 }
 
-TEST(RetentionFungusTest, SerialAndShardedTicksSkipIdentically) {
-  // The determinism contract: the per-shard planner must take the same
-  // zone-map skip decisions (and produce the same stats) as the serial
-  // tick over an identical table.
-  auto build = [] {
-    TableOptions opts;
-    opts.rows_per_segment = 4;
-    opts.num_shards = 3;
-    Table t("t", OneColSchema(), opts);
-    for (int i = 0; i < 24; ++i) {
-      FUNGUSDB_CHECK_OK(
-          t.Append({Value::Int64(i)}, (i / 4) * kMinute).status());
-    }
-    for (RowId r = 8; r < 12; ++r) {
-      FUNGUSDB_CHECK_OK(t.Kill(r));  // one fully dead segment
-    }
-    return t;
-  };
-  const Timestamp now = 5 * kMinute;
-
-  Table serial_table = build();
-  RetentionFungus serial_fungus(kHour);
-  DecayContext serial_ctx(&serial_table, now);
-  serial_fungus.Tick(serial_ctx);
-
-  Table sharded_table = build();
-  RetentionFungus sharded_fungus(kHour);
-  ASSERT_TRUE(sharded_fungus.SupportsShardedTick());
-  sharded_fungus.BeginShardedTick(sharded_table, now);
-  uint64_t planned_skips = 0;
-  uint64_t planned_actions = 0;
-  for (uint32_t s = 0; s < sharded_table.num_shards(); ++s) {
-    ShardPlanContext plan_ctx(&sharded_table, s, now, /*tick_index=*/0);
-    sharded_fungus.PlanShard(plan_ctx);
-    ShardPlan plan = plan_ctx.TakePlan();
-    planned_skips += plan.segments_skipped;
-    planned_actions += plan.actions.size();
-  }
-  EXPECT_EQ(planned_skips, serial_ctx.stats().segments_skipped);
-  EXPECT_EQ(planned_actions, serial_ctx.stats().tuples_touched);
-  EXPECT_GT(planned_skips, 0u);
-}
-
 }  // namespace
 }  // namespace fungusdb

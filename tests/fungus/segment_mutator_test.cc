@@ -1,11 +1,11 @@
-// Segment-granular kills and decrements (Table/Shard::KillSegment and
+// Segment-granular kills and decrements (Table::KillSegment and
 // DecaySegment) must give exactly what the per-row mutators give: the
 // same freshness and liveness, the same killed rows in the same order,
 // and the same thaw, materialization and touch accounting — one thaw
 // per segment, not one per row. At the fungus level, retention ticking
 // through them must match a retention that kills and decrements row by
-// row, in every DecayStats field, with lazy decay on or off, freezing
-// on or off, serial or sharded.
+// row, in every DecayStats field, with lazy decay on or off and
+// freezing on or off.
 
 #include <map>
 #include <memory>
@@ -31,10 +31,9 @@ Schema KvSchema() {
       .value();
 }
 
-Table MakeTable(size_t num_shards, bool lazy, uint64_t freeze_after) {
+Table MakeTable(bool lazy, uint64_t freeze_after) {
   TableOptions opts;
   opts.rows_per_segment = kRowsPerSegment;
-  opts.num_shards = num_shards;
   opts.lazy_decay = lazy;
   opts.freeze_after_idle_ticks = freeze_after;
   return Table("t", KvSchema(), opts);
@@ -66,8 +65,8 @@ void ExpectSameState(const Table& a, const Table& b) {
   EXPECT_EQ(sa.thaw_count, sb.thaw_count);
   EXPECT_EQ(sa.frozen_segments, sb.frozen_segments);
   EXPECT_EQ(sa.segments_frozen_total, sb.segments_frozen_total);
-  for (const auto& [seg_no, seg] : a.segment_index()) {
-    const Segment& other = *b.segment_index().at(seg_no);
+  for (const auto& [seg_no, seg] : a.segments()) {
+    const Segment& other = *b.segments().at(seg_no);
     EXPECT_EQ(seg->is_frozen(), other.is_frozen()) << "segment " << seg_no;
     EXPECT_EQ(seg->last_touch_epoch(), other.last_touch_epoch());
     EXPECT_EQ(seg->zone_map().min_f, other.zone_map().min_f);
@@ -87,23 +86,23 @@ struct Setup {
 /// partly dead with uneven freshness, optionally all frozen and carrying
 /// pending decay.
 std::pair<Table, Table> TwinTables(const Setup& setup) {
-  Table a = MakeTable(/*num_shards=*/2, /*lazy=*/true, 0);
-  Table b = MakeTable(/*num_shards=*/2, /*lazy=*/true, 0);
+  Table a = MakeTable(/*lazy=*/true, 0);
+  Table b = MakeTable(/*lazy=*/true, 0);
   for (Table* t : {&a, &b}) {
     AppendRows(*t, 4 * kRowsPerSegment + 3, 0);
-    t->AdvanceDecayEpochs();
+    t->AdvanceDecayEpoch();
     for (RowId row = 16; row < 32; row += 3) {
       FUNGUSDB_CHECK_OK(t->SetFreshness(row, 0.125 * (row % 7 + 1)));
     }
     FUNGUSDB_CHECK_OK(t->Kill(17));
     if (setup.frozen) t->FreezeColdSegments(0);
     if (setup.pending) {
-      t->AdvanceDecayEpochs();
+      t->AdvanceDecayEpoch();
       for (uint64_t seg_no = 0; seg_no < 4; ++seg_no) {
         EXPECT_TRUE(t->TryFoldUniformDecay(seg_no, 0.0625));
       }
     }
-    t->AdvanceDecayEpochs();
+    t->AdvanceDecayEpoch();
   }
   return {std::move(a), std::move(b)};
 }
@@ -182,29 +181,15 @@ class RowwiseRetention : public Fungus {
   void Tick(DecayContext& ctx) override {
     const std::optional<Timestamp> prev = last_tick_;
     last_tick_ = ctx.now();
-    for (const auto& [seg_no, seg] : ctx.table().segment_index()) {
+    for (const auto& [seg_no, seg] : ctx.table().segments()) {
       TickSegment(seg_no, *seg, ctx.now(), prev, ctx.table().options(), ctx);
     }
   }
 
-  bool SupportsShardedTick() const override { return true; }
-  void BeginShardedTick(const Table& table, Timestamp now) override {
-    (void)table;
-    plan_prev_ = last_tick_;
-    last_tick_ = now;
-  }
-  void PlanShard(ShardPlanContext& ctx) override {
-    for (const auto& [seg_no, seg] : ctx.shard().segments()) {
-      TickSegment(seg_no, *seg, ctx.now(), plan_prev_, ctx.table().options(),
-                  ctx);
-    }
-  }
-
  private:
-  template <typename Ctx>
   void TickSegment(uint64_t seg_no, const Segment& seg, Timestamp now,
                    std::optional<Timestamp> prev, const TableOptions& opts,
-                   Ctx& ctx) {
+                   DecayContext& ctx) {
     if (seg.live_count() == 0) {
       ctx.NoteSegmentSkipped();
       return;
@@ -245,7 +230,6 @@ class RowwiseRetention : public Fungus {
 
   Duration retention_;
   std::optional<Timestamp> last_tick_;
-  std::optional<Timestamp> plan_prev_;
 };
 
 void ExpectSameStats(const DecayStats& a, const DecayStats& b) {
@@ -257,14 +241,14 @@ void ExpectSameStats(const DecayStats& a, const DecayStats& b) {
   EXPECT_EQ(a.rows_materialized, b.rows_materialized);
 }
 
-/// (lazy decay, freeze after idle ticks, shards)
+/// (lazy decay, freeze after idle ticks)
 class SegmentGranularRetentionTest
-    : public ::testing::TestWithParam<std::tuple<bool, uint64_t, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, uint64_t>> {};
 
 TEST_P(SegmentGranularRetentionTest, MatchesRowByRowRetention) {
-  const auto [lazy, freeze_after, shards] = GetParam();
-  Table whole = MakeTable(shards, lazy, freeze_after);
-  Table rowwise = MakeTable(shards, lazy, freeze_after);
+  const auto [lazy, freeze_after] = GetParam();
+  Table whole = MakeTable(lazy, freeze_after);
+  Table rowwise = MakeTable(lazy, freeze_after);
   DecayScheduler whole_clock;
   DecayScheduler rowwise_clock;
   // Retention of 7.5 periods: the rot front cuts a segment most ticks.
@@ -316,12 +300,12 @@ TEST_P(SegmentGranularRetentionTest, MatchesRowByRowRetention) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, SegmentGranularRetentionTest,
-    ::testing::Combine(::testing::Bool(), ::testing::Values(0u, 2u),
-                       ::testing::Values(1u, 3u)),
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0u, 2u)),
+    // "Serial": the scheduler's one tick path runs the fungus serially.
     [](const auto& info) {
       return std::string(std::get<0>(info.param) ? "Lazy" : "Eager") +
              (std::get<1>(info.param) > 0 ? "Freeze" : "NoFreeze") +
-             (std::get<2>(info.param) > 1 ? "Sharded" : "Serial");
+             "Serial";
     });
 
 }  // namespace

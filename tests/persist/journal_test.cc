@@ -1,11 +1,16 @@
 #include "persist/journal.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fungus/retention_fungus.h"
+#include "summary/hashing.h"
 
 namespace fungusdb {
 namespace {
@@ -226,6 +231,93 @@ TEST_F(JournalTest, DeterministicReplayWithSameFungi) {
   for (RowId row : original->LiveRows()) {
     EXPECT_DOUBLE_EQ(replayed->Freshness(row), original->Freshness(row));
   }
+}
+
+std::string SlurpFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void SpitFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(JournalTest, CreateTableShardCountIsIgnoredOnReplay) {
+  // Journals written while tables carried a shard count hold it in the
+  // CreateTable entry's last u64. The slot is validated, then ignored:
+  // a table created with 8 shards replays to the same rows and
+  // freshness bits as one created with 1.
+  {
+    auto writer = JournalWriter::Open(path_).value();
+    JournalEntry create;
+    create.kind = JournalEntry::Kind::kCreateTable;
+    create.table_name = "t";
+    create.schema = EventSchema();
+    create.table_options.rows_per_segment = 4;
+    ASSERT_TRUE(writer->Append(create).ok());
+    ASSERT_TRUE(writer->Sync().ok());
+  }
+  const std::string one_shard = SlurpFile(path_);
+  // Frame: u32 payload length, u64 checksum of the payload, payload.
+  constexpr size_t kHeader = sizeof(uint32_t) + sizeof(uint64_t);
+  const size_t slot_at = one_shard.size() - sizeof(uint64_t);
+  uint64_t slot = 0;
+  std::memcpy(&slot, one_shard.data() + slot_at, sizeof(slot));
+  ASSERT_EQ(slot, 1u);
+  std::string eight_shards = one_shard;
+  const uint64_t eight = 8;
+  std::memcpy(eight_shards.data() + slot_at, &eight, sizeof(eight));
+  const uint64_t checksum =
+      HashBytes(eight_shards.data() + kHeader, eight_shards.size() - kHeader,
+                /*seed=*/0);
+  std::memcpy(eight_shards.data() + sizeof(uint32_t), &checksum,
+              sizeof(checksum));
+
+  // The inputs after the create: rows over many segments, with ticks
+  // that decay and kill.
+  const std::string ops_path = path_ + ".ops";
+  {
+    auto writer = JournalWriter::Open(ops_path).value();
+    for (int i = 0; i < 48; ++i) {
+      JournalEntry insert;
+      insert.kind = JournalEntry::Kind::kInsert;
+      insert.table_name = "t";
+      insert.values = {Value::Int64(i), Value::Float64(i * 0.5)};
+      ASSERT_TRUE(writer->Append(insert).ok());
+      JournalEntry advance;
+      advance.kind = JournalEntry::Kind::kAdvanceTime;
+      advance.advance = 10 * kMinute;
+      ASSERT_TRUE(writer->Append(advance).ok());
+    }
+    ASSERT_TRUE(writer->Sync().ok());
+  }
+
+  using Fingerprint = std::vector<std::pair<RowId, uint64_t>>;
+  auto replay = [&](const std::string& create_bytes) {
+    SpitFile(path_, create_bytes);
+    Database db;
+    EXPECT_EQ(ReplayJournal(db, path_).value(), 1u);
+    db.AttachFungus("t", std::make_unique<RetentionFungus>(4 * kHour),
+                    kHour)
+        .value();
+    EXPECT_EQ(ReplayJournal(db, ops_path).value(), 96u);
+    const Table& table = db.GetTable("t").value().table();
+    EXPECT_GT(table.rows_killed(), 0u);
+    Fingerprint fp;
+    table.ForEachLive([&](RowId row) {
+      const double f = table.Freshness(row);
+      uint64_t bits = 0;
+      std::memcpy(&bits, &f, sizeof(bits));
+      fp.emplace_back(row, bits);
+    });
+    return fp;
+  };
+  const Fingerprint want = replay(one_shard);
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(replay(eight_shards), want);
+  std::remove(ops_path.c_str());
 }
 
 TEST_F(JournalTest, ReplayFailsFastOnBadEntry) {

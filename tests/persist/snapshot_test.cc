@@ -167,7 +167,7 @@ TEST(TableSnapshotTest, FrozenBlockOfAnotherLengthRejected) {
   };
   auto block_of = [](const Table& t) {
     BufferWriter block;
-    t.segment_index().begin()->second->frozen().Serialize(block);
+    t.segments().begin()->second->frozen().Serialize(block);
     return block.buffer();
   };
   const Table four = frozen_table(4);

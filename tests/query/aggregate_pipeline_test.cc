@@ -269,7 +269,7 @@ Result<ResultSet> ReferenceExecute(const Query& query, const Table& table,
     std::vector<Group> groups;  // first-appearance order
     size_t next = 0;            // into *matched, which is in row order
     size_t seg_pos = 0;
-    for (const auto& [seg_no, seg] : table.segment_index()) {
+    for (const auto& [seg_no, seg] : table.segments()) {
       const RowId end = seg->first_row() + seg->num_rows();
       for (; next < matched->size() && (*matched)[next] < end; ++next) {
         const RowId row = (*matched)[next];
@@ -456,7 +456,6 @@ std::unique_ptr<Table> MakeTable(uint64_t seed, size_t rows_per_segment,
   Rng rng(seed);
   TableOptions options;
   options.rows_per_segment = rows_per_segment;
-  options.num_shards = 2;
   auto table = std::make_unique<Table>("r", MixedSchema(), options);
   const Schema& schema = table->schema();
   for (size_t r = 0; r < rows; ++r) {
@@ -477,7 +476,7 @@ std::unique_ptr<Table> MakeTable(uint64_t seed, size_t rows_per_segment,
   }
   if (freeze) table->FreezeColdSegments(0, table->num_segments() / 2);
   std::vector<uint64_t> seg_nos;
-  for (const auto& [seg_no, seg] : table->segment_index()) {
+  for (const auto& [seg_no, seg] : table->segments()) {
     seg_nos.push_back(seg_no);
   }
   for (const uint64_t seg_no : seg_nos) {

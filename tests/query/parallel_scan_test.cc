@@ -28,7 +28,6 @@ std::unique_ptr<Database> MakeDatabase(size_t num_threads) {
   auto db = std::make_unique<Database>(opts);
   TableOptions t_opts;
   t_opts.rows_per_segment = 16;
-  t_opts.num_shards = 4;
   EXPECT_TRUE(db->CreateTable("readings", TwoColumnSchema(), t_opts).ok());
   for (int64_t i = 0; i < 512; ++i) {
     EXPECT_TRUE(db->Insert("readings",

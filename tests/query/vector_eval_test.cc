@@ -99,7 +99,7 @@ class VectorEvalTest : public ::testing::Test {
       const VectorPredicate pred = VectorPredicate::Compile(bound);
       VectorPredicate::Scratch scratch;
       std::vector<Timestamp> want_ts;
-      for (const auto& [seg_no, seg] : table->segment_index()) {
+      for (const auto& [seg_no, seg] : table->segments()) {
         std::vector<uint32_t> got;
         ASSERT_TRUE(pred.Match(*table, *seg, scratch, got).ok())
             << what << tier;

@@ -176,6 +176,21 @@ TEST(TableTest, ReclaimOnlyFullDeadSegments) {
   EXPECT_EQ(t.num_segments(), 1u);
 }
 
+TEST(TableTest, LiveSegmentsListsInsertionOrder) {
+  Table t = MakeSmallTable(/*rows_per_segment=*/2);
+  for (int i = 0; i < 12; ++i) t.Append(Row(i, 0.0), i).value();
+  ASSERT_TRUE(t.Kill(4).ok());
+  ASSERT_TRUE(t.Kill(5).ok());  // segment 2 fully dead (not reclaimed yet)
+  const std::vector<const Segment*> segs = t.LiveSegments();
+  ASSERT_EQ(segs.size(), 5u);
+  for (size_t i = 0; i < segs.size(); ++i) {
+    if (i > 0) {
+      EXPECT_GT(segs[i]->first_row(), segs[i - 1]->first_row());
+    }
+    EXPECT_GT(segs[i]->live_count(), 0u);
+  }
+}
+
 TEST(TableTest, MemoryShrinksAfterReclaim) {
   Table t = MakeSmallTable(/*rows_per_segment=*/256);
   for (int i = 0; i < 2048; ++i) t.Append(Row(i, 1.0), i).value();

@@ -49,13 +49,12 @@ Schema MixedSchema() {
       .value();
 }
 
-/// 16 rows over 4 full segments (4 rows each, 2 shards), every column
+/// 16 rows over 4 full segments (4 rows each), every column
 /// kind the encoder special-cases: int64 (FOR), string (dict + RLE,
 /// with nulls), float64 (raw).
 Table MakeFreezableTable() {
   TableOptions options;
   options.rows_per_segment = 4;
-  options.num_shards = 2;
   Table table("t", MixedSchema(), options);
   for (int i = 0; i < 16; ++i) {
     std::vector<Value> row = {
@@ -166,7 +165,6 @@ std::unique_ptr<Database> MakeDb(bool freeze) {
   auto db = std::make_unique<Database>();
   TableOptions opts;
   opts.rows_per_segment = 8;
-  opts.num_shards = 3;
   opts.freeze_after_idle_ticks = freeze ? 1 : 0;
   FUNGUSDB_CHECK_OK(db->CreateTable("r", MixedSchema(), opts).status());
   FUNGUSDB_CHECK_OK(
@@ -320,7 +318,6 @@ class TieredStorageSnapshotTest : public ::testing::Test {
     auto db = std::make_unique<Database>();
     TableOptions opts;
     opts.rows_per_segment = 4;
-    opts.num_shards = 2;
     opts.freeze_after_idle_ticks = 1;
     FUNGUSDB_CHECK_OK(db->CreateTable("r", MixedSchema(), opts).status());
     for (int i = 0; i < 32; ++i) {
@@ -366,6 +363,29 @@ TEST_F(TieredStorageSnapshotTest, V3RoundTripPreservesFrozenData) {
   // Everything loads into the plain tier; the policy refreezes later.
   EXPECT_EQ(TableOf(*loaded).GetStorageStats().frozen_segments, 0u);
   EXPECT_TRUE(loaded->Fsck().ok());
+}
+
+TEST_F(TieredStorageSnapshotTest, FullSaveWritesEachBlockAsSerialized) {
+  // A full save serializes each frozen block straight into the file and
+  // patches its length in; the chunk must hold exactly the bytes and
+  // the CRC that FrozenSegment::Serialize and the freeze produced.
+  std::unique_ptr<Database> db = MakeFrozenDb();
+  ASSERT_TRUE(SaveDatabaseSnapshot(*db, base_path_).ok());
+  const SnapshotBlockIndex blocks =
+      IndexSnapshotBlocks(SlurpFile(base_path_)).value();
+  const Table& table = TableOf(*db);
+  EXPECT_EQ(blocks.size(), table.GetStorageStats().frozen_segments);
+  for (const auto& [seg_no, seg] : table.segments()) {
+    if (!seg->is_frozen()) continue;
+    SCOPED_TRACE("segment " + std::to_string(seg_no));
+    auto it = blocks.find({"r", seg->first_row()});
+    ASSERT_NE(it, blocks.end());
+    BufferWriter want;
+    seg->frozen().Serialize(want);
+    EXPECT_EQ(it->second.payload, want.buffer());
+    EXPECT_EQ(it->second.crc, seg->frozen().checksum);
+    EXPECT_EQ(it->second.crc, encode::Crc32(it->second.payload));
+  }
 }
 
 TEST_F(TieredStorageSnapshotTest, V2FlatSnapshotStillLoads) {
@@ -514,7 +534,6 @@ TEST(TieredStorageConcurrencyTest, ReadersRaceFreezeThawTicks) {
   Database db;
   TableOptions opts;
   opts.rows_per_segment = 64;
-  opts.num_shards = 4;
   opts.freeze_after_idle_ticks = 1;
   FUNGUSDB_CHECK_OK(db.CreateTable("stable", MixedSchema(), opts).status());
   FUNGUSDB_CHECK_OK(db.CreateTable("churn", MixedSchema(), opts).status());

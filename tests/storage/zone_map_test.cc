@@ -148,7 +148,7 @@ TEST(ZoneMapTest, RecomputeMatchesIncrementalOnTableWorkload) {
     FUNGUSDB_CHECK_OK(table.Kill(r));
   }
   // Every incremental bound must cover what an exact recount computes.
-  for (const auto& [seg_no, seg] : table.segment_index()) {
+  for (const auto& [seg_no, seg] : table.segments()) {
     const ZoneMap before = seg->zone_map();
     seg->RecomputeZoneMap();
     const ZoneMap& exact = seg->zone_map();

@@ -23,13 +23,11 @@ Schema TwoColSchema() {
       .value();
 }
 
-/// A small sharded table with known geometry: 4 rows per segment,
-/// 2 shards, 16 rows → segments 0..3, dealt 0,2 → shard 0 and
-/// 1,3 → shard 1.
+/// A small table with known geometry: 4 rows per segment, 16 rows →
+/// segments 0..3.
 Table MakeTable() {
   TableOptions options;
   options.rows_per_segment = 4;
-  options.num_shards = 2;
   Table table("t", TwoColSchema(), options);
   for (int i = 0; i < 16; ++i) {
     table
@@ -69,7 +67,7 @@ TEST(InvariantCheckerTest, CleanTablePasses) {
 
 TEST(InvariantCheckerTest, DetectsCorruptFreshnessWithCoordinates) {
   Table table = MakeTable();
-  // Row 9 lives in segment 2 (9 / 4), which round-robins to shard 0.
+  // Row 9 lives in segment 2 (9 / 4).
   ASSERT_TRUE(TestCorruptor::CorruptFreshness(table, 9, 1.5).ok());
 
   const Report report = InvariantChecker().CheckTable(table);
@@ -77,7 +75,6 @@ TEST(InvariantCheckerTest, DetectsCorruptFreshnessWithCoordinates) {
   const auto v = FindViolation(report, "freshness-range");
   ASSERT_TRUE(v.has_value()) << report.ToString();
   EXPECT_EQ(v->table, "t");
-  EXPECT_EQ(v->shard, 0);
   EXPECT_EQ(v->segment, 2);
   EXPECT_EQ(v->row, 9);
   EXPECT_FALSE(report.ToStatus().ok());
@@ -85,7 +82,7 @@ TEST(InvariantCheckerTest, DetectsCorruptFreshnessWithCoordinates) {
 
 TEST(InvariantCheckerTest, DetectsResurrectedRowWithCoordinates) {
   Table table = MakeTable();
-  // Kill row 6 (segment 1 → shard 1), then flip its alive flag back.
+  // Kill row 6 (segment 1), then flip its alive flag back.
   ASSERT_TRUE(table.Kill(6).ok());
   ASSERT_TRUE(TestCorruptor::ResurrectRow(table, 6).ok());
 
@@ -93,34 +90,36 @@ TEST(InvariantCheckerTest, DetectsResurrectedRowWithCoordinates) {
   const auto v = FindViolation(report, "resurrected-row");
   ASSERT_TRUE(v.has_value()) << report.ToString();
   EXPECT_EQ(v->table, "t");
-  EXPECT_EQ(v->shard, 1);
   EXPECT_EQ(v->segment, 1);
   EXPECT_EQ(v->row, 6);
 }
 
-TEST(InvariantCheckerTest, DetectsMisassignedSegment) {
+TEST(InvariantCheckerTest, DetectsMiscountedLiveRows) {
   Table table = MakeTable();
-  // Segment 3 belongs to shard 1 (3 % 2); move it to shard 0.
-  ASSERT_TRUE(TestCorruptor::MisassignSegment(table, 3).ok());
+  ASSERT_TRUE(table.Kill(6).ok());
+  TestCorruptor::MiscountLiveRows(table);
 
   const Report report = InvariantChecker().CheckTable(table);
-  const auto v = FindViolation(report, "shard-round-robin");
+  const auto v = FindViolation(report, "live-count");
   ASSERT_TRUE(v.has_value()) << report.ToString();
   EXPECT_EQ(v->table, "t");
-  EXPECT_EQ(v->shard, 0);  // the shard it was found in
-  EXPECT_EQ(v->segment, 3);
+  EXPECT_EQ(v->segment, -1);  // a table-level counter
+  EXPECT_NE(v->detail.find("table live_rows 16"), std::string::npos)
+      << v->detail;
+  // The same skew breaks live + killed == appended.
+  EXPECT_TRUE(FindViolation(report, "row-accounting").has_value())
+      << report.ToString();
 }
 
 TEST(InvariantCheckerTest, DetectsColumnLengthMismatch) {
   Table table = MakeTable();
-  // Overfill user column 1 of segment 2 (shard 0) with a phantom cell.
+  // Overfill user column 1 of segment 2 with a phantom cell.
   ASSERT_TRUE(TestCorruptor::OverfillColumn(table, 2, 1).ok());
 
   const Report report = InvariantChecker().CheckTable(table);
   const auto v = FindViolation(report, "column-length");
   ASSERT_TRUE(v.has_value()) << report.ToString();
   EXPECT_EQ(v->table, "t");
-  EXPECT_EQ(v->shard, 0);
   EXPECT_EQ(v->segment, 2);
   EXPECT_EQ(v->column, 1);
 }
@@ -136,7 +135,6 @@ TEST(InvariantCheckerTest, DetectsStaleZoneMapWithCoordinates) {
   const auto v = FindViolation(report, "zone-map-bounds");
   ASSERT_TRUE(v.has_value()) << report.ToString();
   EXPECT_EQ(v->table, "t");
-  EXPECT_EQ(v->shard, 0);
   EXPECT_EQ(v->segment, 2);
 }
 
@@ -220,7 +218,6 @@ TEST(InvariantCheckerTest, CheckAfterTickStaysCleanThroughDecay) {
   db.EnableCheckAfterTick();
   TableOptions topts;
   topts.rows_per_segment = 8;
-  topts.num_shards = 4;
   db.CreateTable("events", TwoColSchema(), topts).value();
   db.AttachFungus("events", std::make_unique<RetentionFungus>(4 * kHour),
                   kHour)
@@ -237,7 +234,6 @@ TEST(InvariantCheckerTest, CheckAfterTickStaysCleanThroughDecay) {
 
 TEST(InvariantCheckerTest, DetectsCorruptPendingDecayWithCoordinates) {
   Table table = MakeTable();
-  // Segment 1 (rows 4..7) round-robins to shard 1.
   ASSERT_TRUE(TestCorruptor::CorruptPendingDecay(table, 1).ok());
 
   const Report report = InvariantChecker().CheckTable(table);
@@ -245,10 +241,9 @@ TEST(InvariantCheckerTest, DetectsCorruptPendingDecayWithCoordinates) {
   const auto v = FindViolation(report, "decay-epoch");
   ASSERT_TRUE(v.has_value()) << report.ToString();
   EXPECT_EQ(v->table, "t");
-  EXPECT_EQ(v->shard, 1);
   EXPECT_EQ(v->segment, 1);
   // The seeded corruption trips both arms: the segment's epoch runs
-  // ahead of its shard's counter, and the oversized decrement defers a
+  // ahead of its table's counter, and the oversized decrement defers a
   // death past the fold barrier.
   size_t decay_epoch_violations = 0;
   for (const Violation& violation : report.violations) {
@@ -259,9 +254,9 @@ TEST(InvariantCheckerTest, DetectsCorruptPendingDecayWithCoordinates) {
 
 TEST(InvariantCheckerTest, LegitimateFoldPassesDecayEpochRule) {
   Table table = MakeTable();
-  // A real fold through the apply-phase API: epoch advanced first, a
+  // A real fold through the table's API: epoch advanced first, a
   // decrement the zone map proves safe, rows untouched.
-  table.AdvanceDecayEpochs();
+  table.AdvanceDecayEpoch();
   ASSERT_TRUE(table.TryFoldUniformDecay(/*seg_no=*/1, /*delta=*/0.25));
 
   const Report report = InvariantChecker().CheckTable(table);
@@ -286,7 +281,6 @@ TEST(InvariantCheckerTest, StringDictionaryRuleCatchesEachDamage) {
                static_cast<int64_t>(first + 1)}}) {
       TableOptions options;
       options.rows_per_segment = 4;
-      options.num_shards = 2;
       Table table("t", TwoColSchema(), options);
       for (int i = 0; i < 15; ++i) {
         const Value v = i % 4 == 1 ? Value::Null()

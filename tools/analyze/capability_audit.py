@@ -22,16 +22,6 @@ contracts that are not lock-shaped. This audit carries both halves:
   pin-attrs       EpochManager::PinRead()/BeginWrite() keep [[nodiscard]]
                   and their ACQUIRE attributes, so dropped pins and
                   untracked acquisitions stay compile-visible.
-  apply-phase     shard-state mutators (Shard::SetFreshness /
-                  DecayFreshness / Kill / KillSegment / DecaySegment /
-                  TryFoldUniformDecay / FreezeColdSegments, marked
-                  FUNGUS_REQUIRES_APPLY_PHASE in shard.h) may only be
-                  called from the apply phase: storage/table.cc,
-                  fungus/scheduler.cc, verify/corruptor.cc. Clang TSA
-                  cannot express this (the capability is "being the
-                  apply phase", not a nameable lock), so the audit does.
-  marker          the FUNGUS_REQUIRES_APPLY_PHASE markers themselves
-                  must stay on the Shard mutators listed above.
 
 Usage: tools/analyze/capability_audit.py [repo-root]
 Exits 0 when clean, 1 with one "file:line: rule: message" per finding.
@@ -83,26 +73,11 @@ RAW_MUTEX_ALLOWLIST = {
     "src/common/mutex.h",  # the annotated wrapper itself
 }
 
-APPLY_PHASE_ALLOWLIST = {
-    "src/storage/shard.h",       # the declarations themselves
-    "src/storage/table.cc",      # coordinator single-row path
-    "src/fungus/scheduler.cc",   # parallel apply phase
-    "src/verify/corruptor.cc",   # test-only corruption seeder
-}
-
-SHARD_MUTATORS = ("SetFreshness", "DecayFreshness", "Kill", "KillSegment",
-                  "DecaySegment", "TryFoldUniformDecay",
-                  "FreezeColdSegments")
-
 RE_RAW_MUTEX = re.compile(
     r"std\s*::\s*(?:mutex|shared_mutex|recursive_mutex|timed_mutex"
     r"|condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock"
     r"|shared_lock)\b")
 RE_NO_TSA = re.compile(r"FUNGUS_NO_THREAD_SAFETY_ANALYSIS")
-RE_SHARD_CALL = re.compile(
-    r"(?:\bShardFor\s*\([^)]*\)|\bshards?_?\s*\[[^\]]*\]"
-    r"|\bshards?\s*\([^)]*\)|\b[Ss]hard\w*)\s*\.\s*(?:%s)\s*\(" %
-    "|".join(SHARD_MUTATORS))
 RE_CLASS_HEAD = re.compile(
     r"\b(?:class|struct)\s+(?:FUNGUS_CAPABILITY\s*\([^)]*\)\s+"
     r"|FUNGUS_SCOPED_CAPABILITY\s+)?(\w+)\s*(?::[^{;]*)?\{")
@@ -267,30 +242,9 @@ def audit_file(root, path, findings):
                  " locking-primitive implementation (core/epoch.*);"
                  " fix the annotation instead of switching the"
                  " analysis off"))
-        if (rel not in APPLY_PHASE_ALLOWLIST
-                and RE_SHARD_CALL.search(line)):
-            findings.append(
-                (rel, lineno, "apply-phase",
-                 "shard-state mutation outside the apply phase (see"
-                 " FUNGUS_REQUIRES_APPLY_PHASE in storage/shard.h)"))
 
     if rel.endswith(".h"):
         audit_guarded_by(root, rel, raw, code, findings)
-
-
-def audit_apply_phase_markers(root, findings):
-    shard = root / "src/storage/shard.h"
-    if not shard.is_file():
-        return  # fixture trees have no shard.h; the rule has no subject
-    text = scrub(shard.read_text(encoding="utf-8"))
-    for mutator in SHARD_MUTATORS:
-        if not re.search(
-                r"FUNGUS_REQUIRES_APPLY_PHASE[\s\w\[\]]*\s" + mutator +
-                r"\s*\(", text):
-            findings.append(("src/storage/shard.h", 1, "marker",
-                             "Shard::%s lost its"
-                             " FUNGUS_REQUIRES_APPLY_PHASE marker" %
-                             mutator))
 
 
 def audit_pin_attrs(root, findings):
@@ -317,7 +271,6 @@ def main():
     root = pathlib.Path(
         sys.argv[1]).resolve() if len(sys.argv) > 1 else default_root
     findings = []
-    audit_apply_phase_markers(root, findings)
     audit_pin_attrs(root, findings)
     base = root / "src"
     if base.is_dir():

@@ -245,7 +245,6 @@ Status MakeCorpus(const std::string& dir) {
     Database db;
     TableOptions options;
     options.rows_per_segment = 8;
-    options.num_shards = 2;
     options.freeze_after_idle_ticks = 1;
     Schema schema = Schema::Make({{"k", DataType::kInt64, false},
                                   {"s", DataType::kString, true},

@@ -68,7 +68,8 @@ Enforces the repo-specific rules that generic linters cannot:
   hygiene         no tabs, no trailing whitespace, newline at EOF.
 
 The concurrency-contract rules (guarded-by coverage, raw-mutex ban,
-apply-phase whitelist) live in tools/analyze/capability_audit.py.
+TSA-escape and pin-attribute checks) live in
+tools/analyze/capability_audit.py.
 
 Usage: tools/lint/fungus_lint.py [repo-root]
 Exits 0 when clean, 1 with one "file:line: rule: message" per finding.

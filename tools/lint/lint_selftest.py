@@ -54,7 +54,6 @@ AUDIT_BAD_EXPECTED = sorted([
     ("src/core/raw.cc", "raw-mutex"),      # std::mutex member
     ("src/core/raw.cc", "raw-mutex"),      # std::lock_guard
     ("src/core/escape.cc", "no-tsa-escape"),
-    ("src/storage/rogue.cc", "apply-phase"),
 ])
 
 failures = []
