@@ -13,7 +13,7 @@ QueryEngineOptions ReadPathEngineOptions(Database* db) {
   // track_access tables on the writer precisely so this stays false.
   options.record_access = false;
   // Morsels run on the Database's one pool, shared with the other
-  // Sessions (and, outside read pins, the writer and decay ticks).
+  // Sessions (and, outside read pins, the writer's scans).
   // ParallelFor is caller-runs: this read worker drives its own
   // statement's morsels and idle pool threads join in, so a reader never
   // waits for a pool thread busy in another Session's statement.

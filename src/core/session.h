@@ -31,8 +31,8 @@ namespace fungusdb {
 /// classifier routes them to the writer), its engine does not bump
 /// access counters (the classifier keeps SELECTs over track_access
 /// tables on the writer for that reason). Its scans fan out into
-/// morsels on the Database's one pool, which every Session, the writer
-/// and the decay scheduler share (caller-runs, see ThreadPool).
+/// morsels on the Database's one pool, which every Session and the
+/// writer share (caller-runs, see ThreadPool).
 ///
 /// Thread contract: one Session per thread (its engine is not shared);
 /// any number of Sessions may run against one Database.
