@@ -15,12 +15,11 @@
 namespace fungusdb {
 
 /// Snapshot format version written by SerializeDatabase. Version 2
-/// added a per-table num_shards slot (retired: written as 1, read and
-/// ignored); version 3 replaced the flat
-/// live-row list with per-segment chunks so frozen segments persist as
-/// their canonical encoded block (with a per-block CRC-32) and
-/// incremental snapshots can splice unchanged blocks from a base file.
-/// Readers accept versions 2 and 3.
+/// added a per-table shard-count slot (retired: written as 1, read and
+/// ignored); version 3 replaced the flat live-row list with per-segment
+/// chunks so frozen segments persist as their canonical encoded block
+/// (with a per-block CRC-32) and incremental snapshots can splice
+/// unchanged blocks from a base file. Readers accept versions 2 and 3.
 inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// One frozen-segment block of a parsed snapshot: its canonical encoded
