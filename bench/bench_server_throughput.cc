@@ -1,8 +1,8 @@
 // Experiment SRV — fungusd front-end throughput vs client count.
 //
 // Claim (concurrency PR): with the split execution model, read-only
-// statements run on a pool of read workers against epoch-pinned
-// snapshots, so read throughput scales with the client count instead
+// statements run on a pool of read workers under the database's read
+// lock, so read throughput scales with the client count instead
 // of being bounded by the single writer. Mutating statements still
 // funnel through the one executor that owns the total order, so the
 // mixed workload shows the old flat profile with overload answered as

@@ -117,7 +117,7 @@ void Run() {
   cold.MirrorTo(&report);
   cold.PrintHeader();
   for (Variant& v : variants) {
-    EpochManager::WriteGuard guard(v.db->epochs());
+    RwLock::WriteLock write_lock(v.db->lock());
     Table* t =
         internal::DatabaseInternal::MutableTable(*v.db, "readings")
             .value();

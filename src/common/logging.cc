@@ -1,20 +1,13 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 
 namespace fungusdb {
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kWarning)};
-
 const char* LevelTag(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
     case LogLevel::kWarning:
       return "WARN";
     case LogLevel::kError:
@@ -30,31 +23,16 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal_logging {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >=
-               g_min_level.load(std::memory_order_relaxed)),
-      level_(level) {
-  if (enabled_) {
-    stream_ << "[" << LevelTag(level) << " " << Basename(file) << ":" << line
-            << "] ";
-  }
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
+  stream_ << "[" << LevelTag(level) << " " << Basename(file) << ":" << line
+          << "] ";
 }
 
 LogMessage::~LogMessage() {
-  if (enabled_) {
-    stream_ << "\n";
-    std::fputs(stream_.str().c_str(), stderr);
-  }
+  stream_ << "\n";
+  std::fputs(stream_.str().c_str(), stderr);
 }
 
 }  // namespace internal_logging

@@ -6,12 +6,9 @@
 
 namespace fungusdb {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global minimum level; messages below it are discarded. Defaults to
-/// kWarning so library users see problems but tests and benches stay quiet.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// The library logs only problems, so every message reaches stderr and
+/// tests and benches stay quiet unless something goes wrong.
+enum class LogLevel { kWarning, kError };
 
 namespace internal_logging {
 
@@ -26,13 +23,11 @@ class LogMessage {
 
   template <typename T>
   LogMessage& operator<<(const T& value) {
-    if (enabled_) stream_ << value;
+    stream_ << value;
     return *this;
   }
 
  private:
-  bool enabled_;
-  LogLevel level_;
   std::ostringstream stream_;
 };
 

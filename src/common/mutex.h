@@ -25,7 +25,6 @@ class FUNGUS_CAPABILITY("mutex") Mutex {
 
   void Lock() FUNGUS_ACQUIRE() { mu_.lock(); }
   void Unlock() FUNGUS_RELEASE() { mu_.unlock(); }
-  bool TryLock() FUNGUS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

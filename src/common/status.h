@@ -105,9 +105,6 @@ class [[nodiscard]] Status {
   static Status Unavailable(std::string msg) {
     return Status(StatusCode::kUnavailable, std::move(msg));
   }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
-  }
 
   // Factories with a specific public error number.
   static Status TableNotFound(std::string msg) {

@@ -25,12 +25,13 @@
 #define FUNGUS_THREAD_ANNOTATION_(x)
 #endif
 
-/// Marks a class as a named capability (a lock, or something lock-like
-/// such as the epoch write section).
+/// Marks a class as a named capability (a lock such as Mutex or the
+/// database RwLock).
 #define FUNGUS_CAPABILITY(x) FUNGUS_THREAD_ANNOTATION_(capability(x))
 
 /// Marks an RAII class whose constructor acquires a capability and
-/// whose destructor releases it (MutexLock, ReadPin, WriteGuard).
+/// whose destructor releases it (MutexLock, RwLock::ReadLock,
+/// RwLock::WriteLock).
 #define FUNGUS_SCOPED_CAPABILITY FUNGUS_THREAD_ANNOTATION_(scoped_lockable)
 
 /// The field may only be touched while `x` is held (shared for reads,
@@ -69,10 +70,6 @@
 #define FUNGUS_RELEASE_GENERIC(...) \
   FUNGUS_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 
-/// The function acquires the capability iff it returns `b`.
-#define FUNGUS_TRY_ACQUIRE(b, ...) \
-  FUNGUS_THREAD_ANNOTATION_(try_acquire_capability(b, __VA_ARGS__))
-
 /// Callers must NOT hold the capability (deadlock prevention).
 #define FUNGUS_EXCLUDES(...) \
   FUNGUS_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
@@ -82,12 +79,12 @@
   FUNGUS_THREAD_ANNOTATION_(assert_capability(x))
 
 /// The function returns a reference to the named capability, so
-/// `db.epochs()` and `db.epochs_` are the same lock to the analysis.
+/// `db.lock()` and `db.lock_` are the same lock to the analysis.
 #define FUNGUS_RETURN_CAPABILITY(x) \
   FUNGUS_THREAD_ANNOTATION_(lock_returned(x))
 
 /// Turns checking off inside one function body. Reserved for the
-/// implementation of locking primitives themselves (EpochManager's
+/// implementation of locking primitives themselves (RwLock's
 /// internals lie to the analysis by design: a condvar wait releases
 /// and reacquires invisibly) — never for silencing a real finding;
 /// capability_audit.py counts uses outside the allowlisted files.

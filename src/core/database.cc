@@ -36,12 +36,12 @@ Database::Database(DatabaseOptions options)
                                  &metrics_}),
       ingestor_(&clock_, &kitchen_),
       slow_query_micros_(SlowQueryEnvMicros()) {
-  epochs_.set_metrics(&metrics_);
+  lock_.set_metrics(&metrics_);
   scheduler_.set_metrics(&metrics_);
   // Every decay tick publishes its own epoch: a finished tick is the
   // moment the virtual timeline visibly moves, and readers dispatched
-  // after the enclosing write section pin the newest tick's state.
-  scheduler_.set_epoch_publisher([this] { epochs_.Publish(); });
+  // after the enclosing write section read the newest tick's state.
+  scheduler_.set_epoch_publisher([this] { lock_.Publish(); });
   // Rotting tuples (fungus kills) and consumed tuples (Law-2 queries)
   // both flow through the kitchen's on-rot rules.
   scheduler_.AddDeathObserver(
@@ -67,7 +67,7 @@ Result<TableHandle> Database::CreateTable(const std::string& name,
   if (name.empty()) {
     return Status::InvalidArgument("table name must not be empty");
   }
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
@@ -79,7 +79,7 @@ Result<TableHandle> Database::CreateTable(const std::string& name,
 }
 
 Result<TableHandle> Database::GetTable(const std::string& name) {
-  EpochManager::ReadPin pin(epochs_);
+  RwLock::ReadLock read_lock(lock_);
   FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(name));
   return TableHandle(table);
 }
@@ -93,7 +93,7 @@ Result<Table*> Database::MutableTable(const std::string& name) {
 }
 
 Status Database::DropTable(const std::string& name) {
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   if (tables_.erase(name) == 0) {
     return Status::TableNotFound("no table named '" + name + "'");
   }
@@ -101,7 +101,7 @@ Status Database::DropTable(const std::string& name) {
 }
 
 std::vector<std::string> Database::TableNames() const {
-  EpochManager::ReadPin pin(epochs_);
+  RwLock::ReadLock read_lock(lock_);
   std::vector<std::string> names;
   names.reserve(tables_.size());
   for (const auto& [name, table] : tables_) names.push_back(name);
@@ -111,19 +111,19 @@ std::vector<std::string> Database::TableNames() const {
 Result<DecayScheduler::AttachmentId> Database::AttachFungus(
     const std::string& table_name, std::unique_ptr<Fungus> fungus,
     Duration period) {
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(table_name));
   return scheduler_.Attach(table, std::move(fungus), period, clock_.Now());
 }
 
 Status Database::DetachFungus(DecayScheduler::AttachmentId id) {
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   return scheduler_.Detach(id);
 }
 
 Result<uint64_t> Database::AdvanceTime(Duration d) {
   if (d < 0) return Status::InvalidArgument("cannot advance time backwards");
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   clock_.Advance(d);
   const uint64_t ticks = scheduler_.AdvanceTo(clock_.Now());
   cellar_.AdvanceTo(clock_.Now());
@@ -147,7 +147,7 @@ std::vector<Result<RowId>> Database::Insert(
 void Database::InsertRows(const std::string& table_name,
                           std::span<const std::vector<Value>> rows,
                           std::span<Result<RowId>> ids) {
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   const Result<Table*> table = MutableTable(table_name);
   const Timestamp now = clock_.Now();
   int64_t appended = 0;
@@ -167,7 +167,7 @@ void Database::InsertRows(const std::string& table_name,
 Result<uint64_t> Database::Ingest(const std::string& table_name,
                                   RecordSource& source,
                                   uint64_t max_records) {
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(table_name));
   FUNGUSDB_ASSIGN_OR_RETURN(
       uint64_t n, ingestor_.IngestBatch(source, *table, max_records));
@@ -179,7 +179,7 @@ Result<uint64_t> Database::IngestPaced(const std::string& table_name,
                                        RecordSource& source,
                                        uint64_t max_records,
                                        Duration inter_arrival) {
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(table_name));
   // Interleave decay with ingestion so fungi tick close to their due
   // times instead of replaying a long backlog after the batch.
@@ -208,18 +208,19 @@ Result<ResultSet> Database::ExecuteSql(std::string_view sql) {
 Result<ResultSet> Database::Execute(const Query& query, std::string_view sql,
                                     int64_t queue_wait_us) {
   const int64_t lock_begin_us = SteadyMicros();
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   return ExecuteHeld(engine_, query, sql, queue_wait_us,
-                     SteadyMicros() - lock_begin_us, /*read_pin=*/false);
+                     SteadyMicros() - lock_begin_us, /*read_locked=*/false);
 }
 
 Result<ResultSet> Database::ExecuteHeld(QueryEngine& engine,
                                         const Query& query,
                                         std::string_view sql,
                                         int64_t queue_wait_us,
-                                        int64_t lock_wait_us, bool read_pin) {
+                                        int64_t lock_wait_us,
+                                        bool read_locked) {
   FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(query.table_name));
-  if (read_pin) {
+  if (read_locked) {
     if (options_.record_access && table->options().track_access) {
       // Misrouted: a read engine does not bump the access counters that
       // feed ImportanceFungus. Refuse instead of diverging.
@@ -240,7 +241,7 @@ Result<ResultSet> Database::ExecuteHeld(QueryEngine& engine,
   if (!result.ok()) return result;
   const int64_t exec_us = SteadyMicros() - begin_us;
   ResultSet::Stats& stats = result->stats;
-  stats.epoch = epochs_.epoch();
+  stats.epoch = lock_.epoch();
 
   const int64_t threshold = slow_query_micros();
   if (threshold > 0 && exec_us >= threshold) {
@@ -262,7 +263,7 @@ Result<ResultSet> Database::ExecuteHeld(QueryEngine& engine,
 }
 
 Status Database::AddCookSpec(CookSpec spec) {
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   if (tables_.count(spec.table_name) == 0) {
     return Status::TableNotFound("no table named '" + spec.table_name +
                                  "'");
@@ -271,21 +272,21 @@ Status Database::AddCookSpec(CookSpec spec) {
 }
 
 Result<RotReport> Database::RotReportFor(const std::string& name) {
-  EpochManager::ReadPin pin(epochs_);
+  RwLock::ReadLock read_lock(lock_);
   FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(name));
   return BuildRotReport(*table, &scheduler_);
 }
 
 Status Database::SetFreezeAfterIdleTicks(const std::string& name,
                                          uint64_t ticks) {
-  EpochManager::WriteGuard guard(epochs_);
+  RwLock::WriteLock write_lock(lock_);
   FUNGUSDB_ASSIGN_OR_RETURN(Table * table, MutableTable(name));
   table->set_freeze_after_idle_ticks(ticks);
   return Status::OK();
 }
 
 verify::Report Database::Fsck() const {
-  EpochManager::ReadPin pin(epochs_);
+  RwLock::ReadLock read_lock(lock_);
   verify::InvariantChecker checker;
   verify::Report report;
   for (const auto& [name, table] : tables_) {
@@ -310,7 +311,7 @@ void Database::EnableCheckAfterTick() {
 }
 
 HealthReport Database::Health() const {
-  EpochManager::ReadPin pin(epochs_);
+  RwLock::ReadLock read_lock(lock_);
   HealthReport report;
   report.now = clock_.Now();
   for (const auto& [name, table] : tables_) {

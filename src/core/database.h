@@ -14,7 +14,7 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "core/epoch.h"
+#include "core/rw_lock.h"
 #include "core/table_handle.h"
 #include "fungus/fungus.h"
 #include "fungus/rot_analysis.h"
@@ -95,18 +95,19 @@ struct HealthReport {
 ///
 /// Concurrency model (DESIGN.md §13): every mutation — inserts, DDL,
 /// AdvanceTime/decay ticks, CONSUME, cooking — enters an exclusive
-/// write section of the EpochManager, preserving the total order the
+/// write section of the database RwLock, preserving the total order the
 /// one virtual timeline requires; each write section (and each decay
 /// tick inside one) publishes a new epoch. Read-only statements run
-/// concurrently through Session objects, which pin the epoch current at
-/// dispatch. Calling this facade from one thread behaves exactly as the
-/// historical single-threaded contract (write sections are uncontended
-/// and cheap); multi-threaded use is: any number of Sessions, plus any
-/// number of threads calling the mutating facade (they serialize).
+/// concurrently through Session objects, which read-lock the version
+/// current at dispatch. Calling this facade from one thread behaves
+/// exactly as the historical single-threaded contract (write sections
+/// are uncontended and cheap); multi-threaded use is: any number of
+/// Sessions, plus any number of threads calling the mutating facade
+/// (they serialize).
 ///
 /// Every query, written or read, runs through one private body
-/// (ExecuteHeld): ExecuteSql and Execute call it under the WriteGuard,
-/// Session::ExecuteRead under its ReadPin. It counts the statement,
+/// (ExecuteHeld): ExecuteSql and Execute call it under the WriteLock,
+/// Session::ExecuteRead under its ReadLock. It counts the statement,
 /// stamps the epoch into ResultSet::Stats and writes the one slow-query
 /// log line (DESIGN.md §12).
 class Database {
@@ -191,7 +192,7 @@ class Database {
 
   /// Runs the invariant checker over every table plus the cellar and
   /// returns the combined fsck report (empty violations == healthy).
-  /// Executes under a read pin: safe concurrently with the writer.
+  /// Executes under a read lock: safe concurrently with the writer.
   verify::Report Fsck() const;
 
   /// Arms the scheduler's CHECK AFTER TICK hook: after every decay
@@ -205,7 +206,7 @@ class Database {
 
   HealthReport Health() const;
 
-  /// Composes the `\rot` report for one table under a single read pin:
+  /// Composes the `\rot` report for one table under a single read lock:
   /// rot structure, freshness histogram and the scheduler's decay
   /// state. The supported read path for out-of-core observers (HTTP
   /// handlers, CLIs) that must not touch Table directly.
@@ -237,15 +238,13 @@ class Database {
 
   /// The reader/writer coordination point. Read-mostly callers that
   /// compose several lookups (e.g. a rot report walking a table and the
-  /// scheduler) take one pin around the whole composition; nested pins
-  /// from the facade's own accessors are reentrant.
-  EpochManager& epochs() FUNGUS_RETURN_CAPABILITY(epochs_) {
-    return epochs_;
-  }
+  /// scheduler) take one read lock around the whole composition; the
+  /// facade's own accessors re-lock reentrantly.
+  RwLock& lock() FUNGUS_RETURN_CAPABILITY(lock_) { return lock_; }
 
   /// The current published epoch (bumped per write section and per
   /// decay tick) — also exported as the fungusdb.exec.epoch gauge.
-  uint64_t epoch() const { return epochs_.epoch(); }
+  uint64_t epoch() const { return lock_.epoch(); }
 
  private:
   friend class Session;
@@ -254,12 +253,12 @@ class Database {
   /// Mutable-table escape hatch. Private since the Session split: every
   /// external caller goes through TableHandle or (for persistence /
   /// verification / test seeding) internal::DatabaseInternal. Requires
-  /// at least a shared hold on the epoch: the map lookup races with DDL
+  /// at least a shared hold on the lock: the map lookup races with DDL
   /// otherwise. Callers that mutate the returned table need the
-  /// exclusive WriteGuard — the analysis cannot see through Table*, so
+  /// exclusive WriteLock — the analysis cannot see through Table*, so
   /// that half of the contract rides on the write-path annotations.
   Result<Table*> MutableTable(const std::string& name)
-      FUNGUS_REQUIRES_SHARED(epochs_);
+      FUNGUS_REQUIRES_SHARED(lock_);
 
   /// Body of both Insert forms: appends `rows` in one write section and
   /// stores row i's outcome in ids[i] (ids.size() == rows.size()), so
@@ -269,26 +268,27 @@ class Database {
                   std::span<Result<RowId>> ids);
 
   /// The one statement-execution body. The writer's Execute calls it
-  /// under its WriteGuard with engine_, and Session::ExecuteRead under
-  /// its ReadPin with the session's engine (`read_pin`). It looks up the
-  /// table, counts the statement, runs `engine`, stamps the epoch into
-  /// ResultSet::Stats and writes the slow-query line, whose lock_wait_us=
-  /// is `lock_wait_us`: the pin wait on a read, the WriteGuard
-  /// acquisition on a write. A read also records the pin wait in
+  /// under its WriteLock with engine_, and Session::ExecuteRead under
+  /// its ReadLock with the session's engine (`read_locked`). It looks up
+  /// the table, counts the statement, runs `engine`, stamps the epoch
+  /// into ResultSet::Stats and writes the slow-query line, whose
+  /// lock_wait_us= is `lock_wait_us`: the ReadLock wait on a read, the
+  /// WriteLock acquisition on a write. A read also records its wait in
   /// fungusdb.query.pin_wait_us and refuses a table that tracks access.
   /// Shared suffices for the analysis; a CONSUME mutates through here
-  /// only from the writer, which holds the epoch exclusively (Sessions
-  /// refuse consuming queries before they pin).
+  /// only from the writer, which holds the lock exclusively (Sessions
+  /// refuse consuming queries before they lock).
   Result<ResultSet> ExecuteHeld(QueryEngine& engine, const Query& query,
                                 std::string_view sql, int64_t queue_wait_us,
-                                int64_t lock_wait_us, bool read_pin)
-      FUNGUS_REQUIRES_SHARED(epochs_);
+                                int64_t lock_wait_us, bool read_locked)
+      FUNGUS_REQUIRES_SHARED(lock_);
 
   DatabaseOptions options_;
   VirtualClock clock_;
   MetricsRegistry metrics_;
-  // Mutable: const introspection (Health, Fsck, TableNames) still pins.
-  mutable EpochManager epochs_;
+  // Mutable: const introspection (Health, Fsck, TableNames) still
+  // read-locks.
+  mutable RwLock lock_;
   // Declared before engine_, its user; destroyed after it, so no
   // parallel scan can outlive its pool.
   std::unique_ptr<ThreadPool> pool_;
@@ -298,9 +298,9 @@ class Database {
   QueryEngine engine_;
   Ingestor ingestor_;
   /// The table map is versioned state: DDL mutates it under the
-  /// exclusive epoch section, everything else reads it under a pin.
+  /// exclusive write lock, everything else reads it under a read lock.
   std::map<std::string, std::unique_ptr<Table>> tables_
-      FUNGUS_GUARDED_BY(epochs_);
+      FUNGUS_GUARDED_BY(lock_);
   std::atomic<int64_t> slow_query_micros_;
 };
 

@@ -15,15 +15,15 @@ namespace fungusdb::internal {
 /// of the public API — application code takes TableHandles from
 /// CreateTable/GetTable and mutates through the Database.
 ///
-/// Concurrency contract: callers hold `db`'s exclusive epoch section
-/// (take an `EpochManager::WriteGuard guard(db.epochs());` around the
-/// lookup and every mutation through the returned pointer) — enforced
-/// at compile time under -Wthread-safety via the REQUIRES annotation
-/// below, which names the capability through the `db` parameter so the
-/// analysis unifies it with the caller's guard expression.
+/// Concurrency contract: callers hold `db`'s lock exclusively (take an
+/// `RwLock::WriteLock write_lock(db.lock());` around the lookup and
+/// every mutation through the returned pointer) — enforced at compile
+/// time under -Wthread-safety via the REQUIRES annotation below, which
+/// names the capability through the `db` parameter so the analysis
+/// unifies it with the caller's lock expression.
 struct DatabaseInternal {
   static Result<Table*> MutableTable(Database& db, const std::string& name)
-      FUNGUS_REQUIRES(db.epochs_);
+      FUNGUS_REQUIRES(db.lock_);
 };
 
 }  // namespace fungusdb::internal

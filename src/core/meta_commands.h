@@ -45,7 +45,7 @@ struct MetaCommandEntry {
   std::string_view usage;    // "\\rot <table>"; also the usage error
   std::string_view summary;  // one line of \help
   /// Never mutates the database: fungusd's read workers may run it
-  /// under one read pin, concurrently with other readers.
+  /// under one read lock, concurrently with other readers.
   bool read_only = false;
   /// Accepted word counts after the command; outside them the
   /// dispatcher answers "usage: <usage>" without calling the handler.

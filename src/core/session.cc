@@ -13,7 +13,7 @@ QueryEngineOptions ReadPathEngineOptions(Database* db) {
   // track_access tables on the writer precisely so this stays false.
   options.record_access = false;
   // Morsels run on the Database's one pool, shared with the other
-  // Sessions (and, outside read pins, the writer's scans).
+  // Sessions (and, outside read locks, the writer's scans).
   // ParallelFor is caller-runs: this read worker drives its own
   // statement's morsels and idle pool threads join in, so a reader never
   // waits for a pool thread busy in another Session's statement.
@@ -41,15 +41,16 @@ Result<ResultSet> Session::ExecuteRead(const Query& query,
         "the writer): " +
         query.ToString());
   }
-  // Pin acquisition blocks while a writer holds the exclusive section,
+  // The read lock blocks while a writer holds the exclusive section,
   // so its wall time is real head-of-line latency for the read pool.
-  const int64_t pin_begin_us = SteadyMicros();
-  EpochManager::ReadPin pin(db_->epochs_);
+  const int64_t lock_begin_us = SteadyMicros();
+  RwLock::ReadLock read_lock(db_->lock_);
   // The engine takes Table& but this call graph is read-only end to
-  // end: record_access is off, the query is non-consuming, and the pin
-  // excludes every mutator.
+  // end: record_access is off, the query is non-consuming, and the read
+  // lock excludes every mutator.
   return db_->ExecuteHeld(engine_, query, sql, queue_wait_us,
-                          SteadyMicros() - pin_begin_us, /*read_pin=*/true);
+                          SteadyMicros() - lock_begin_us,
+                          /*read_locked=*/true);
 }
 
 }  // namespace fungusdb

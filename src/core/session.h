@@ -14,16 +14,16 @@
 namespace fungusdb {
 
 /// The read half of the split execution model (DESIGN.md §13): a
-/// Session executes read-only statements against an epoch-pinned view
+/// Session executes read-only statements against a read-locked view
 /// of its Database, concurrently with other Sessions and with the
 /// single writer (which it never blocks for longer than one statement).
 ///
-/// Each ExecuteRead pins the epoch current at dispatch for the duration
-/// of the statement; the pin excludes the writer, so the statement sees
-/// a fully-applied decay tick or none — never a half-applied one.
+/// Each ExecuteRead holds the database's read lock for the duration of
+/// the statement; the read lock excludes the writer, so the statement
+/// sees a fully-applied decay tick or none — never a half-applied one.
 /// `__freshness` predicates, zone-map pruning, and ResultSet::Stats are
 /// therefore exactly as deterministic as the writer-path equivalents.
-/// Under the pin it runs the Database's one execute body, so a read is
+/// Under the read lock it runs the Database's one execute body, so a read is
 /// counted, stamped with its epoch (ResultSet::Stats::epoch) and
 /// slow-logged exactly like a statement on the writer.
 ///

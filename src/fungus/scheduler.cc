@@ -88,7 +88,7 @@ uint64_t DecayScheduler::AdvanceTo(Timestamp now) {
     // Freeze pass (DESIGN.md §15): full segments idle for the
     // configured number of ticks move to the encoded cold tier. Still
     // inside the tick's write section, so readers never observe a
-    // representation swap mid-pin — and before the post-tick check, so
+    // representation swap mid-read — and before the post-tick check, so
     // an armed fsck audits the frozen image every tick.
     const uint64_t freeze_idle =
         due->table->options().freeze_after_idle_ticks;

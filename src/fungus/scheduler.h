@@ -91,9 +91,9 @@ class DecayScheduler {
   }
 
   /// Called after each tick is fully applied (kills, cooking,
-  /// reclamation, post-tick check) — the Database wires this
-  /// to EpochManager::Publish so readers dispatched after the enclosing
-  /// write section pin a per-tick epoch, never a half-applied one.
+  /// reclamation, post-tick check) — the Database wires this to
+  /// RwLock::Publish so readers dispatched after the enclosing write
+  /// section see a per-tick epoch, never a half-applied one.
   void set_epoch_publisher(std::function<void()> publisher) {
     epoch_publisher_ = std::move(publisher);
   }

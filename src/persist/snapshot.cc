@@ -236,9 +236,9 @@ void SerializeDatabase(Database& db, BufferWriter& out,
       // effective values the serializer writes, keeping the on-disk
       // format oblivious to lazy decay. Frozen segments materialize in
       // place (and refresh their checksum) without thawing. Mutation
-      // outside the facade, so it holds the exclusive epoch section the
-      // accessor requires.
-      EpochManager::WriteGuard guard(db.epochs());
+      // outside the facade, so it holds the write lock the accessor
+      // requires.
+      RwLock::WriteLock write_lock(db.lock());
       internal::DatabaseInternal::MutableTable(db, name)
           .value()
           ->MaterializePendingDecay();
@@ -276,9 +276,9 @@ Result<std::unique_ptr<Database>> DeserializeDatabase(BufferReader& in) {
         db->CreateTable(loaded.name(), loaded.schema(), loaded.options())
             .status());
     // The replay below mutates the table outside the facade, so it
-    // holds the exclusive epoch section the internal accessor requires
-    // (after CreateTable returns — its own write section must drain).
-    EpochManager::WriteGuard guard(db->epochs());
+    // holds the write lock the internal accessor requires (after
+    // CreateTable returns — its own write section must drain).
+    RwLock::WriteLock write_lock(db->lock());
     FUNGUSDB_ASSIGN_OR_RETURN(
         Table * created,
         internal::DatabaseInternal::MutableTable(*db, loaded.name()));

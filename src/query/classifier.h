@@ -10,8 +10,8 @@ namespace fungusdb {
 
 /// What a statement is allowed to do to the database — the routing
 /// contract of the split execution model (DESIGN.md §13). kReadOnly
-/// statements may run concurrently on the session/read path against a
-/// pinned epoch; everything else belongs to the single writer that owns
+/// statements may run concurrently on the session/read path under the
+/// database's read lock; everything else belongs to the single writer that owns
 /// the total order over mutations.
 enum class StatementKind {
   kReadOnly,

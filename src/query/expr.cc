@@ -182,9 +182,6 @@ ExprPtr Lit(std::string v) {
   return Expr::Literal(Value::String(std::move(v)));
 }
 ExprPtr Lit(bool v) { return Expr::Literal(Value::Bool(v)); }
-ExprPtr LitTimestamp(Timestamp t) {
-  return Expr::Literal(Value::TimestampVal(t));
-}
 ExprPtr LitNull() { return Expr::Literal(Value::Null()); }
 ExprPtr Col(std::string name) { return Expr::Column(std::move(name)); }
 
@@ -215,14 +212,8 @@ ExprPtr Or(ExprPtr lhs, ExprPtr rhs) {
 ExprPtr Add(ExprPtr lhs, ExprPtr rhs) {
   return Expr::Binary(BinaryOp::kAdd, std::move(lhs), std::move(rhs));
 }
-ExprPtr Sub(ExprPtr lhs, ExprPtr rhs) {
-  return Expr::Binary(BinaryOp::kSub, std::move(lhs), std::move(rhs));
-}
 ExprPtr Mul(ExprPtr lhs, ExprPtr rhs) {
   return Expr::Binary(BinaryOp::kMul, std::move(lhs), std::move(rhs));
-}
-ExprPtr Div(ExprPtr lhs, ExprPtr rhs) {
-  return Expr::Binary(BinaryOp::kDiv, std::move(lhs), std::move(rhs));
 }
 ExprPtr Not(ExprPtr operand) {
   return Expr::Unary(UnaryOp::kNot, std::move(operand));

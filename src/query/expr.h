@@ -132,7 +132,6 @@ ExprPtr Lit(double v);
 ExprPtr Lit(const char* v);
 ExprPtr Lit(std::string v);
 ExprPtr Lit(bool v);
-ExprPtr LitTimestamp(Timestamp t);
 ExprPtr LitNull();
 ExprPtr Col(std::string name);
 
@@ -147,9 +146,7 @@ ExprPtr Ge(ExprPtr lhs, ExprPtr rhs);
 ExprPtr And(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Or(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Add(ExprPtr lhs, ExprPtr rhs);
-ExprPtr Sub(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Mul(ExprPtr lhs, ExprPtr rhs);
-ExprPtr Div(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Not(ExprPtr operand);
 ExprPtr IsNull(ExprPtr operand);
 ExprPtr IsNotNull(ExprPtr operand);

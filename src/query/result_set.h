@@ -21,8 +21,9 @@ struct ResultSet {
     uint64_t rows_pruned = 0;      // live tuples skipped via zone maps
     uint64_t segments_pruned = 0;  // segments skipped via zone maps
     uint64_t segments_scanned = 0;  // segments surviving pruning
-    // The published epoch the statement read: the pinned one on a
-    // Session, the one the write section started from on the writer.
+    // The published epoch the statement read: the one held under the
+    // read lock on a Session, the one the write section started from on
+    // the writer.
     uint64_t epoch = 0;
   };
 

@@ -257,9 +257,9 @@ HttpDebugServer::Response HttpDebugServer::Varz(Database& db) {
                                                    : "draining")
      << "\"";
   {
-    // One pin for the composed snapshot: epoch, virtual now and table
-    // list all come from the same published epoch.
-    EpochManager::ReadPin pin(db.epochs());
+    // One read lock for the composed snapshot: epoch, virtual now and
+    // table list all come from the same published epoch.
+    RwLock::ReadLock read_lock(db.lock());
     os << ",\"epoch\":" << db.epoch() << ",\"virtual_now_us\":" << db.Now()
        << ",\"tables\":" << db.TableNames().size();
   }
@@ -277,10 +277,10 @@ HttpDebugServer::Response HttpDebugServer::Varz(Database& db) {
 HttpDebugServer::Response HttpDebugServer::Rotz(Database& db,
                                                 const std::string& query) {
   const std::string only = QueryParam(query, "table");
-  // One pin across the whole composition: the table list and every
-  // report come from one published epoch, and the inner facade pins
-  // (RotReportFor) are reentrant under it.
-  EpochManager::ReadPin pin(db.epochs());
+  // One read lock across the whole composition: the table list and
+  // every report come from one published epoch, and the inner facade
+  // read locks (RotReportFor) are reentrant under it.
+  RwLock::ReadLock read_lock(db.lock());
   std::vector<std::string> names;
   if (!only.empty()) {
     names.push_back(only);
@@ -307,7 +307,7 @@ HttpDebugServer::Response HttpDebugServer::Rotz(Database& db,
 HttpDebugServer::Response HttpDebugServer::Storagez(
     Database& db, const std::string& query) {
   const std::string only = QueryParam(query, "table");
-  EpochManager::ReadPin pin(db.epochs());
+  RwLock::ReadLock read_lock(db.lock());
   std::vector<std::string> names;
   if (!only.empty()) {
     names.push_back(only);

@@ -52,8 +52,8 @@ struct HttpDebugOptions {
 /// Threading model: one acceptor thread pushes accepted sockets onto a
 /// bounded RequestQueue drained by a small handler pool — no
 /// per-connection threads, no locks of its own beyond the queue's.
-/// Every database read goes through the epoch-pin read protocol
-/// (EpochManager::ReadPin, reentrant with the facade's own pins); the
+/// Every database read holds the database's read lock
+/// (RwLock::ReadLock, reentrant with the facade's own read locks); the
 /// plane never touches Table or tier internals, only the public stats
 /// structs (enforced by the `http-handler` lint rule).
 ///

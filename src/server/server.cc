@@ -467,11 +467,11 @@ Result<ResultSet> Server::ExecuteRead(size_t worker_index,
     return sessions_[worker_index]->ExecuteRead(
         *query, StripWhitespace(statement), queue_wait_us);
   }
-  // A read-only meta command. One outer pin for the whole command: inner
-  // facade reads (GetTable, Health, Fsck, TableNames) re-pin reentrantly,
-  // and scheduler state (\rot) cannot change underneath because the pin
-  // excludes the writer for the duration.
-  EpochManager::ReadPin pin(db_->epochs());
+  // A read-only meta command. One outer read lock for the whole
+  // command: inner facade reads (GetTable, Health, Fsck, TableNames)
+  // re-lock reentrantly, and scheduler state (\rot) cannot change
+  // underneath because the read lock excludes the writer while held.
+  RwLock::ReadLock read_lock(db_->lock());
   return ExecuteStatement(*db_, statement);
 }
 

@@ -52,14 +52,14 @@ struct ServerOptions {
 /// decodes frames and classifies each request's batch. A batch whose
 /// statements are all provably read-only goes to the read queue, served
 /// by a pool of read workers that each own a Session and execute
-/// against an epoch-pinned snapshot view. Everything else goes to the
-/// write queue, served by a SINGLE executor thread that owns the total
+/// under the database's read lock. Everything else goes to the write
+/// queue, served by a SINGLE executor thread that owns the total
 /// order over mutations (inserts, DDL, \advance ticks, CONSUME,
 /// cooking). Connection threads block on a per-request future for the
 /// answer, which also serializes each connection's request/response
 /// exchange. Meta commands run through the registry in
 /// core/meta_commands.h on both paths; a read worker runs a read-only
-/// one under one outer read pin, and executes a SQL statement from the
+/// one under one outer read lock, and executes a SQL statement from the
 /// parse the classifier already made.
 ///
 /// The writer takes a run of consecutive `\insert`s into one table as
@@ -189,7 +189,7 @@ class Server {
                                  int64_t queue_wait_us);
 
   /// Read-worker execution: parsed SQL through the worker's Session, a
-  /// read-only registry command under one outer epoch pin.
+  /// read-only registry command under one outer read lock.
   Result<ResultSet> ExecuteRead(size_t worker_index,
                                 const std::string& statement,
                                 const std::optional<Query>& query,

@@ -175,7 +175,6 @@ struct RleRuns {
   std::vector<uint64_t> ends;  // cumulative exclusive ends, ascending
 
   uint64_t count() const { return ends.empty() ? 0 : ends.back(); }
-  size_t num_runs() const { return values.size(); }
 
   static RleRuns Pack(const V* data, size_t n) {
     RleRuns out;

@@ -100,12 +100,12 @@ struct ZoneMap {
 /// tombstone rows, rewrite freshness vectors and free whole segments;
 /// a concurrent reader iterating offsets mid-tick could see a zone map
 /// disagreeing with its cells, or a dangling segment outright. The
-/// epoch scheme (core/epoch.h) is what rules that out: writers mutate
-/// only inside an exclusive write section, readers only under a pin,
-/// and segment lifetime — including freeze and thaw, which swap the
-/// physical representation — ends strictly inside a write section, so
-/// a pinned reader can hold raw Segment pointers for the pin's
-/// duration and never observes a representation change.
+/// database lock (core/rw_lock.h) is what rules that out: writers
+/// mutate only inside an exclusive write section, readers only under a
+/// read lock, and segment lifetime — including freeze and thaw, which
+/// swap the physical representation — ends strictly inside a write
+/// section, so a read-locked reader can hold raw Segment pointers while
+/// the lock is held and never observes a representation change.
 class Segment {
  public:
   Segment(const Schema& schema, uint64_t first_row, size_t capacity,
@@ -178,14 +178,6 @@ class Segment {
   }
 
   Value GetValue(size_t off, size_t col) const;
-
-  /// Plain-representation column access. Requires !is_frozen(); code
-  /// outside src/storage uses the segment-level cell accessors and the
-  /// decode-to-scratch API below, which work on both tiers.
-  const Column& column(size_t col) const {
-    assert(!frozen_);
-    return *columns_[col];
-  }
 
   // --- Tier-independent column metadata (works frozen or plain). ---
 
@@ -381,26 +373,6 @@ class Segment {
   /// literal absent from the segment.
   static constexpr uint32_t kNoStringCode = UINT32_MAX;
 
-  // --- Raw system-vector spans (plain tier only; src/storage and the
-  // invariant checker — everything else goes through the decode API,
-  // enforced by the `encoded-access` lint rule). ---
-
-  const Timestamp* ts_data() const {
-    assert(!frozen_);
-    return ts_.data();
-  }
-
-  /// STORED freshness values — callers evaluating `__freshness` must
-  /// replay pending_decay() on top (see VectorPredicate).
-  const double* freshness_data() const {
-    assert(!frozen_);
-    return freshness_.data();
-  }
-  const uint8_t* alive_data() const {
-    assert(!frozen_);
-    return alive_.data();
-  }
-
   void RecordAccess(size_t off);
   uint32_t AccessCount(size_t off) const;
 
@@ -419,7 +391,11 @@ class Segment {
   bool tracks_access() const { return track_access_; }
 
  private:
-  // Seeds deliberate corruption for fsck tests (verify/corruptor.h).
+  // The plain-tier vectors below are private, so no code outside the
+  // segment can assume the thawed representation; everything reads
+  // through the tier-independent accessors and the decode-to-scratch
+  // API above. TestCorruptor (verify/corruptor.h) reaches them through
+  // this friendship to seed deliberate corruption for fsck tests.
   friend class TestCorruptor;
 
   uint64_t first_row_;

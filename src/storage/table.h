@@ -72,18 +72,19 @@ struct StorageStats {
 /// counters beside it.
 ///
 /// Threading contract: every mutator runs on the writer thread inside
-/// its exclusive epoch section (core/epoch.h); nothing mutates a table
+/// its exclusive write lock (core/rw_lock.h); nothing mutates a table
 /// concurrently.
 ///
 /// Snapshot-read visibility: the table itself carries no versioning —
 /// concurrent readers (core/session.h) are made safe purely by the
-/// epoch scheme in core/epoch.h. The single writer mutates only inside
-/// an exclusive write section, and every tick-shaped unit of mutation
-/// ends with an epoch publication; a reader's pin excludes the writer
-/// for the pin's duration, so any traversal of segments, tombstones and
-/// freshness values under one pin observes one published epoch — never
-/// a half-applied tick. Code reading table state off the writer thread
-/// without a pin is a bug, whatever race detectors say.
+/// database lock in core/rw_lock.h. The single writer mutates only
+/// inside an exclusive write section, and every tick-shaped unit of
+/// mutation ends with an epoch publication; a reader's read lock
+/// excludes the writer while held, so any traversal of segments,
+/// tombstones and freshness values under one read lock observes one
+/// published epoch — never a half-applied tick. Code reading table
+/// state off the writer thread without a read lock is a bug, whatever
+/// race detectors say.
 class Table {
  public:
   Table(std::string name, Schema schema, TableOptions options = {});
@@ -173,18 +174,6 @@ class Table {
       for (size_t off = 0; off < n; ++off) {
         if (seg->IsLive(off)) fn(seg->first_row() + off);
       }
-    }
-  }
-
-  /// Calls fn(const Segment&) for every segment holding at least one
-  /// live tuple, in insertion order. The fast scan path in the query
-  /// engine uses this to read typed columns directly instead of going
-  /// through per-row id resolution.
-  template <typename Fn>
-  void ForEachLiveSegment(Fn&& fn) const {
-    for (const auto& [seg_no, seg] : segments_) {
-      if (seg->live_count() == 0) continue;
-      fn(static_cast<const Segment&>(*seg));
     }
   }
 

@@ -39,9 +39,6 @@ class Value {
   /// Type of a non-null value. Calling on null is a programming error.
   DataType type() const;
 
-  /// True when the value is null or has type `t`.
-  bool IsCompatibleWith(DataType t) const { return is_null() || type() == t; }
-
   /// Typed accessors; type must match (checked via assert in debug).
   int64_t AsInt64() const { return std::get<int64_t>(data_); }
   double AsFloat64() const { return std::get<double>(data_); }

@@ -27,7 +27,6 @@ class HistogramSketch : public ColumnSummary {
   static Result<std::unique_ptr<HistogramSketch>> Deserialize(
       BufferReader& in);
 
-  size_t num_buckets() const { return counts_.size(); }
   uint64_t bucket_count(size_t i) const { return counts_[i]; }
   double bucket_low(size_t i) const;
   double bucket_high(size_t i) const;

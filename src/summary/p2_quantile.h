@@ -32,8 +32,6 @@ class P2Quantile : public ColumnSummary {
 
   static Result<std::unique_ptr<P2Quantile>> Deserialize(BufferReader& in);
 
-  double target_quantile() const { return q_; }
-
   /// Current estimate; fails before any numeric observation.
   Result<double> Estimate() const;
 

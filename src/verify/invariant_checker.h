@@ -54,7 +54,7 @@ struct Report {
 /// (freshness ∈ (0,1] for live tuples, dead-row exclusion from live
 /// iteration, segment time-ordering, row-count/column-length agreement,
 /// counter accounting). Read-only: run it on the writer thread or under
-/// a read pin, never while the table is being mutated.
+/// a read lock, never while the table is being mutated.
 class InvariantChecker {
  public:
   struct Options {

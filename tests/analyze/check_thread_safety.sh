@@ -1,13 +1,13 @@
 #!/bin/sh
-# Compile-time verification of the epoch capability model.
+# Compile-time verification of the database lock's capability model.
 #
 # Usage: check_thread_safety.sh <clang++> <repo-root>
 #
 # Two checks, both syntax-only (no linking, no gtest needed):
-#   1. epoch_capability_positive.cc compiles cleanly — correctly
+#   1. rw_lock_capability_positive.cc compiles cleanly — correctly
 #      annotated code does not fight the analysis;
-#   2. epoch_capability_negative.cc FAILS with a -Wthread-safety
-#      diagnostic — a reader pin cannot reach a REQUIRES(epoch) writer
+#   2. rw_lock_capability_negative.cc FAILS with a -Wthread-safety
+#      diagnostic — a read lock cannot reach a REQUIRES(lock) writer
 #      API. A clean compile here means the contract has a hole.
 #
 # Registered as the `thread_safety_compile` ctest when clang++ is on
@@ -26,7 +26,7 @@ FLAGS="-std=c++20 -fsyntax-only -I$ROOT/src -I$ROOT/include \
 
 status=0
 
-if ! out=$("$CLANGXX" $FLAGS "$HERE/epoch_capability_positive.cc" 2>&1); then
+if ! out=$("$CLANGXX" $FLAGS "$HERE/rw_lock_capability_positive.cc" 2>&1); then
   echo "FAIL: positive capability test did not compile:"
   echo "$out"
   status=1
@@ -34,9 +34,9 @@ else
   echo "ok: positive capability test compiles cleanly"
 fi
 
-if out=$("$CLANGXX" $FLAGS "$HERE/epoch_capability_negative.cc" 2>&1); then
-  echo "FAIL: negative capability test COMPILED — a reader pin reached"
-  echo "      a REQUIRES(epoch) writer API without a diagnostic"
+if out=$("$CLANGXX" $FLAGS "$HERE/rw_lock_capability_negative.cc" 2>&1); then
+  echo "FAIL: negative capability test COMPILED — a read lock reached"
+  echo "      a REQUIRES(lock) writer API without a diagnostic"
   status=1
 elif ! echo "$out" | grep -q "thread-safety"; then
   echo "FAIL: negative capability test failed for the wrong reason:"

@@ -1,6 +1,6 @@
-// Negative half of the epoch-capability compile test: a reader holding
-// only a shared pin calls the mutating internal API, which requires the
-// epoch capability EXCLUSIVELY. Under
+// Negative half of the lock-capability compile test: a reader holding
+// only a read lock calls the mutating internal API, which requires the
+// database lock EXCLUSIVELY. Under
 //   clang++ -fsyntax-only -Wthread-safety -Wthread-safety-beta -Werror
 // this translation unit MUST FAIL to build with a thread-safety
 // diagnostic ("requires holding ... exclusively"). If it ever compiles,
@@ -13,7 +13,7 @@
 namespace fungusdb {
 
 void ReaderCallsWriterApi(Database& db) {
-  EpochManager::ReadPin pin(db.epochs());
+  RwLock::ReadLock read_lock(db.lock());
   (void)internal::DatabaseInternal::MutableTable(db, "spores");
 }
 

@@ -1,6 +1,6 @@
-// Positive half of the epoch-capability compile test: a writer holding
-// the exclusive epoch section may call the mutating internal API, and a
-// reader pin satisfies the shared-capability query surface. This
+// Positive half of the lock-capability compile test: a writer holding
+// the database lock exclusively may call the mutating internal API, and
+// a read lock satisfies the shared-capability query surface. This
 // translation unit must compile CLEANLY under
 //   clang++ -fsyntax-only -Wthread-safety -Wthread-safety-beta -Werror
 // (driven by check_thread_safety.sh; see the negative twin for the
@@ -12,12 +12,12 @@
 namespace fungusdb {
 
 void WriterMayMutate(Database& db) {
-  EpochManager::WriteGuard guard(db.epochs());
+  RwLock::WriteLock write_lock(db.lock());
   (void)internal::DatabaseInternal::MutableTable(db, "spores");
 }
 
 void ReaderMayQuery(Database& db) {
-  EpochManager::ReadPin pin(db.epochs());
+  RwLock::ReadLock read_lock(db.lock());
   (void)db.GetTable("spores");
 }
 

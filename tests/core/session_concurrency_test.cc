@@ -56,7 +56,7 @@ std::unique_ptr<Database> BuildDatabase() {
 TEST(SessionConcurrencyTest, ReadersRacingDecayMatchSerialReplay) {
   // Phase A — serial replay: record the count at every epoch boundary
   // the writer script can produce. Counting goes through the handle
-  // (a pinned read), not ExecuteSql, so it does not perturb the epoch
+  // (a read-locked read), not ExecuteSql, so it does not perturb the epoch
   // sequence.
   std::map<uint64_t, uint64_t> count_at_epoch;
   {
@@ -71,7 +71,7 @@ TEST(SessionConcurrencyTest, ReadersRacingDecayMatchSerialReplay) {
     ASSERT_GT(count_at_epoch.size(), 2u);
   }
 
-  // Phase B — the race: same prefix, same ticks, but readers pin and
+  // Phase B — the race: same prefix, same ticks, but readers lock and
   // count concurrently with the writer.
   std::unique_ptr<Database> db = BuildDatabase();
   std::atomic<bool> writer_done{false};
@@ -115,10 +115,10 @@ TEST(SessionConcurrencyTest, ReadersRacingDecayMatchSerialReplay) {
     for (const auto& [epoch, count] : observed[r]) {
       ++total_observations;
       ++distinct_epochs[epoch];
-      // Epochs are monotone per reader: pins happen in program order.
+      // Epochs are monotone per reader: reads happen in program order.
       EXPECT_GE(epoch, last_epoch);
       last_epoch = epoch;
-      // The heart of the test: the pinned view equals the serial
+      // The heart of the test: the read-locked view equals the serial
       // replay at that epoch — never a half-applied tick.
       const auto it = count_at_epoch.find(epoch);
       ASSERT_NE(it, count_at_epoch.end())

@@ -134,7 +134,7 @@ TEST(SlowQueryLogTest, EveryPathWritesOneLineWithTheSameFields) {
   EXPECT_EQ(Field(consumed.line, "sql"), consume);
   EXPECT_EQ(consumed.result->stats.epoch, epoch);
 
-  // A Session read: the pinned epoch, the same line.
+  // A Session read: the read-locked epoch, the same line.
   epoch = db->epoch();
   const LoggedRun read = Logged(
       *db, [&] { return session.ExecuteRead(select_query, select, 4321); });

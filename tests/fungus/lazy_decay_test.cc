@@ -177,7 +177,7 @@ TEST(LazyDecayDifferentialTest, RandomizedMixedWorkloadIsBitIdentical) {
   }
 }
 
-// TSan target: epoch-pinned readers reconstruct effective freshness
+// TSan target: read-locked readers reconstruct effective freshness
 // (stored - pending) while the writer's ticks keep folding new pending
 // decrements into the same segments. Any unsynchronized access between
 // the writer's fold and a reader's replay of pending_decay() is a
@@ -217,7 +217,7 @@ TEST(LazyDecayConcurrencyTest, ReadersRaceFoldingTicks) {
         const Result<ResultSet> rs = session.ExecuteRead(
             "SELECT count(*) AS n FROM r WHERE __freshness > 0.1");
         // Nothing ever dies and effective freshness stays near 1.0, so
-        // every pinned snapshot must see the full table.
+        // every read-locked snapshot must see the full table.
         if (!rs.ok() || rs.value().at(0, 0).AsInt64() != kRows) {
           failures.fetch_add(1);
           return;

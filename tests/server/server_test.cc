@@ -259,7 +259,7 @@ TEST(ServerSmokeTest, SixtyFourClientsHundredStatements) {
           return;
         }
         if (select) {
-          // Nothing ever dies (retention is a year), so a pinned count
+          // Nothing ever dies (retention is a year), so a read-locked count
           // can never exceed the inserts acknowledged so far.
           const auto n =
               static_cast<uint64_t>(result.value().at(0, 0).AsInt64());
@@ -615,14 +615,14 @@ TEST(ServerInsertRunTest, GrammarPins) {
   FUNGUSDB_CHECK_OK(
       server->database().CreateTable("t", SharedSchema()).status());
   Client client = ConnectTo(*server);
-  const uint64_t epoch_before = server->database().epochs().epoch();
+  const uint64_t epoch_before = server->database().lock().epoch();
   const std::vector<Result<ResultSet>> results =
       client
           .Execute({"\\insert t 1", "\\insert t", "\\insert\tt\t2",
                     "  \\insert   t \t 3 \r\n", "\\insert t \t"})
           .value();
   // One run is one write section.
-  EXPECT_EQ(server->database().epochs().epoch(), epoch_before + 1);
+  EXPECT_EQ(server->database().lock().epoch(), epoch_before + 1);
   ASSERT_EQ(results.size(), 5u);
   EXPECT_EQ(results[0].value().at(0, 0).AsInt64(), 0);
   EXPECT_EQ(results[2].value().at(0, 0).AsInt64(), 1);

@@ -266,7 +266,7 @@ TEST(TieredStorageStringTest, RefreezingLoadedRowsRewritesTheEarlierBlocks) {
   ASSERT_EQ(earlier.size(), 5u);
   std::unique_ptr<Database> loaded =
       LoadDatabaseSnapshot(dir + "/v3_frozen_strings.snap").value();
-  EpochManager::WriteGuard guard(loaded->epochs());
+  RwLock::WriteLock write_lock(loaded->lock());
   size_t compared = 0;
   for (const auto& [key, entry] : earlier) {
     SCOPED_TRACE(key.first + " first_row " + std::to_string(key.second));

@@ -520,9 +520,9 @@ TEST(TieredStorageFsckTest, SeedersRefusePlainSegments) {
 }
 
 // ---------------------------------------------------------------------
-// TSan target: epoch-pinned readers scan while ticks freeze idle
+// TSan target: read-locked readers scan while ticks freeze idle
 // segments ("stable") and retention kills thaw frozen ones ("churn").
-// Any representation swap a pinned reader can observe mid-scan is a
+// Any representation swap a read-locked reader can observe mid-scan is a
 // race this test exists to surface.
 
 TEST(TieredStorageConcurrencyTest, ReadersRaceFreezeThawTicks) {
@@ -571,7 +571,7 @@ TEST(TieredStorageConcurrencyTest, ReadersRaceFreezeThawTicks) {
     readers.emplace_back([&] {
       Session session(&db);
       while (!writer_done.load(std::memory_order_acquire)) {
-        // Nothing in `stable` ever dies: every pinned snapshot must see
+        // Nothing in `stable` ever dies: every read-locked snapshot must see
         // the full table no matter how many segments froze since.
         const Result<ResultSet> stable = session.ExecuteRead(
             "SELECT count(*) AS n FROM stable WHERE k >= 0");
@@ -580,7 +580,7 @@ TEST(TieredStorageConcurrencyTest, ReadersRaceFreezeThawTicks) {
           failures.fetch_add(1);
           return;
         }
-        // `churn` shrinks tick by tick; a pinned read sees some
+        // `churn` shrinks tick by tick; a read-locked read sees some
         // published epoch's prefix-free suffix, never a torn mix.
         const Result<ResultSet> churn = session.ExecuteRead(
             "SELECT count(*) AS n FROM churn WHERE s = 'unit-1'");

@@ -16,12 +16,14 @@ contracts that are not lock-shaped. This audit carries both halves:
                   appear only inside src/common/mutex.h. A raw mutex is
                   invisible to the thread safety analysis, so every
                   acquisition through one is a hole in the contract.
-  no-tsa-escape   FUNGUS_NO_THREAD_SAFETY_ANALYSIS only in the files
-                  that implement locking primitives (core/epoch.*) —
+  no-tsa-escape   FUNGUS_NO_THREAD_SAFETY_ANALYSIS only in the file
+                  that implements the database lock (core/rw_lock.cc) —
                   never as a way to silence a real finding.
-  pin-attrs       EpochManager::PinRead()/BeginWrite() keep [[nodiscard]]
-                  and their ACQUIRE attributes, so dropped pins and
-                  untracked acquisitions stay compile-visible.
+  pin-attrs       the RwLock::ReadLock / RwLock::WriteLock constructors,
+                  the only way to take the database lock, keep
+                  [[nodiscard]] explicit and their ACQUIRE attributes, so
+                  discarded locks fail the -Werror build and every
+                  acquisition stays visible to the analysis.
 
 Usage: tools/analyze/capability_audit.py [repo-root]
 Exits 0 when clean, 1 with one "file:line: rule: message" per finding.
@@ -41,7 +43,7 @@ GUARDED_BY_ALLOWLIST = {
     # touches the vector itself.
     "src/common/thread_pool.h#ThreadPool::workers_",
     # Set once at Database construction, before any concurrency exists.
-    "src/core/epoch.h#EpochManager::metrics_",
+    "src/core/rw_lock.h#RwLock::metrics_",
     # Server lifecycle state: written in the constructor / Start()
     # before the worker threads that read it are spawned, and torn down
     # in Stop() after every one of them is joined. The spawn/join edges
@@ -61,12 +63,11 @@ GUARDED_BY_ALLOWLIST = {
 }
 
 # The only files allowed to switch the thread safety analysis off: the
-# epoch capability's own implementation lies to the analysis by design
-# (condvar waits release/reacquire invisibly; pins move).
+# database lock's own implementation lies to the analysis by design
+# (condvar waits release/reacquire invisibly).
 NO_TSA_ALLOWLIST = {
     "src/common/thread_annotations.h",  # the macro's own definition
-    "src/core/epoch.h",
-    "src/core/epoch.cc",
+    "src/core/rw_lock.cc",
 }
 
 RAW_MUTEX_ALLOWLIST = {
@@ -239,7 +240,7 @@ def audit_file(root, path, findings):
             findings.append(
                 (rel, lineno, "no-tsa-escape",
                  "FUNGUS_NO_THREAD_SAFETY_ANALYSIS is reserved for the"
-                 " locking-primitive implementation (core/epoch.*);"
+                 " locking-primitive implementation (core/rw_lock.cc);"
                  " fix the annotation instead of switching the"
                  " analysis off"))
 
@@ -248,20 +249,20 @@ def audit_file(root, path, findings):
 
 
 def audit_pin_attrs(root, findings):
-    epoch = root / "src/core/epoch.h"
-    if not epoch.is_file():
-        return  # fixture trees have no epoch.h; the rule has no subject
-    text = " ".join(scrub(epoch.read_text(encoding="utf-8")).split())
-    for method, attr in (("PinRead", "FUNGUS_ACQUIRE_SHARED()"),
-                         ("BeginWrite", "FUNGUS_ACQUIRE()")):
-        pattern = r"\[\[nodiscard\]\]\s+\w+\s+%s\s*\(\s*\)\s*%s" % (
-            method, re.escape(attr).replace(r"\(\)", r"\(\s*\)"))
+    header = root / "src/core/rw_lock.h"
+    if not header.is_file():
+        return  # a fixture tree without the lock; the rule has no subject
+    text = " ".join(scrub(header.read_text(encoding="utf-8")).split())
+    for guard, attr in (("ReadLock", "FUNGUS_ACQUIRE_SHARED"),
+                        ("WriteLock", "FUNGUS_ACQUIRE")):
+        pattern = (r"\[\[nodiscard\]\] explicit %s ?\( ?RwLock ?& ?(\w+) ?\)"
+                   r" ?%s ?\( ?\1 ?\)" % (guard, attr))
         if not re.search(pattern, text):
             findings.append(
-                ("src/core/epoch.h", 1, "pin-attrs",
-                 "EpochManager::%s() must keep [[nodiscard]] and %s —"
-                 " dropped pins and untracked acquisitions must stay"
-                 " compile-visible" % (method, attr)))
+                ("src/core/rw_lock.h", 1, "pin-attrs",
+                 "RwLock::%s(RwLock&) must stay [[nodiscard]] explicit"
+                 " and %s(lock) — discarded locks and untracked"
+                 " acquisitions must stay compile-visible" % (guard, attr)))
 
 
 def main():

@@ -11,14 +11,6 @@ Enforces the repo-specific rules that generic linters cannot:
   naked-random    no std::rand / srand / time(nullptr) / random_device /
                   mt19937 outside src/common/random.* — all randomness
                   goes through the seeded, reproducible common/random.
-  pin-discipline  no immediately-destroyed epoch pins: `PinRead();` or
-                  `BeginWrite();` as a whole statement takes and drops
-                  the pin in one expression, which synchronizes nothing
-                  and usually means the author thought they were
-                  holding it. Scans tests/ too (the compile-time
-                  [[nodiscard]] already covers expression contexts);
-                  tests/core/epoch_test.cc is the one allowed exception
-                  (it tests the pin mechanics themselves).
   wire-framing    raw framing primitives — hton*/ntoh* byte-order calls
                   and memcpy-into-lvalue decoding — only in
                   src/server/wire_format.* (the one place that lays out
@@ -31,25 +23,14 @@ Enforces the repo-specific rules that generic linters cannot:
                   — must stay Value-free: no GetValue( calls — boxing a
                   Value per row is exactly what the kernels exist to
                   avoid; read typed column spans instead.
-  encoded-access  outside src/storage/, no code may assume the plain
-                  (thawed) representation: the raw span accessors
-                  (ts_data/freshness_data/alive_data), Segment::column()
-                  and the columns_ member all assert !is_frozen(), so a
-                  caller that compiles today crashes the moment the
-                  freeze policy touches its table. Everything above the
-                  storage layer goes through the tier-independent cell
-                  accessors and the decode-to-scratch API
-                  (storage/segment.h). One carve-out:
-                  src/verify/corruptor.cc seeds corruption through its
-                  friendship on purpose.
   http-handler    the HTTP observability plane (src/server/http_*) reads
-                  database state only through epoch-pinned facade calls
+                  database state only through read-locked facade calls
                   and the public stats structs (TableHandle,
                   Database::RotReportFor, StorageStats) — never through
                   Table pointers/references, the TableHandle::table()
                   escape hatch, MutableTable, BuildRotReport or
                   GetStorageStats on a raw Table. A handler that held a
-                  Table* could outlive its pin or bypass the tier
+                  Table* could outlive its read lock or bypass the tier
                   contract; the narrow surface keeps the plane auditable.
   public-api      examples/ and tools/ consume the library through the
                   public headers (include/fungusdb/...), never through
@@ -68,8 +49,12 @@ Enforces the repo-specific rules that generic linters cannot:
   hygiene         no tabs, no trailing whitespace, newline at EOF.
 
 The concurrency-contract rules (guarded-by coverage, raw-mutex ban,
-TSA-escape and pin-attribute checks) live in
-tools/analyze/capability_audit.py.
+TSA-escape and lock-attribute checks) live in
+tools/analyze/capability_audit.py. Two contracts need no rule because
+the compiler holds them: a discarded database lock guard fails the
+-Werror build through its [[nodiscard]] constructor (ctest
+discarded_lock_compile), and Segment keeps its plain-tier vectors
+private, so no code outside it can assume the thawed representation.
 
 Usage: tools/lint/fungus_lint.py [repo-root]
 Exits 0 when clean, 1 with one "file:line: rule: message" per finding.
@@ -80,10 +65,6 @@ import re
 import sys
 
 CXX_SUFFIXES = {".h", ".cc", ".cpp"}
-
-PIN_DISCIPLINE_ALLOWLIST = {
-    "tests/core/epoch_test.cc",  # tests the pin mechanics themselves
-}
 
 NAKED_RANDOM_ALLOWLIST = {
     "src/common/random.h",
@@ -113,12 +94,6 @@ PUBLIC_API_ALLOWLIST = {
 # The batch kernels that must read typed column spans, never GetValue(.
 VECTOR_HOT_LOOP_PREFIXES = ("src/query/vector_eval", "src/query/aggregate")
 
-# The corruption seeder writes raw segment state through its friendship
-# by design — it exists to plant exactly the damage fsck must detect.
-ENCODED_ACCESS_ALLOWLIST = {
-    "src/verify/corruptor.cc",
-}
-
 RE_VOID_DISCARD = re.compile(r"\(void\)\s*[\w:]+(?:\.|->|\()")
 RE_VOID_BARE = re.compile(r"\(void\)\s*\w+\s*;")
 RE_NAKED_RANDOM = re.compile(
@@ -129,15 +104,6 @@ RE_WIRE_FRAMING = re.compile(
     r"\b(?:hton|ntoh)(?:s|l|ll)\s*\("
     r"|\b(?:__builtin_)?memcpy\s*\(\s*&")
 RE_GET_VALUE = re.compile(r"\bGetValue\s*\(")
-RE_ENCODED_ACCESS = re.compile(
-    r"\b(?:ts_data|freshness_data|alive_data)\s*\("
-    r"|\bcolumns_\b"
-    r"|(?:\.|->)\s*column\s*\(")
-# A statement that is nothing but a pin acquisition: the scoped result
-# is a temporary, destroyed before the semicolon.
-RE_PIN_DISCARD = re.compile(
-    r"^\s*(?:[\w:]+(?:\(\s*\))?\s*(?:\.|->)\s*)*"
-    r"(?:PinRead|BeginWrite)\s*\(\s*\)\s*;")
 RE_HTTP_HANDLER = re.compile(
     r"\bTable\b\s*[*&]"
     r"|\bMutableTable\s*\("
@@ -224,17 +190,6 @@ def scrub_comments_only(text):
     return "".join(out)
 
 
-def lint_pin_discipline(rel, code, findings):
-    if rel in PIN_DISCIPLINE_ALLOWLIST:
-        return
-    for lineno, line in enumerate(code.splitlines(), start=1):
-        if RE_PIN_DISCARD.match(line):
-            findings.append((rel, lineno, "pin-discipline",
-                             "epoch pin discarded in the same statement;"
-                             " bind it (EpochManager::ReadPin pin = ...)"
-                             " so it covers the reads it protects"))
-
-
 def lint_public_api(rel, raw, findings):
     """Flags src/... includes in the reference embedders (examples/,
     tools/). Scans a comment-only scrub so commented-out includes do
@@ -256,7 +211,6 @@ def lint_file(root, path, findings):
     rel = path.relative_to(root).as_posix()
     raw = path.read_text(encoding="utf-8")
     code = scrub(raw)
-    lint_pin_discipline(rel, code, findings)
     lint_public_api(rel, raw, findings)
 
     # Metric names live inside string literals, so this rule scans a
@@ -298,20 +252,10 @@ def lint_file(root, path, findings):
                 and RE_HTTP_HANDLER.search(line)):
             findings.append((rel, lineno, "http-handler",
                              "HTTP handlers must not touch Table or the"
-                             " plain tier directly; read through epoch-"
-                             "pinned facade calls and the public stats"
+                             " plain tier directly; read through"
+                             " read-locked facade calls and the public stats"
                              " structs (TableHandle::storage_stats,"
                              " Database::RotReportFor)"))
-        if (rel.startswith("src/")
-                and not rel.startswith("src/storage/")
-                and rel not in ENCODED_ACCESS_ALLOWLIST
-                and RE_ENCODED_ACCESS.search(line)):
-            findings.append((rel, lineno, "encoded-access",
-                             "raw plain-tier segment access outside"
-                             " src/storage/ breaks on frozen segments;"
-                             " use the tier-independent accessors or"
-                             " the decode-to-scratch API"
-                             " (storage/segment.h)"))
     # Suppressions live in comments, so they are matched on RAW text.
     for lineno, line in enumerate(raw.splitlines(), start=1):
         if rel.startswith("src/") and RE_SUPPRESSION.search(line):
@@ -362,14 +306,7 @@ def main():
     lint_nodiscard_presence(root, findings)
     for path in walk_sources(root, ("src", "tools", "fuzz")):
         lint_file(root, path, findings)
-    # Tests are exempt from the style rules above, but a discarded pin
-    # in a test silently voids the very guarantee the test exercises —
-    # so pin-discipline alone also covers tests/.
-    for path in walk_sources(root, ("tests",)):
-        rel = path.relative_to(root).as_posix()
-        lint_pin_discipline(rel, scrub(path.read_text(encoding="utf-8")),
-                            findings)
-    # Examples are likewise exempt from style rules, but as the
+    # Examples are exempt from the style rules above, but as the
     # reference embedders they must respect the public-API boundary.
     for path in walk_sources(root, ("examples",)):
         rel = path.relative_to(root).as_posix()

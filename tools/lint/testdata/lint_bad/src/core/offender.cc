@@ -1,13 +1,12 @@
 #include <cstdlib>
 
-#include "core/epoch.h"
+#include "core/database.h"
 
 namespace fungusdb {
 
 void Offender(Database& db, MetricsRegistry& metrics) {
   (void)db.Execute("SELECT 1");
   int jitter = std::rand();
-  db.epochs().PinRead();
   metrics.IncrementCounter("decays");
   uint32_t framed = htonl(static_cast<uint32_t>(jitter));
   (void)framed;

@@ -1,15 +1,11 @@
-#include "core/epoch.h"
-
 #include "common/metrics.h"
 #include "common/random.h"
 
 namespace fungusdb {
 
-// The clean spelling of everything lint_bad/ gets wrong: a bound pin,
-// a namespaced metric, seeded randomness, no raw framing.
-double CleanUse(EpochManager& epochs, MetricsRegistry& metrics,
-                Random& rng) {
-  EpochManager::ReadPin pin = epochs.PinRead();
+// The clean spelling of everything lint_bad/ gets wrong: a namespaced
+// metric, seeded randomness, no raw framing.
+double CleanUse(MetricsRegistry& metrics, Random& rng) {
   metrics.IncrementCounter("fungusdb.core.clean_calls");
   return rng.NextDouble();
 }
