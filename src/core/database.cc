@@ -116,11 +116,6 @@ Result<DecayScheduler::AttachmentId> Database::AttachFungus(
   return scheduler_.Attach(table, std::move(fungus), period, clock_.Now());
 }
 
-Status Database::DetachFungus(DecayScheduler::AttachmentId id) {
-  RwLock::WriteLock write_lock(lock_);
-  return scheduler_.Detach(id);
-}
-
 Result<uint64_t> Database::AdvanceTime(Duration d) {
   if (d < 0) return Status::InvalidArgument("cannot advance time backwards");
   RwLock::WriteLock write_lock(lock_);

@@ -131,8 +131,6 @@ class Database {
       const std::string& table_name, std::unique_ptr<Fungus> fungus,
       Duration period);
 
-  Status DetachFungus(DecayScheduler::AttachmentId id);
-
   // --- Time. ---
 
   Timestamp Now() const { return clock_.Now(); }

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "query/evaluator.h"
 
 namespace fungusdb {
 
@@ -17,7 +16,7 @@ SemanticFungus::SemanticFungus(ExprPtr predicate, Params params)
 
 void SemanticFungus::Tick(DecayContext& ctx) {
   Table& table = ctx.table();
-  if (!bound_.has_value()) {
+  if (!filter_.has_value()) {
     if (!bind_status_.ok()) return;  // permanently broken; already logged
     Result<BoundExpr> bound = Bind(*predicate_, table.schema());
     if (bound.ok() && bound->result_type.has_value() &&
@@ -32,11 +31,38 @@ void SemanticFungus::Tick(DecayContext& ctx) {
                           << "': " << bind_status_.ToString();
       return;
     }
-    bound_ = std::move(bound).value();
+    filter_ = VectorPredicate::Compile(*bound);
+    row_predicate_.emplace(*bound);
   }
+  // Match every live segment before any row decays, then decay the
+  // live rows in order.
+  std::vector<RowId> matched;
+  std::vector<uint32_t> offsets;
+  for (const Segment* seg : table.LiveSegments()) {
+    offsets.clear();
+    if (!filter_->Match(*seg, scratch_, offsets).ok()) {
+      // The predicate errors on some row here. Such a row decays at the
+      // unmatched rate, so this segment is matched a row at a time.
+      offsets.clear();
+      static constexpr uint32_t kFirst = 0;
+      const Cells& cells = row_predicate_->cells();
+      for (uint32_t off = 0; off < seg->num_rows(); ++off) {
+        if (seg->IsLive(off) &&
+            row_predicate_->Load(SelectedBatch{seg, off, 1, &kFirst, 1})
+                .ok() &&
+            !cells.IsNull(0) && cells.bools[0] != 0) {
+          offsets.push_back(off);
+        }
+      }
+    }
+    for (const uint32_t off : offsets) {
+      matched.push_back(seg->first_row() + off);
+    }
+  }
+  size_t next = 0;
   table.ForEachLive([&](RowId row) {
-    Result<bool> matched = EvalPredicate(*bound_, table, row);
-    const double step = (matched.ok() && *matched)
+    while (next < matched.size() && matched[next] < row) ++next;
+    const double step = next < matched.size() && matched[next] == row
                             ? params_.matched_step
                             : params_.unmatched_step;
     if (step > 0.0) ctx.Decay(row, step);
@@ -50,7 +76,8 @@ std::string SemanticFungus::Describe() const {
 }
 
 void SemanticFungus::Reset() {
-  bound_.reset();
+  filter_.reset();
+  row_predicate_.reset();
   bind_status_ = Status::OK();
 }
 

@@ -5,8 +5,9 @@
 #include <string>
 
 #include "fungus/fungus.h"
-#include "query/binder.h"
+#include "query/aggregate.h"
 #include "query/expr.h"
+#include "query/vector_eval.h"
 
 namespace fungusdb {
 
@@ -17,9 +18,12 @@ namespace fungusdb {
 /// unmatched_step = 0 makes it a targeted purge.
 ///
 /// The predicate is an ordinary query expression (it may reference
-/// `__ts` and `__freshness`); it is bound against the table's schema on
-/// the first tick. Tuples on which the predicate errors or evaluates to
-/// null decay at the unmatched rate.
+/// `__ts` and `__freshness`); on the first tick it is bound against the
+/// table's schema and compiled into the engine's WHERE filter
+/// (VectorPredicate), which then matches it segment by segment. Tuples
+/// on which the predicate errors or evaluates to null decay at the
+/// unmatched rate: a segment where the filter fails on some row is
+/// matched a row at a time, with the same evaluator (Operand).
 class SemanticFungus : public Fungus {
  public:
   struct Params {
@@ -46,7 +50,10 @@ class SemanticFungus : public Fungus {
  private:
   ExprPtr predicate_;
   Params params_;
-  std::optional<BoundExpr> bound_;
+  // Compiled on the first tick; empty while unbound.
+  std::optional<VectorPredicate> filter_;
+  std::optional<Operand> row_predicate_;
+  VectorPredicate::Scratch scratch_;
   Status bind_status_;
 };
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <iterator>
 
-#include "query/evaluator.h"
 
 namespace fungusdb {
 
@@ -30,8 +30,7 @@ Status ForEachBatch(const SegmentSelection& selection,
 }
 
 Value Cells::Box(size_t i) const {
-  if (kind == Kind::kValue) return values[i];
-  if (nulls != nullptr && nulls[i] != 0) return Value::Null();
+  if (IsNull(i)) return Value::Null();
   switch (kind) {
     case Kind::kInt64:
       return Value::Int64(ints[i]);
@@ -43,27 +42,74 @@ Value Cells::Box(size_t i) const {
       return Value::String(std::string(String(i)));
     case Kind::kBool:
       return Value::Bool(bools[i] != 0);
-    case Kind::kValue:
-      break;
   }
   return Value::Null();
 }
 
 // --- Operand. ---
 
-Operand::Operand(const BoundExpr& expr) : expr_(&expr) {
-  if (expr.kind != Expr::Kind::kColumnRef) return;  // walker
-  switch (expr.col_source) {
-    case ColumnSource::kTimestamp:
-      source_ = Source::kTs;
-      return;
-    case ColumnSource::kFreshness:
-      source_ = Source::kFreshness;
-      return;
-    case ColumnSource::kUser:
-      source_ = Source::kUser;
+namespace {
+
+/// `a op b` in two's complement: int64 arithmetic defined for every
+/// input.
+template <typename Op>
+int64_t Wrap(int64_t a, int64_t b, Op op) {
+  return static_cast<int64_t>(
+      op(static_cast<uint64_t>(a), static_cast<uint64_t>(b)));
+}
+int64_t WrapNeg(int64_t a) { return Wrap(0, a, std::minus<>()); }
+
+/// Calls fn(i) for every selected row whose result is not null.
+template <typename Fn>
+void ForValid(const SelectedBatch& batch, const uint8_t* nulls, Fn&& fn) {
+  for (size_t k = 0; k < batch.m; ++k) {
+    const uint32_t i = batch.sel[k];
+    if (nulls[i] == 0) fn(i);
+  }
+}
+
+/// `batch` with its selection narrowed to sel[0..m).
+SelectedBatch Narrow(const SelectedBatch& batch, const uint32_t* sel,
+                     size_t m) {
+  return SelectedBatch{batch.segment, batch.base, batch.n, sel, m};
+}
+
+}  // namespace
+
+Operand::Operand(const BoundExpr& expr) : type_(expr.result_type) {
+  for (const BoundExpr& child : expr.children) args_.emplace_back(child);
+  switch (expr.kind) {
+    case Expr::Kind::kColumnRef:
+      source_ = expr.col_source == ColumnSource::kTimestamp ? Source::kTs
+                : expr.col_source == ColumnSource::kFreshness
+                    ? Source::kFreshness
+                    : Source::kUser;
       col_ = expr.col_index;
-      type_ = *expr.result_type;
+      return;
+    case Expr::Kind::kLiteral:
+      source_ = Source::kLiteral;
+      literal_ = expr.literal;
+      if (type_ == DataType::kString) strings_ = {literal_.AsString()};
+      return;
+    case Expr::Kind::kBinary:
+      binary_op_ = expr.binary_op;
+      source_ = expr.binary_op == BinaryOp::kAnd ||
+                        expr.binary_op == BinaryOp::kOr
+                    ? Source::kLogic
+                : IsComparison(expr.binary_op) ? Source::kCompare
+                                               : Source::kArithmetic;
+      return;
+    case Expr::Kind::kUnary:
+      source_ = Source::kUnary;
+      unary_op_ = expr.unary_op;
+      return;
+    case Expr::Kind::kFunction:
+      source_ = Source::kFunction;
+      fn_ = expr.scalar_fn;
+      return;
+    case Expr::Kind::kAggregate:
+      // Folded by the engine; Load fails if one ever reaches it.
+      source_ = Source::kAggregate;
       return;
   }
 }
@@ -79,81 +125,415 @@ Operand Operand::Column(size_t col, DataType type) {
 Operand Operand::Freshness() {
   Operand op;
   op.source_ = Source::kFreshness;
+  op.type_ = DataType::kFloat64;
   return op;
 }
 
-Status Operand::Load(const Table& table, const SelectedBatch& batch) {
+Status Operand::Load(const SelectedBatch& batch) {
+  switch (source_) {
+    case Source::kUser:
+    case Source::kTs:
+    case Source::kFreshness:
+      LoadColumn(batch);
+      return Status::OK();
+    case Source::kLiteral:
+      LoadLiteral(batch);
+      return Status::OK();
+    case Source::kArithmetic:
+      return LoadArithmetic(batch);
+    case Source::kCompare:
+      return LoadCompare(batch);
+    case Source::kLogic:
+      return LoadLogic(batch);
+    case Source::kUnary:
+      return LoadUnary(batch);
+    case Source::kFunction:
+      return LoadFunction(batch);
+    case Source::kAggregate:
+      break;
+  }
+  return Status::Internal("aggregate expression reached the scalar evaluator");
+}
+
+void Operand::LoadColumn(const SelectedBatch& batch) {
   const Segment& seg = *batch.segment;
   const size_t base = batch.base;
   const size_t n = batch.n;
-  switch (source_) {
-    case Source::kTs:
+  if (source_ == Source::kTs) {
+    ints_.resize(kPipelineBatch);
+    cells_.kind = Cells::Kind::kTimestamp;
+    cells_.ints = seg.DecodeTs(base, n, ints_.data());
+    return;
+  }
+  if (source_ == Source::kFreshness) {
+    doubles_.resize(kPipelineBatch);
+    bytes_.resize(kPipelineBatch);
+    const uint8_t* alive = seg.DecodeAlive(base, n, bytes_.data());
+    double* f = doubles_.data();
+    seg.DecodeStoredFreshness(base, n, alive, f);
+    // Replay pending uniform decrements in fold order, as
+    // Segment::Freshness does; dead rows are never selected.
+    for (const double d : seg.pending_decay()) {
+      for (size_t i = 0; i < n; ++i) f[i] -= d;
+    }
+    cells_.kind = Cells::Kind::kFloat64;
+    cells_.doubles = f;
+    return;
+  }
+  cells_.nulls = nullptr;
+  if (seg.column_null_count(col_) != 0) {
+    nulls_.resize(kPipelineBatch);
+    seg.DecodeNulls(col_, base, n, nulls_.data());
+    cells_.nulls = nulls_.data();
+  }
+  switch (*type_) {
+    case DataType::kInt64:
+    case DataType::kTimestamp:
       ints_.resize(kPipelineBatch);
-      cells_.kind = Cells::Kind::kTimestamp;
-      cells_.ints = seg.DecodeTs(base, n, ints_.data());
-      return Status::OK();
-    case Source::kFreshness: {
-      doubles_.resize(kPipelineBatch);
-      bytes_.resize(kPipelineBatch);
-      const uint8_t* alive = seg.DecodeAlive(base, n, bytes_.data());
-      double* f = doubles_.data();
-      seg.DecodeStoredFreshness(base, n, alive, f);
-      // Replay pending uniform decrements in fold order, as
-      // Segment::Freshness does; dead rows are never selected.
-      for (const double d : seg.pending_decay()) {
-        for (size_t i = 0; i < n; ++i) f[i] -= d;
-      }
+      cells_.kind = *type_ == DataType::kInt64 ? Cells::Kind::kInt64
+                                               : Cells::Kind::kTimestamp;
+      cells_.ints = seg.DecodeInt64Column(col_, base, n, ints_.data());
+      return;
+    case DataType::kFloat64:
       cells_.kind = Cells::Kind::kFloat64;
-      cells_.doubles = f;
+      cells_.doubles = seg.DecodeFloat64Column(col_, base, n);
+      return;
+    case DataType::kString:
+      codes_.resize(kPipelineBatch);
+      cells_.kind = Cells::Kind::kString;
+      cells_.codes = seg.DecodeStringCodes(col_, base, n, codes_.data());
+      cells_.dict = seg.StringDictionary(col_);
+      return;
+    case DataType::kBool:
+      bytes_.resize(kPipelineBatch);
+      cells_.kind = Cells::Kind::kBool;
+      seg.DecodeBoolColumn(col_, base, n, bytes_.data());
+      cells_.bools = bytes_.data();
+      return;
+  }
+}
+
+uint8_t* Operand::ResultCells() {
+  nulls_.resize(kPipelineBatch);
+  cells_.nulls = nulls_.data();
+  // The untyped NULL literal's cells are all null; any kind will do.
+  switch (type_.value_or(DataType::kInt64)) {
+    case DataType::kInt64:
+    case DataType::kTimestamp:
+      ints_.resize(kPipelineBatch);
+      cells_.kind = type_ == DataType::kTimestamp ? Cells::Kind::kTimestamp
+                                                  : Cells::Kind::kInt64;
+      cells_.ints = ints_.data();
+      break;
+    case DataType::kFloat64:
+      doubles_.resize(kPipelineBatch);
+      cells_.kind = Cells::Kind::kFloat64;
+      cells_.doubles = doubles_.data();
+      break;
+    case DataType::kBool:
+      bytes_.resize(kPipelineBatch);
+      cells_.kind = Cells::Kind::kBool;
+      cells_.bools = bytes_.data();
+      break;
+    case DataType::kString:
+      codes_.resize(kPipelineBatch);
+      cells_.kind = Cells::Kind::kString;
+      cells_.codes = codes_.data();
+      cells_.dict = strings_;
+      cells_.batch_dict = true;
+      break;
+  }
+  return nulls_.data();
+}
+
+void Operand::LoadLiteral(const SelectedBatch& batch) {
+  uint8_t* nulls = ResultCells();
+  const bool null = literal_.is_null();
+  for (size_t k = 0; k < batch.m; ++k) nulls[batch.sel[k]] = null;
+  if (null) return;
+  auto fill = [&batch](auto* out, auto v) {
+    for (size_t k = 0; k < batch.m; ++k) out[batch.sel[k]] = v;
+  };
+  switch (*type_) {
+    case DataType::kInt64:
+      fill(ints_.data(), literal_.AsInt64());
+      return;
+    case DataType::kTimestamp:
+      fill(ints_.data(), literal_.AsTimestamp());
+      return;
+    case DataType::kFloat64:
+      fill(doubles_.data(), literal_.AsFloat64());
+      return;
+    case DataType::kBool:
+      fill(bytes_.data(), static_cast<uint8_t>(literal_.AsBool()));
+      return;
+    case DataType::kString:
+      fill(codes_.data(), uint32_t{0});  // strings_ holds the literal
+      return;
+  }
+}
+
+Status Operand::LoadArithmetic(const SelectedBatch& batch) {
+  FUNGUSDB_RETURN_IF_ERROR(args_[0].Load(batch));
+  FUNGUSDB_RETURN_IF_ERROR(args_[1].Load(batch));
+  const Cells& a = args_[0].cells_;
+  const Cells& b = args_[1].cells_;
+  uint8_t* nulls = ResultCells();
+  for (size_t k = 0; k < batch.m; ++k) {
+    const uint32_t i = batch.sel[k];
+    nulls[i] = a.IsNull(i) | b.IsNull(i);
+  }
+  if (type_ == DataType::kFloat64) {  // a float64 operand, or `/`
+    bool div_by_zero = false;
+    auto apply = [&](auto op) {
+      WithDoubles(a, [&](auto x) {
+        WithDoubles(b, [&](auto y) {
+          ForValid(batch, nulls,
+                   [&](uint32_t i) { doubles_[i] = op(x(i), y(i)); });
+        });
+      });
+    };
+    switch (binary_op_) {
+      case BinaryOp::kAdd:
+        apply(std::plus<>());
+        break;
+      case BinaryOp::kSub:
+        apply(std::minus<>());
+        break;
+      case BinaryOp::kMul:
+        apply(std::multiplies<>());
+        break;
+      default:  // kDiv
+        apply([&div_by_zero](double x, double y) {
+          div_by_zero |= y == 0.0;
+          return y == 0.0 ? 0.0 : x / y;
+        });
+        if (div_by_zero) return Status::InvalidArgument("division by zero");
+    }
+    return Status::OK();
+  }
+  // int64 and timestamp operands (the binder types `%` int64 too).
+  const int64_t* x = a.ints;
+  const int64_t* y = b.ints;
+  int64_t* out = ints_.data();
+  auto apply = [&](auto op) {
+    ForValid(batch, nulls, [&](uint32_t i) { out[i] = Wrap(x[i], y[i], op); });
+    return Status::OK();
+  };
+  switch (binary_op_) {
+    case BinaryOp::kAdd:
+      return apply(std::plus<>());
+    case BinaryOp::kSub:
+      return apply(std::minus<>());
+    case BinaryOp::kMul:
+      return apply(std::multiplies<>());
+    default: {  // kMod
+      bool mod_by_zero = false;
+      ForValid(batch, nulls, [&](uint32_t i) {
+        mod_by_zero |= y[i] == 0;
+        // -1 divides every int64, INT64_MIN too (whose quotient would
+        // overflow).
+        out[i] = y[i] == 0 || y[i] == -1 ? 0 : x[i] % y[i];
+      });
+      if (mod_by_zero) return Status::InvalidArgument("modulo by zero");
       return Status::OK();
     }
-    case Source::kUser:
-      cells_.nulls = nullptr;
-      if (seg.column_null_count(col_) != 0) {
-        nulls_.resize(kPipelineBatch);
-        seg.DecodeNulls(col_, base, n, nulls_.data());
-        cells_.nulls = nulls_.data();
-      }
-      switch (type_) {
-        case DataType::kInt64:
-        case DataType::kTimestamp:
-          ints_.resize(kPipelineBatch);
-          cells_.kind = type_ == DataType::kInt64 ? Cells::Kind::kInt64
-                                                  : Cells::Kind::kTimestamp;
-          cells_.ints = seg.DecodeInt64Column(col_, base, n, ints_.data());
-          break;
-        case DataType::kFloat64:
-          cells_.kind = Cells::Kind::kFloat64;
-          cells_.doubles = seg.DecodeFloat64Column(col_, base, n);
-          break;
-        case DataType::kString:
-          codes_.resize(kPipelineBatch);
-          cells_.kind = Cells::Kind::kString;
-          cells_.codes = seg.DecodeStringCodes(col_, base, n, codes_.data());
-          cells_.dict = seg.StringDictionary(col_);
-          break;
-        case DataType::kBool:
-          bytes_.resize(kPipelineBatch);
-          cells_.kind = Cells::Kind::kBool;
-          seg.DecodeBoolColumn(col_, base, n, bytes_.data());
-          cells_.bools = bytes_.data();
-          break;
+  }
+}
+
+Status Operand::LoadCompare(const SelectedBatch& batch) {
+  FUNGUSDB_RETURN_IF_ERROR(args_[0].Load(batch));
+  FUNGUSDB_RETURN_IF_ERROR(args_[1].Load(batch));
+  const Cells& a = args_[0].cells_;
+  const Cells& b = args_[1].cells_;
+  uint8_t* nulls = ResultCells();
+  for (size_t k = 0; k < batch.m; ++k) {
+    const uint32_t i = batch.sel[k];
+    nulls[i] = a.IsNull(i) | b.IsNull(i);
+  }
+  const std::optional<DataType> type = args_[0].type_;
+  if (!type.has_value() || !args_[1].type_.has_value()) {
+    return Status::OK();  // a NULL literal: NULL on every row
+  }
+  uint8_t* out = bytes_.data();
+  WithAccept(binary_op_, [&](auto accept) {
+    if (IsNumeric(*type)) {
+      WithDoubles(a, [&](auto x) {
+        WithDoubles(b, [&](auto y) {
+          ForValid(batch, nulls, [&](uint32_t i) {
+            const double u = x(i);
+            const double v = y(i);
+            out[i] = accept(u < v, u > v);
+          });
+        });
+      });
+    } else if (*type == DataType::kString) {
+      ForValid(batch, nulls, [&](uint32_t i) {
+        const int c = a.String(i).compare(b.String(i));
+        out[i] = accept(c < 0, c > 0);
+      });
+    } else {  // kBool: false < true
+      ForValid(batch, nulls, [&](uint32_t i) {
+        out[i] = accept(a.bools[i] < b.bools[i], a.bools[i] > b.bools[i]);
+      });
+    }
+  });
+  return Status::OK();
+}
+
+Status Operand::LoadLogic(const SelectedBatch& batch) {
+  // The value that decides the connective: FALSE for AND, TRUE for OR.
+  const uint8_t decider = binary_op_ == BinaryOp::kOr ? 1 : 0;
+  FUNGUSDB_RETURN_IF_ERROR(args_[0].Load(batch));
+  const Cells& a = args_[0].cells_;
+  uint8_t* nulls = ResultCells();
+  uint8_t* out = bytes_.data();
+  sel_.resize(kPipelineBatch);
+  size_t undecided = 0;
+  for (size_t k = 0; k < batch.m; ++k) {
+    const uint32_t i = batch.sel[k];
+    const bool null = a.IsNull(i);
+    nulls[i] = null;
+    out[i] = null ? 0 : a.bools[i];
+    sel_[undecided] = i;
+    undecided += null || out[i] != decider;
+  }
+  if (undecided == 0) return Status::OK();
+  // The right arm runs only where the left one left the answer open:
+  // NULL, or TRUE under AND / FALSE under OR.
+  FUNGUSDB_RETURN_IF_ERROR(
+      args_[1].Load(Narrow(batch, sel_.data(), undecided)));
+  const Cells& b = args_[1].cells_;
+  for (size_t k = 0; k < undecided; ++k) {
+    const uint32_t i = sel_[k];
+    if (b.IsNull(i)) {
+      nulls[i] = 1;
+    } else if (b.bools[i] == decider) {
+      nulls[i] = 0;
+      out[i] = decider;
+    } else if (nulls[i] == 0) {
+      out[i] = b.bools[i];
+    }
+  }
+  return Status::OK();
+}
+
+Status Operand::LoadUnary(const SelectedBatch& batch) {
+  FUNGUSDB_RETURN_IF_ERROR(args_[0].Load(batch));
+  const Cells& a = args_[0].cells_;
+  uint8_t* nulls = ResultCells();
+  for (size_t k = 0; k < batch.m; ++k) {
+    const uint32_t i = batch.sel[k];
+    nulls[i] = a.IsNull(i);
+  }
+  if (unary_op_ == UnaryOp::kIsNull || unary_op_ == UnaryOp::kIsNotNull) {
+    const uint8_t flip = unary_op_ == UnaryOp::kIsNotNull;
+    for (size_t k = 0; k < batch.m; ++k) {
+      const uint32_t i = batch.sel[k];
+      bytes_[i] = nulls[i] ^ flip;
+      nulls[i] = 0;
+    }
+    return Status::OK();
+  }
+  if (unary_op_ == UnaryOp::kNot) {
+    ForValid(batch, nulls, [&](uint32_t i) { bytes_[i] = a.bools[i] ^ 1; });
+  } else if (type_ == DataType::kFloat64) {  // kNeg
+    ForValid(batch, nulls, [&](uint32_t i) { doubles_[i] = -a.doubles[i]; });
+  } else {
+    ForValid(batch, nulls, [&](uint32_t i) { ints_[i] = WrapNeg(a.ints[i]); });
+  }
+  return Status::OK();
+}
+
+Status Operand::LoadFunction(const SelectedBatch& batch) {
+  // Strict NULL: each argument runs only on the rows where every
+  // earlier one is non-null, and the rest are NULL.
+  sel_.assign(batch.sel, batch.sel + batch.m);
+  size_t m = batch.m;
+  for (Operand& arg : args_) {
+    if (m == 0) break;
+    FUNGUSDB_RETURN_IF_ERROR(arg.Load(Narrow(batch, sel_.data(), m)));
+    size_t kept = 0;
+    for (size_t k = 0; k < m; ++k) {
+      const uint32_t i = sel_[k];
+      sel_[kept] = i;
+      kept += !arg.cells_.IsNull(i);
+    }
+    m = kept;
+  }
+  uint8_t* nulls = ResultCells();
+  for (size_t k = 0; k < batch.m; ++k) nulls[batch.sel[k]] = 1;
+  for (size_t k = 0; k < m; ++k) nulls[sel_[k]] = 0;
+  const Cells& x = args_[0].cells_;
+  auto each = [&](auto&& fn) { ForValid(batch, nulls, fn); };
+  switch (fn_) {
+    case ScalarFn::kAbs:
+      if (type_ == DataType::kFloat64) {
+        each([&](uint32_t i) { doubles_[i] = std::fabs(x.doubles[i]); });
+      } else {
+        each([&](uint32_t i) {
+          ints_[i] = x.ints[i] < 0 ? WrapNeg(x.ints[i]) : x.ints[i];
+        });
       }
       return Status::OK();
-    case Source::kWalker: {
-      values_.resize(kPipelineBatch);
-      cells_.kind = Cells::Kind::kValue;
-      cells_.values = values_.data();
-      const RowId first = seg.first_row() + base;
-      for (size_t k = 0; k < batch.m; ++k) {
-        const uint32_t i = batch.sel[k];
-        FUNGUSDB_ASSIGN_OR_RETURN(values_[i],
-                                  EvalScalar(*expr_, table, first + i));
+    case ScalarFn::kFloor:
+    case ScalarFn::kCeil:
+    case ScalarFn::kRound:
+      WithDoubles(x, [&](auto v) {
+        each([&](uint32_t i) {
+          doubles_[i] = fn_ == ScalarFn::kFloor  ? std::floor(v(i))
+                        : fn_ == ScalarFn::kCeil ? std::ceil(v(i))
+                                                 : std::round(v(i));
+        });
+      });
+      return Status::OK();
+    case ScalarFn::kLength:
+      each([&](uint32_t i) {
+        ints_[i] = static_cast<int64_t>(x.String(i).size());
+      });
+      return Status::OK();
+    case ScalarFn::kLower:
+    case ScalarFn::kUpper: {
+      // Each distinct argument string is mapped once per batch, into
+      // this batch's dictionary.
+      constexpr uint32_t kUnmapped = UINT32_MAX;
+      code_map_.assign(x.dict.size(), kUnmapped);
+      strings_.clear();
+      const bool lower = fn_ == ScalarFn::kLower;
+      each([&](uint32_t i) {
+        uint32_t& code = code_map_[x.codes[i]];
+        if (code == kUnmapped) {
+          code = static_cast<uint32_t>(strings_.size());
+          std::string& s = strings_.emplace_back(x.String(i));
+          for (char& c : s) {
+            const auto u = static_cast<unsigned char>(c);
+            c = static_cast<char>(lower ? std::tolower(u) : std::toupper(u));
+          }
+        }
+        codes_[i] = code;
+      });
+      cells_.dict = strings_;
+      return Status::OK();
+    }
+    case ScalarFn::kTimeBucket: {
+      const int64_t* width = args_[1].cells_.ints;
+      bool bad_width = false;
+      each([&](uint32_t i) {
+        const int64_t w = width[i];
+        bad_width |= w <= 0;
+        if (w <= 0) return;
+        // Floor division, so negative timestamps bucket consistently.
+        const int64_t ts = x.ints[i];
+        const int64_t bucket = ts / w - (ts % w != 0 && ts < 0 ? 1 : 0);
+        ints_[i] = Wrap(bucket, w, std::multiplies<>());
+      });
+      if (bad_width) {
+        return Status::InvalidArgument("time_bucket width must be positive");
       }
       return Status::OK();
     }
   }
-  return Status::Internal("unhandled operand source");
+  return Status::OK();
 }
 
 // --- Key equality. ---
@@ -309,8 +689,7 @@ void ForNumeric(const KernelArgs& a, const Cells& c, Fn&& fn) {
 }
 
 void AddExact(AggState& s, int64_t v) {
-  s.sum_i = static_cast<int64_t>(static_cast<uint64_t>(s.sum_i) +
-                                 static_cast<uint64_t>(v));
+  s.sum_i = Wrap(s.sum_i, v, std::plus<>());
 }
 
 /// Notes a MIN/MAX state's first non-null cell, `d` its double image
@@ -322,56 +701,6 @@ void ObserveFirst(AggState& s, uint32_t pos, double d) {
     s.first_is_nan = true;
     s.first_nan = d;
   }
-}
-
-/// Folds one walker Value the way the typed kernels fold a cell.
-Status ObserveValue(AggFn fn, AggState& s, const Value& v, double f,
-                    uint32_t pos) {
-  if (v.is_null()) return Status::OK();
-  const bool numeric = IsNumeric(v.type());
-  switch (fn) {
-    case AggFn::kCount:
-      ++s.count;
-      return Status::OK();
-    case AggFn::kFCount:
-      s.sums.weighted_count += f;
-      return Status::OK();
-    case AggFn::kMin:
-    case AggFn::kMax: {
-      const double d = numeric ? v.ToDouble().value() : 0.0;
-      ObserveFirst(s, pos, d);
-      if (std::isnan(d)) return Status::OK();  // never an extreme
-      if (s.has_extreme) {
-        FUNGUSDB_ASSIGN_OR_RETURN(int cmp, v.Compare(s.extreme));
-        if (fn == AggFn::kMin ? cmp >= 0 : cmp <= 0) return Status::OK();
-      }
-      s.has_extreme = true;
-      s.extreme_pos = pos;
-      s.extreme_key = d;
-      s.extreme = v;
-      return Status::OK();
-    }
-    default:
-      break;
-  }
-  ++s.count;
-  if (fn == AggFn::kFAvg) s.sums.weighted_count += f;
-  if (!numeric) return Status::OK();
-  FUNGUSDB_ASSIGN_OR_RETURN(double d, v.ToDouble());
-  switch (fn) {
-    case AggFn::kSum:
-    case AggFn::kAvg:
-      s.sums.sum += d;
-      if (v.type() == DataType::kInt64) AddExact(s, v.AsInt64());
-      break;
-    case AggFn::kFSum:
-    case AggFn::kFAvg:
-      s.sums.weighted_sum += f * d;
-      break;
-    default:
-      break;
-  }
-  return Status::OK();
 }
 
 /// MIN/MAX over typed cells: double-space comparison for numerics,
@@ -419,13 +748,11 @@ void FoldExtreme(const KernelArgs& a, const Cells& c, bool is_min) {
         }
       });
       return;
-    case Cells::Kind::kValue:
-      return;  // handled by ObserveValue
   }
 }
 
 /// Folds one aggregate call over one batch.
-Status FoldCall(AggFn fn, const Cells* arg, const KernelArgs& a) {
+void FoldCall(AggFn fn, const Cells* arg, const KernelArgs& a) {
   const double* f = a.f;
   if (arg == nullptr) {  // COUNT(*) / FCOUNT(*)
     if (fn == AggFn::kCount) {
@@ -439,18 +766,9 @@ Status FoldCall(AggFn fn, const Cells* arg, const KernelArgs& a) {
         s.sums.weighted_count += f[i];
       });
     }
-    return Status::OK();
+    return;
   }
   const Cells& c = *arg;
-  if (c.kind == Cells::Kind::kValue) {
-    Status status;
-    ForSelected(a, [&](AggState& s, uint32_t i) {
-      if (!status.ok()) return;
-      status = ObserveValue(fn, s, c.values[i], f == nullptr ? 0.0 : f[i],
-                            a.pos);
-    });
-    return status;
-  }
   switch (fn) {
     case AggFn::kCount:
       ForSelected(a, [&c](AggState& s, uint32_t i) {
@@ -496,7 +814,6 @@ Status FoldCall(AggFn fn, const Cells* arg, const KernelArgs& a) {
       FoldExtreme(a, c, fn == AggFn::kMin);
       break;
   }
-  return Status::OK();
 }
 
 bool IsFreshnessWeighted(AggFn fn) {
@@ -578,7 +895,7 @@ void AggregateFolder::KeyDictionary::Assign(const Cells& cells,
     case Cells::Kind::kString:
       // One hash lookup per dictionary code per segment; every other
       // row is an array read.
-      if (code_segment_ != batch.segment) {
+      if (cells.batch_dict || code_segment_ != batch.segment) {
         code_segment_ = batch.segment;
         code_ids_.assign(cells.dict.size(), kNoId);
       }
@@ -586,13 +903,6 @@ void AggregateFolder::KeyDictionary::Assign(const Cells& cells,
         uint32_t& id = code_ids_[cells.codes[i]];
         if (id == kNoId) id = StringId(cells.String(i));
         return id;
-      });
-      return;
-    case Cells::Kind::kValue:
-      each([&](uint32_t i) {
-        auto [it, inserted] = others_.try_emplace(cells.values[i], next_id_);
-        if (inserted) ++next_id_;
-        return it->second;
       });
       return;
   }
@@ -660,38 +970,36 @@ void AggregateFolder::AssignGroups(const SelectedBatch& batch,
   states_.resize(num_groups_ * calls_.size());
 }
 
-Status AggregateFolder::FoldBatch(const Table& table,
-                                  const SelectedBatch& batch,
+Status AggregateFolder::FoldBatch(const SelectedBatch& batch,
                                   uint32_t position, SegmentPartial& out) {
   const uint32_t* slots = nullptr;
   if (!key_operands_.empty()) {
     for (Operand& key : key_operands_) {
-      FUNGUSDB_RETURN_IF_ERROR(key.Load(table, batch));
+      FUNGUSDB_RETURN_IF_ERROR(key.Load(batch));
     }
     AssignGroups(batch, out);
     slots = groups_.data();
   }
   const double* f = nullptr;
   if (freshness_.has_value()) {
-    FUNGUSDB_RETURN_IF_ERROR(freshness_->Load(table, batch));
+    FUNGUSDB_RETURN_IF_ERROR(freshness_->Load(batch));
     f = freshness_->cells().doubles;
   }
   for (size_t c = 0; c < calls_.size(); ++c) {
     Call& call = calls_[c];
     const Cells* arg = nullptr;
     if (call.arg.has_value()) {
-      FUNGUSDB_RETURN_IF_ERROR(call.arg->Load(table, batch));
+      FUNGUSDB_RETURN_IF_ERROR(call.arg->Load(batch));
       arg = &call.arg->cells();
     }
     const KernelArgs args{&batch,         slots, states_.data() + c,
                           calls_.size(), f,     position};
-    FUNGUSDB_RETURN_IF_ERROR(FoldCall(call.expr->agg_fn, arg, args));
+    FoldCall(call.expr->agg_fn, arg, args);
   }
   return Status::OK();
 }
 
-Status AggregateFolder::Fold(const Table& table,
-                             const SegmentSelection& selection,
+Status AggregateFolder::Fold(const SegmentSelection& selection,
                              uint32_t position, SegmentPartial& out) {
   out.folder = this;
   out.groups.clear();
@@ -705,7 +1013,7 @@ Status AggregateFolder::Fold(const Table& table,
   if (key_operands_.empty() && !float_calls_.empty()) out.groups.push_back(0);
   FUNGUSDB_RETURN_IF_ERROR(
       ForEachBatch(selection, [&](const SelectedBatch& batch) {
-        return FoldBatch(table, batch, position, out);
+        return FoldBatch(batch, position, out);
       }));
   last_new_groups_ = num_groups_ - out.first_new_group;
   // Hand the segment's float sums over and start the next segment's

@@ -7,7 +7,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "common/result.h"
 #include "query/binder.h"
 #include "storage/segment.h"
-#include "storage/table.h"
 
 namespace fungusdb {
 
@@ -60,24 +58,21 @@ struct Cells {
     kFloat64,
     kString,
     kBool,
-    kValue,  // tree-walker output: any type, nulls inside the Values
   };
-  Kind kind = Kind::kValue;
+  Kind kind = Kind::kInt64;
   const int64_t* ints = nullptr;              // kInt64, kTimestamp
   const double* doubles = nullptr;            // kFloat64
   const uint8_t* bools = nullptr;             // kBool
-  const Value* values = nullptr;              // kValue
   /// 1 = null cell; nullptr when the batch holds no null cell.
   const uint8_t* nulls = nullptr;
-  /// kString: dictionary codes (equal codes, equal strings within one
-  /// segment) and the segment's dictionary they index.
+  /// kString: dictionary codes (equal codes, equal strings) and the
+  /// dictionary they index: the segment's for a string column, one
+  /// built for this batch (`batch_dict`) for any other string operand.
   const uint32_t* codes = nullptr;
   std::span<const std::string> dict;
+  bool batch_dict = false;
 
-  bool IsNull(size_t i) const {
-    if (kind == Kind::kValue) return values[i].is_null();
-    return nulls != nullptr && nulls[i] != 0;
-  }
+  bool IsNull(size_t i) const { return nulls != nullptr && nulls[i] != 0; }
 
   /// A kString cell.
   const std::string& String(size_t i) const { return dict[codes[i]]; }
@@ -86,15 +81,63 @@ struct Cells {
   Value Box(size_t i) const;
 };
 
-/// A bound expression as a per-batch cell source. Column references —
-/// user columns, `__ts`, `__freshness` — decode typed spans through the
-/// segment's decode-to-scratch API (zero copy where the tier allows).
-/// Any other expression is evaluated by the tree walker (EvalScalar) at
-/// each selected row: it is one more operand source, not a second
-/// pipeline.
+/// Calls `fn(accept)` with the predicate `accept(x < y, x > y)` that
+/// decides `x <op> y` under Value::Compare's trichotomy: NaN is neither
+/// < nor >, so it compares "equal" to everything. The one rule for
+/// every comparison: the filter's compile-time fold and batch kernels,
+/// and Operand's comparison nodes.
+template <typename Fn>
+auto WithAccept(BinaryOp op, Fn&& fn) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return fn([](bool lt, bool gt) { return !(lt | gt); });
+    case BinaryOp::kNe:
+      return fn([](bool lt, bool gt) { return lt | gt; });
+    case BinaryOp::kLt:
+      return fn([](bool lt, bool) { return lt; });
+    case BinaryOp::kLe:
+      return fn([](bool, bool gt) { return !gt; });
+    case BinaryOp::kGt:
+      return fn([](bool, bool gt) { return gt; });
+    default:
+      return fn([](bool lt, bool) { return !lt; });
+  }
+}
+
+/// Calls `fn(x)`, with x(i) the numeric cell at row i as a double: the
+/// space every numeric comparison and float64 operation works in.
+template <typename Fn>
+auto WithDoubles(const Cells& c, Fn&& fn) {
+  if (c.kind == Cells::Kind::kFloat64) {
+    const double* v = c.doubles;
+    return fn([v](uint32_t i) { return v[i]; });
+  }
+  const int64_t* v = c.ints;
+  return fn([v](uint32_t i) { return static_cast<double>(v[i]); });
+}
+
+/// A bound expression as a per-batch cell source: the engine's one
+/// expression evaluator. Column references — user columns, `__ts`,
+/// `__freshness` — decode typed spans through the segment's
+/// decode-to-scratch API (zero copy where the tier allows). Every other
+/// node evaluates its children over the batch's selected rows and
+/// writes typed cells at those rows, one node at a time: arithmetic,
+/// unary minus, NOT, IS [NOT] NULL, comparisons, AND / OR and the
+/// scalar functions. Semantics are SQL's and the binder's types:
+///  * a NULL operand makes arithmetic, a comparison and NOT NULL;
+///    a function is NULL when any argument is, and an argument is
+///    evaluated only on the rows where every earlier one is non-null;
+///  * comparisons are in double space over numerics (WithAccept's NaN
+///    rule), lexicographic over strings, false < true over bools;
+///  * AND / OR follow Kleene logic, and the right arm is evaluated only
+///    on the rows the left arm leaves undecided;
+///  * int64 `+ - *`, unary `-` and `abs` wrap in two's complement,
+///    `INT64_MIN % -1` is 0, and `/` is float64;
+///  * division and modulo by zero and a `time_bucket` width <= 0 are
+///    errors on the rows that reach them, and only there.
 class Operand {
  public:
-  /// Lowers `expr`, which must outlive the operand.
+  /// Lowers `expr`. The operand keeps what it needs, so `expr` may go.
   explicit Operand(const BoundExpr& expr);
 
   /// User column `col` of type `type` (SELECT *).
@@ -104,21 +147,50 @@ class Operand {
   /// decay replayed in fold order, exactly as Segment::Freshness.
   static Operand Freshness();
 
-  /// Fills cells() for the selected rows of `batch`. Fails only when
-  /// the walker does (e.g. division by zero).
-  Status Load(const Table& table, const SelectedBatch& batch);
+  /// Fills cells() at the selected rows of `batch`. Fails with the
+  /// error of the first node that meets one on a row it evaluates
+  /// (division by zero, ...); cells() is then unspecified.
+  Status Load(const SelectedBatch& batch);
 
   const Cells& cells() const { return cells_; }
 
  private:
-  enum class Source : uint8_t { kUser, kTs, kFreshness, kWalker };
+  enum class Source : uint8_t {
+    kUser,
+    kTs,
+    kFreshness,
+    kLiteral,
+    kArithmetic,  // + - * / %
+    kCompare,     // = != < <= > >=
+    kLogic,       // AND, OR
+    kUnary,
+    kFunction,
+    kAggregate,  // folded by the engine, never loaded
+  };
 
   Operand() = default;
 
-  Source source_ = Source::kWalker;
-  size_t col_ = 0;
-  DataType type_ = DataType::kInt64;
-  const BoundExpr* expr_ = nullptr;
+  void LoadColumn(const SelectedBatch& batch);
+  void LoadLiteral(const SelectedBatch& batch);
+  Status LoadArithmetic(const SelectedBatch& batch);
+  Status LoadCompare(const SelectedBatch& batch);
+  Status LoadLogic(const SelectedBatch& batch);
+  Status LoadUnary(const SelectedBatch& batch);
+  Status LoadFunction(const SelectedBatch& batch);
+  /// Points cells() at this operand's scratch for a result of type
+  /// type_, with a null flag per row, and returns the null flags.
+  uint8_t* ResultCells();
+
+  Source source_ = Source::kLiteral;
+  /// The column's type, or the node's result type; nullopt only for
+  /// the untyped NULL literal.
+  std::optional<DataType> type_;
+  size_t col_ = 0;  // kUser
+  Value literal_;   // kLiteral
+  BinaryOp binary_op_ = BinaryOp::kEq;
+  UnaryOp unary_op_ = UnaryOp::kNot;
+  ScalarFn fn_ = ScalarFn::kAbs;
+  std::vector<Operand> args_;  // children, in SQL order
   Cells cells_;
   // Scratch, sized on first use.
   std::vector<int64_t> ints_;
@@ -126,7 +198,9 @@ class Operand {
   std::vector<uint8_t> bytes_;
   std::vector<uint8_t> nulls_;
   std::vector<uint32_t> codes_;
-  std::vector<Value> values_;
+  std::vector<std::string> strings_;  // a string result's dictionary
+  std::vector<uint32_t> code_map_;    // argument code -> strings_ code
+  std::vector<uint32_t> sel_;         // rows an arm or argument sees
 };
 
 /// Key equality for GROUP BY and DISTINCT: the same value. NULL equals
@@ -222,8 +296,8 @@ class AggregateFolder {
   /// into the running states, and hands its float sums and new groups
   /// over in `out`, which it overwrites. Without GROUP BY there is one
   /// group, present even when no row is selected.
-  Status Fold(const Table& table, const SegmentSelection& selection,
-              uint32_t position, SegmentPartial& out);
+  Status Fold(const SegmentSelection& selection, uint32_t position,
+              SegmentPartial& out);
 
   /// Running states, folder groups x calls, in folder id order. Final
   /// once the folder's last Fold returned.
@@ -238,15 +312,6 @@ class AggregateFolder {
                 uint32_t* ids);
 
    private:
-    struct ValueHasher {
-      size_t operator()(const Value& v) const { return HashValue(v); }
-    };
-    struct ValueEq {
-      bool operator()(const Value& a, const Value& b) const {
-        return SameValue(a, b);
-      }
-    };
-
     uint32_t NullId();
     uint32_t WordId(uint64_t word);
     uint32_t StringId(std::string_view s);
@@ -260,9 +325,9 @@ class AggregateFolder {
     IdTable strings_;
     std::vector<std::string> string_keys_;
     std::vector<uint32_t> string_ids_;
-    std::unordered_map<Value, uint32_t, ValueHasher, ValueEq> others_;
-    // String keys: dictionary code of code_segment_ -> id, or
-    // kNoId until the code is first met. Sized once per segment.
+    // String keys: dictionary code -> id, or kNoId until the code is
+    // first met. Sized once per segment for a column's dictionary, once
+    // per batch for a batch's.
     static constexpr uint32_t kNoId = UINT32_MAX;
     const Segment* code_segment_ = nullptr;
     std::vector<uint32_t> code_ids_;
@@ -273,8 +338,8 @@ class AggregateFolder {
     std::optional<Operand> arg;  // empty for COUNT(*) / FCOUNT(*)
   };
 
-  Status FoldBatch(const Table& table, const SelectedBatch& batch,
-                   uint32_t position, SegmentPartial& out);
+  Status FoldBatch(const SelectedBatch& batch, uint32_t position,
+                   SegmentPartial& out);
 
   /// Writes the group of every selected row of `batch` to groups_,
   /// creating groups on first appearance and listing the segment's

@@ -3,24 +3,6 @@
 namespace fungusdb {
 namespace {
 
-bool IsComparisonOp(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsLogicalOp(BinaryOp op) {
-  return op == BinaryOp::kAnd || op == BinaryOp::kOr;
-}
-
 bool TypeIsNumeric(const std::optional<DataType>& t) {
   return !t.has_value() || IsNumeric(*t);
 }
@@ -54,7 +36,7 @@ Result<BoundExpr> BindImpl(const Expr& expr, const Schema& schema,
       }
       std::optional<size_t> idx = schema.FindField(name);
       if (!idx.has_value()) {
-        return Status::NotFound("no column named '" + name + "'");
+        return Status::ColumnNotFound("no column named '" + name + "'");
       }
       out.col_source = ColumnSource::kUser;
       out.col_index = *idx;
@@ -68,7 +50,7 @@ Result<BoundExpr> BindImpl(const Expr& expr, const Schema& schema,
           BoundExpr rhs, BindImpl(*expr.child(1), schema, inside_aggregate));
       const BinaryOp op = expr.binary_op();
       out.binary_op = op;
-      if (IsComparisonOp(op)) {
+      if (IsComparison(op)) {
         const bool comparable =
             !lhs.result_type.has_value() || !rhs.result_type.has_value() ||
             lhs.result_type == rhs.result_type ||
@@ -79,7 +61,7 @@ Result<BoundExpr> BindImpl(const Expr& expr, const Schema& schema,
                                       TypeName(rhs.result_type));
         }
         out.result_type = DataType::kBool;
-      } else if (IsLogicalOp(op)) {
+      } else if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
         auto check = [&](const BoundExpr& side) -> Status {
           if (side.result_type.has_value() &&
               side.result_type != DataType::kBool) {
@@ -150,18 +132,24 @@ Result<BoundExpr> BindImpl(const Expr& expr, const Schema& schema,
             out.result_type = DataType::kInt64;
           }
           // Fold -<literal> into a plain literal so the zone-map pruner
-          // and the vectorized kernel see negative constants; mirrors the
-          // evaluator's kNeg arithmetic exactly.
+          // and the vectorized kernel see negative constants; the same
+          // arithmetic as Operand's unary minus: float64 negates, int64
+          // and timestamp negate exactly into int64, wrapping at
+          // INT64_MIN.
           if (operand.kind == Expr::Kind::kLiteral) {
             out.kind = Expr::Kind::kLiteral;
-            if (operand.literal.is_null()) {
+            const Value& v = operand.literal;
+            if (v.is_null()) {
               out.literal = Value::Null();
               out.result_type = std::nullopt;
-            } else if (operand.literal.type() == DataType::kFloat64) {
-              out.literal = Value::Float64(-operand.literal.AsFloat64());
+            } else if (v.type() == DataType::kFloat64) {
+              out.literal = Value::Float64(-v.AsFloat64());
             } else {
-              FUNGUSDB_ASSIGN_OR_RETURN(double d, operand.literal.ToDouble());
-              out.literal = Value::Int64(-static_cast<int64_t>(d));
+              const int64_t x = v.type() == DataType::kTimestamp
+                                    ? v.AsTimestamp()
+                                    : v.AsInt64();
+              out.literal = Value::Int64(
+                  static_cast<int64_t>(0 - static_cast<uint64_t>(x)));
             }
             return out;
           }
@@ -240,6 +228,10 @@ Result<BoundExpr> BindImpl(const Expr& expr, const Schema& schema,
           FUNGUSDB_RETURN_IF_ERROR(arity(2));
           FUNGUSDB_RETURN_IF_ERROR(require_numeric(0));
           FUNGUSDB_RETURN_IF_ERROR(require_numeric(1));
+          if (args[0].result_type == DataType::kFloat64) {
+            return Status::TypeMismatch(
+                "time_bucket requires a timestamp or int64 time");
+          }
           if (args[1].result_type == DataType::kFloat64) {
             return Status::TypeMismatch(
                 "time_bucket width must be an integer duration in "

@@ -19,8 +19,8 @@ enum class ColumnSource {
 };
 
 /// Expression tree with column names resolved against a schema and
-/// result types computed. Produced by Bind(); consumed by the evaluator
-/// and the query engine.
+/// result types computed. Produced by Bind(); consumed by the query
+/// engine's filter (VectorPredicate) and evaluator (Operand).
 struct BoundExpr {
   Expr::Kind kind = Expr::Kind::kLiteral;
 
@@ -48,8 +48,8 @@ struct BoundExpr {
 };
 
 /// Resolves column references (including `__ts` / `__freshness`) and
-/// type-checks the tree. Fails with NotFound for unknown columns and
-/// TypeMismatch for ill-typed operations. Aggregate calls may appear
+/// type-checks the tree. Fails with ColumnNotFound for unknown columns
+/// and TypeMismatch for ill-typed operations. Aggregate calls may appear
 /// only at the positions the engine allows (it validates placement; the
 /// binder only forbids nested aggregates).
 Result<BoundExpr> Bind(const Expr& expr, const Schema& schema);

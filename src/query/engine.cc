@@ -32,8 +32,8 @@ std::string ItemName(const SelectItem& item) {
 Status SortRows(ResultSet& result, const OrderBy& order) {
   const int col = result.FindColumn(order.column);
   if (col < 0) {
-    return Status::NotFound("ORDER BY column '" + order.column +
-                            "' is not in the select list");
+    return Status::ColumnNotFound("ORDER BY column '" + order.column +
+                                  "' is not in the select list");
   }
   Status sort_status;
   std::stable_sort(
@@ -216,8 +216,8 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
     folded.resize(segments.size());
   }
   auto fold = [&](size_t p, size_t i) {
-    Status status = folders[p].Fold(table, selections[i],
-                                    static_cast<uint32_t>(i), partials[i]);
+    Status status = folders[p].Fold(selections[i], static_cast<uint32_t>(i),
+                                    partials[i]);
     MutexLock lock(merge_mu);
     folded[i] = std::move(status);
     for (; merged < segments.size() && folded[merged].has_value(); ++merged) {
@@ -240,8 +240,8 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
       FUNGUS_TRACE_SPAN("scan.morsel", i);
       VectorPredicate::Scratch& scratch = ThreadScratch();
       const uint64_t decoded_before = scratch.decoded_batches;
-      scan_status[i] = filter.Match(table, *selections[i].segment, scratch,
-                                    selections[i].offsets);
+      scan_status[i] =
+          filter.Match(*selections[i].segment, scratch, selections[i].offsets);
       morsel_decoded[i] = scratch.decoded_batches - decoded_before;
       if (has_aggregate && scan_status[i].ok()) fold(p, i);
     }
@@ -316,7 +316,7 @@ Result<ResultSet> QueryEngine::Execute(const Query& query, Table& table,
       FUNGUSDB_RETURN_IF_ERROR(
           ForEachBatch(sel, [&](const SelectedBatch& batch) -> Status {
             for (Operand& op : operands) {
-              FUNGUSDB_RETURN_IF_ERROR(op.Load(table, batch));
+              FUNGUSDB_RETURN_IF_ERROR(op.Load(batch));
             }
             for (size_t k = 0; k < batch.m; ++k) {
               std::vector<Value>& row =

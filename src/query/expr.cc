@@ -2,6 +2,20 @@
 
 namespace fungusdb {
 
+bool IsComparison(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kEq:
+    case BinaryOp::kNe:
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe:
+      return true;
+    default:
+      return false;
+  }
+}
+
 std::string_view BinaryOpName(BinaryOp op) {
   switch (op) {
     case BinaryOp::kEq:

@@ -61,6 +61,8 @@ enum class ScalarFn {
 };
 
 std::string_view BinaryOpName(BinaryOp op);
+/// True for = != < <= > >=.
+bool IsComparison(BinaryOp op);
 std::string_view UnaryOpName(UnaryOp op);
 std::string_view AggFnName(AggFn fn);
 std::string_view ScalarFnName(ScalarFn fn);

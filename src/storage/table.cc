@@ -195,7 +195,7 @@ Result<Value> Table::GetValueByName(RowId row,
   }
   auto idx = schema_.FindField(name);
   if (!idx.has_value()) {
-    return Status::NotFound("no column named '" + name + "'");
+    return Status::ColumnNotFound("no column named '" + name + "'");
   }
   return GetValue(row, *idx);
 }

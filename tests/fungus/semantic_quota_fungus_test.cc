@@ -68,6 +68,48 @@ TEST(SemanticFungusTest, PredicateMaySeeSystemColumns) {
   EXPECT_TRUE(t.IsLive(5));
 }
 
+TEST(SemanticFungusTest, RowsWherePredicateErrorsDecayAtUnmatchedRate) {
+  // `10 / size` divides by zero on row 0 only. That row decays at the
+  // unmatched rate; every other row of its segment still matches or not
+  // by its own answer, on a plain and on a frozen segment.
+  for (const bool freeze : {false, true}) {
+    SCOPED_TRACE(freeze ? "frozen" : "plain");
+    Table t = FilledTable(20);
+    if (freeze) {
+      ASSERT_GT(t.FreezeColdSegments(0), 0u);
+    }
+    SemanticFungus::Params p;
+    p.matched_step = 0.5;
+    p.unmatched_step = 0.1;
+    SemanticFungus fungus(ParseExpression("10 / size > 1").value(), p);
+    DecayContext ctx(&t, 0);
+    fungus.Tick(ctx);
+    EXPECT_TRUE(fungus.bind_status().ok());
+    EXPECT_NEAR(t.Freshness(0), 0.9, 1e-9);  // errors: unmatched
+    for (RowId row = 1; row < 10; ++row) {
+      EXPECT_NEAR(t.Freshness(row), 0.5, 1e-9) << row;  // 10 / size > 1
+    }
+    for (RowId row = 10; row < 20; ++row) {
+      EXPECT_NEAR(t.Freshness(row), 0.9, 1e-9) << row;
+    }
+  }
+}
+
+TEST(SemanticFungusTest, GuardedErrorArmMatchesWithoutFailing) {
+  Table t = FilledTable(20);
+  SemanticFungus::Params p;
+  p.matched_step = 0.5;
+  p.unmatched_step = 0.1;
+  SemanticFungus fungus(
+      ParseExpression("size = 0 OR 10 / size > 1").value(), p);
+  DecayContext ctx(&t, 0);
+  fungus.Tick(ctx);
+  for (RowId row = 0; row < 10; ++row) {
+    EXPECT_NEAR(t.Freshness(row), 0.5, 1e-9) << row;
+  }
+  EXPECT_NEAR(t.Freshness(10), 0.9, 1e-9);
+}
+
 TEST(SemanticFungusTest, BadPredicateDisablesFungusGracefully) {
   Table t = FilledTable(5);
   SemanticFungus fungus(ParseExpression("no_such_column > 1").value(),

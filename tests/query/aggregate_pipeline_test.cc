@@ -2,7 +2,7 @@
 // vectors -> typed column batches -> aggregate / GROUP BY / projection)
 // against a deliberately simple reference: a row-at-a-time tail kept
 // here as a test-only oracle. The reference evaluates every cell through
-// the tree walker (EvalScalar), folds aggregates row by row through a
+// the row-at-a-time walker (reference_walker.h), folds aggregates row by row through a
 // Value-based accumulator whose float sums add up per segment and then
 // in segment order (the summation rule of DESIGN.md §11), and keys
 // groups and DISTINCT rows by typed value equality in first-appearance
@@ -33,7 +33,7 @@
 #include "common/thread_pool.h"
 #include "query/binder.h"
 #include "query/engine.h"
-#include "query/evaluator.h"
+#include "reference_walker.h"
 #include "storage/table.h"
 
 namespace fungusdb {
@@ -230,7 +230,8 @@ Result<ResultSet> ReferenceExecute(const Query& query, const Table& table,
     ++result.stats.rows_scanned;
     bool pass = true;
     if (where.has_value()) {
-      FUNGUSDB_ASSIGN_OR_RETURN(pass, EvalPredicate(*where, table, row));
+      FUNGUSDB_ASSIGN_OR_RETURN(pass,
+                                reference::EvalPredicate(*where, table, row));
     }
     if (pass) matched->push_back(row);
   }
@@ -253,8 +254,8 @@ Result<ResultSet> ReferenceExecute(const Query& query, const Table& table,
         }
       } else {
         for (const Item& item : items) {
-          FUNGUSDB_ASSIGN_OR_RETURN(Value v,
-                                    EvalScalar(item.expr, table, row));
+          FUNGUSDB_ASSIGN_OR_RETURN(
+              Value v, reference::EvalScalar(item.expr, table, row));
           out.push_back(std::move(v));
         }
       }
@@ -275,7 +276,8 @@ Result<ResultSet> ReferenceExecute(const Query& query, const Table& table,
         const RowId row = (*matched)[next];
         std::vector<Value> key;
         for (const BoundExpr& g : group_exprs) {
-          FUNGUSDB_ASSIGN_OR_RETURN(Value v, EvalScalar(g, table, row));
+          FUNGUSDB_ASSIGN_OR_RETURN(Value v,
+                                    reference::EvalScalar(g, table, row));
           key.push_back(std::move(v));
         }
         Group* group = nullptr;
@@ -294,8 +296,8 @@ Result<ResultSet> ReferenceExecute(const Query& query, const Table& table,
             FUNGUSDB_RETURN_IF_ERROR(group->accumulators[i].Observe(
                 Value::Int64(1), freshness, seg_pos));
           } else {
-            FUNGUSDB_ASSIGN_OR_RETURN(Value v,
-                                      EvalScalar(e.children[0], table, row));
+            FUNGUSDB_ASSIGN_OR_RETURN(
+                Value v, reference::EvalScalar(e.children[0], table, row));
             FUNGUSDB_RETURN_IF_ERROR(
                 group->accumulators[i].Observe(v, freshness, seg_pos));
           }

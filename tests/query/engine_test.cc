@@ -147,8 +147,19 @@ TEST_F(EngineTest, OrderByNullsLast) {
 
 TEST_F(EngineTest, OrderByUnknownColumnFails) {
   Query q = ParseQuery("SELECT temp FROM readings ORDER BY nope").value();
-  EXPECT_EQ(engine_.Execute(q, table_, 0).status().code(),
-            StatusCode::kNotFound);
+  const Status status = engine_.Execute(q, table_, 0).status();
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(status.error_code(), ErrorCode::kColumnNotFound);
+}
+
+TEST_F(EngineTest, UnknownColumnCarriesTheColumnCode) {
+  for (const char* sql : {"SELECT bogus FROM readings",
+                          "SELECT count(*) FROM readings WHERE bogus > 1",
+                          "SELECT count(*) FROM readings GROUP BY bogus"}) {
+    Query q = ParseQuery(sql).value();
+    const Status status = engine_.Execute(q, table_, 0).status();
+    EXPECT_EQ(status.error_code(), ErrorCode::kColumnNotFound) << sql;
+  }
 }
 
 TEST_F(EngineTest, LimitTruncates) {

@@ -1,7 +1,14 @@
-#include "query/evaluator.h"
+// Expression semantics through the engine: each expression runs as a
+// select item (`SELECT <expr> FROM t`, Operand's cells) or as a WHERE
+// predicate (VectorPredicate), over one chosen row of a two-row table.
+
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "query/aggregate.h"
+#include "query/engine.h"
 #include "query/parser.h"
 
 namespace fungusdb {
@@ -27,19 +34,31 @@ class EvaluatorTest : public ::testing::Test {
                     .value();
   }
 
-  Value Eval(const std::string& text, RowId row) {
-    ExprPtr expr = ParseExpression(text).value();
-    BoundExpr bound = Bind(*expr, table_.schema()).value();
-    return EvalScalar(bound, table_, row).value();
+  /// `SELECT <text> FROM t` over `row` alone.
+  Result<Value> TryEval(const std::string& text, RowId row) {
+    FUNGUSDB_ASSIGN_OR_RETURN(
+        Query q, ParseQuery("SELECT " + text + " AS v FROM t WHERE __ts = " +
+                            std::to_string(table_.InsertTime(row).value())));
+    FUNGUSDB_ASSIGN_OR_RETURN(ResultSet rs, engine_.Execute(q, table_, 0));
+    EXPECT_EQ(rs.num_rows(), 1u) << text;
+    return rs.at(0, 0);
   }
 
+  Value Eval(const std::string& text, RowId row) {
+    return TryEval(text, row).value();
+  }
+
+  /// Whether `row` passes `WHERE <text>`.
   bool Pred(const std::string& text, RowId row) {
-    ExprPtr expr = ParseExpression(text).value();
-    BoundExpr bound = Bind(*expr, table_.schema()).value();
-    return EvalPredicate(bound, table_, row).value();
+    Query q = ParseQuery("SELECT id FROM t WHERE __ts = " +
+                         std::to_string(table_.InsertTime(row).value()) +
+                         " AND (" + text + ")")
+                  .value();
+    return engine_.Execute(q, table_, 0).value().num_rows() == 1;
   }
 
   Table table_;
+  QueryEngine engine_;
   RowId row_;
   RowId null_row_;
 };
@@ -76,14 +95,10 @@ TEST_F(EvaluatorTest, Arithmetic) {
 }
 
 TEST_F(EvaluatorTest, DivisionByZeroIsError) {
-  ExprPtr expr = ParseExpression("id / 0").value();
-  BoundExpr bound = Bind(*expr, table_.schema()).value();
-  Result<Value> r = EvalScalar(bound, table_, row_);
+  Result<Value> r = TryEval("id / 0", row_);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  ExprPtr mod = ParseExpression("id % 0").value();
-  BoundExpr bmod = Bind(*mod, table_.schema()).value();
-  EXPECT_FALSE(EvalScalar(bmod, table_, row_).ok());
+  EXPECT_FALSE(TryEval("id % 0", row_).ok());
 }
 
 TEST_F(EvaluatorTest, NullPropagationInComparisons) {
@@ -119,6 +134,10 @@ TEST_F(EvaluatorTest, ShortCircuitSkipsErrorArm) {
   // The right arm would divide by zero, but the left arm decides.
   EXPECT_FALSE(Pred("id = 999 AND id / 0 > 1", row_));
   EXPECT_TRUE(Pred("id = 10 OR id / 0 > 1", row_));
+  EXPECT_FALSE(Eval("id = 999 AND id / 0 > 1", row_).AsBool());
+  EXPECT_TRUE(Eval("id = 10 OR id / 0 > 1", row_).AsBool());
+  // A NULL left arm decides nothing: the right arm runs.
+  EXPECT_FALSE(TryEval("temp > 5 AND id / 0 > 1", null_row_).ok());
 }
 
 TEST_F(EvaluatorTest, BetweenWorksEndToEnd) {
@@ -135,12 +154,71 @@ TEST_F(EvaluatorTest, TimestampArithmetic) {
 }
 
 TEST_F(EvaluatorTest, AggregateNodeIsScalarError) {
+  // The engine folds aggregates itself; one that reached the evaluator
+  // would be an internal error.
   BoundExpr bound =
       Bind(*Expr::Aggregate(AggFn::kCount, nullptr), table_.schema())
           .value();
-  Result<Value> r = EvalScalar(bound, table_, row_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  Operand operand(bound);
+  const Segment* seg = table_.LiveSegments().at(0);
+  const uint32_t sel[] = {0};
+  const Status status =
+      operand.Load(SelectedBatch{seg, 0, seg->num_rows(), sel, 1});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInternal);
+}
+
+// int64 arithmetic is defined for every input: it wraps in two's
+// complement, `INT64_MIN % -1` is 0, and negation is exact.
+class IntegerArithmeticTest : public ::testing::Test {
+ protected:
+  IntegerArithmeticTest()
+      : table_("t", Schema::Make({{"x", DataType::kInt64, false}}).value()) {
+    for (const int64_t x : {kMin, kMax, kBeyondDouble}) {
+      table_.Append({Value::Int64(x)}, 0).value();
+    }
+  }
+
+  /// The select item's int64 cell on each row, in row order.
+  std::vector<int64_t> Column(const std::string& item) {
+    Query q = ParseQuery("SELECT " + item + " FROM t").value();
+    const ResultSet rs = QueryEngine().Execute(q, table_, 0).value();
+    std::vector<int64_t> out;
+    for (size_t r = 0; r < rs.num_rows(); ++r) {
+      out.push_back(rs.at(r, 0).AsInt64());
+    }
+    return out;
+  }
+
+  static constexpr int64_t kMin = INT64_MIN;
+  static constexpr int64_t kMax = INT64_MAX;
+  // 2^53 + 1: the first int64 a double cannot hold.
+  static constexpr int64_t kBeyondDouble = 9007199254740993;
+  Table table_;
+};
+
+TEST_F(IntegerArithmeticTest, ModuloByMinusOneIsZero) {
+  EXPECT_EQ(Column("x % -1"), (std::vector<int64_t>{0, 0, 0}));
+  EXPECT_EQ(Column("x % (0 - 1)"), (std::vector<int64_t>{0, 0, 0}));
+}
+
+TEST_F(IntegerArithmeticTest, OverflowWraps) {
+  EXPECT_EQ(Column("x + 1"),
+            (std::vector<int64_t>{kMin + 1, kMin, kBeyondDouble + 1}));
+  EXPECT_EQ(Column("x - 1"),
+            (std::vector<int64_t>{kMax, kMax - 1, kBeyondDouble - 1}));
+  EXPECT_EQ(Column("x * 2"),
+            (std::vector<int64_t>{0, -2, 2 * kBeyondDouble}));
+  EXPECT_EQ(Column("-x"), (std::vector<int64_t>{kMin, -kMax, -kBeyondDouble}));
+  EXPECT_EQ(Column("abs(x)"),
+            (std::vector<int64_t>{kMin, kMax, kBeyondDouble}));
+}
+
+TEST_F(IntegerArithmeticTest, NegationIsExact) {
+  // Through double, both would answer -9007199254740992.
+  EXPECT_EQ(Column("-x").back(), -kBeyondDouble);
+  EXPECT_EQ(Column("-9007199254740993").back(), -kBeyondDouble);
+  EXPECT_EQ(Column("-(-9007199254740993)").back(), kBeyondDouble);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Equivalence tests for the lowered filter: every predicate shape the
-// kernel lowers must return exactly the same rows as a semantically
-// identical predicate forced through a walker conjunct (by adding an
-// arithmetic identity, which the kernel does not lower, so the tree
-// walker evaluates that conjunct row by row).
+// filter lowers must return exactly the same rows as a semantically
+// identical predicate forced through a computed conjunct (by adding an
+// arithmetic identity, which the filter does not lower, so the
+// conjunct's arithmetic is evaluated too).
 
 #include <gtest/gtest.h>
 
@@ -97,7 +97,7 @@ TEST_F(FastPathTest, BooleanCombinationsVectorize) {
 
 TEST_F(FastPathTest, NonCompilableShapesStillWork) {
   // Lowered string equality, and a column-vs-column comparison with
-  // arithmetic that becomes a walker conjunct, filtering the same scan.
+  // arithmetic that becomes a computed conjunct, filtering the same scan.
   EXPECT_EQ(Rows("s = 'x'").size(), table_.live_rows());
   EXPECT_EQ(Rows("i < i + 1").size(), table_.live_rows());
   EXPECT_FALSE(Rows("i > 0 AND f > 0").empty());

@@ -14,8 +14,8 @@
 #include "common/thread_pool.h"
 #include "query/binder.h"
 #include "query/engine.h"
-#include "query/evaluator.h"
 #include "query/parser.h"
+#include "reference_walker.h"
 #include "storage/table.h"
 
 namespace fungusdb {
@@ -69,7 +69,7 @@ class PruningTest : public ::testing::Test {
     const BoundExpr where = Bind(*q.where, table_.schema()).value();
     std::vector<int64_t> out;
     for (const RowId row : table_.LiveRows()) {
-      if (EvalPredicate(where, table_, row).value()) {
+      if (reference::EvalPredicate(where, table_, row).value()) {
         out.push_back(table_.GetValue(row, 0).value().AsInt64());
       }
     }

@@ -1,12 +1,18 @@
-#include "query/evaluator.h"
+#include "reference_walker.h"
 
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
-namespace fungusdb {
+namespace fungusdb::reference {
 namespace {
+
+int64_t AsInt(const Value& v) {
+  return v.type() == DataType::kTimestamp ? v.AsTimestamp() : v.AsInt64();
+}
+
+// Two's-complement arithmetic, computed in uint64.
+int64_t Wrap(uint64_t v) { return static_cast<int64_t>(v); }
 
 Result<Value> EvalBinary(const BoundExpr& expr, const Value& lhs,
                          const Value& rhs) {
@@ -59,29 +65,24 @@ Result<Value> EvalBinary(const BoundExpr& expr, const Value& lhs,
   // Arithmetic.
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
   if (op == BinaryOp::kMod) {
-    const int64_t divisor = rhs.type() == DataType::kTimestamp
-                                ? rhs.AsTimestamp()
-                                : rhs.AsInt64();
-    const int64_t dividend = lhs.type() == DataType::kTimestamp
-                                 ? lhs.AsTimestamp()
-                                 : lhs.AsInt64();
+    const int64_t divisor = AsInt(rhs);
+    const int64_t dividend = AsInt(lhs);
     if (divisor == 0) return Status::InvalidArgument("modulo by zero");
+    if (divisor == -1) return Value::Int64(0);
     return Value::Int64(dividend % divisor);
   }
   if (expr.result_type == DataType::kInt64) {
-    // Exact integer arithmetic (division is typed float64 by the binder).
-    auto as_int = [](const Value& v) {
-      return v.type() == DataType::kTimestamp ? v.AsTimestamp() : v.AsInt64();
-    };
-    const int64_t a = as_int(lhs);
-    const int64_t b = as_int(rhs);
+    // Wrapping integer arithmetic (division is typed float64 by the
+    // binder).
+    const uint64_t a = static_cast<uint64_t>(AsInt(lhs));
+    const uint64_t b = static_cast<uint64_t>(AsInt(rhs));
     switch (op) {
       case BinaryOp::kAdd:
-        return Value::Int64(a + b);
+        return Value::Int64(Wrap(a + b));
       case BinaryOp::kSub:
-        return Value::Int64(a - b);
+        return Value::Int64(Wrap(a - b));
       case BinaryOp::kMul:
-        return Value::Int64(a * b);
+        return Value::Int64(Wrap(a * b));
       default:
         return Status::Internal("unexpected integer binary op");
     }
@@ -162,8 +163,7 @@ Result<Value> EvalScalar(const BoundExpr& expr, const Table& table,
           if (operand.type() == DataType::kFloat64) {
             return Value::Float64(-operand.AsFloat64());
           }
-          FUNGUSDB_ASSIGN_OR_RETURN(double d, operand.ToDouble());
-          return Value::Int64(-static_cast<int64_t>(d));
+          return Value::Int64(Wrap(0 - static_cast<uint64_t>(AsInt(operand))));
         }
         case UnaryOp::kIsNull:
           return Value::Bool(operand.is_null());
@@ -185,10 +185,11 @@ Result<Value> EvalScalar(const BoundExpr& expr, const Table& table,
           if (args[0].type() == DataType::kFloat64) {
             return Value::Float64(std::fabs(args[0].AsFloat64()));
           }
-          return Value::Int64(std::llabs(
-              args[0].type() == DataType::kTimestamp
-                  ? args[0].AsTimestamp()
-                  : args[0].AsInt64()));
+          if (AsInt(args[0]) < 0) {
+            return Value::Int64(
+                Wrap(0 - static_cast<uint64_t>(AsInt(args[0]))));
+          }
+          return Value::Int64(AsInt(args[0]));
         case ScalarFn::kFloor: {
           FUNGUSDB_ASSIGN_OR_RETURN(double d, args[0].ToDouble());
           return Value::Float64(std::floor(d));
@@ -221,12 +222,8 @@ Result<Value> EvalScalar(const BoundExpr& expr, const Table& table,
           return Value::String(std::move(s));
         }
         case ScalarFn::kTimeBucket: {
-          const int64_t ts = args[0].type() == DataType::kTimestamp
-                                 ? args[0].AsTimestamp()
-                                 : args[0].AsInt64();
-          const int64_t width = args[1].type() == DataType::kTimestamp
-                                    ? args[1].AsTimestamp()
-                                    : args[1].AsInt64();
+          const int64_t ts = AsInt(args[0]);
+          const int64_t width = AsInt(args[1]);
           if (width <= 0) {
             return Status::InvalidArgument(
                 "time_bucket width must be positive");
@@ -234,7 +231,8 @@ Result<Value> EvalScalar(const BoundExpr& expr, const Table& table,
           // Floor division so negative timestamps bucket consistently.
           int64_t bucket = ts / width;
           if (ts % width != 0 && ts < 0) --bucket;
-          return Value::TimestampVal(bucket * width);
+          return Value::TimestampVal(Wrap(static_cast<uint64_t>(bucket) *
+                                          static_cast<uint64_t>(width)));
         }
       }
       return Status::Internal("unhandled scalar function");
@@ -252,4 +250,4 @@ Result<bool> EvalPredicate(const BoundExpr& expr, const Table& table,
   return !v.is_null() && v.AsBool();
 }
 
-}  // namespace fungusdb
+}  // namespace fungusdb::reference

@@ -1,10 +1,11 @@
-// Scalar builtins (abs/floor/ceil/round/length/lower/upper/time_bucket)
-// and GROUP BY over aliased expressions — tumbling-window analytics.
+// Scalar builtins (abs/floor/ceil/round/length/lower/upper/time_bucket),
+// each run through the engine as `SELECT <expr> FROM t`, and GROUP BY
+// over aliased expressions — tumbling-window analytics.
 
 #include <gtest/gtest.h>
 
+#include "query/binder.h"
 #include "query/engine.h"
-#include "query/evaluator.h"
 #include "query/parser.h"
 
 namespace fungusdb {
@@ -24,10 +25,18 @@ class ScalarFunctionTest : public ::testing::Test {
         .value();
   }
 
+  /// `SELECT <expr_text> FROM <table>`'s one cell.
+  static Result<Value> TryEval(const std::string& expr_text, Table& table) {
+    FUNGUSDB_ASSIGN_OR_RETURN(
+        Query q, ParseQuery("SELECT " + expr_text + " AS v FROM t"));
+    FUNGUSDB_ASSIGN_OR_RETURN(ResultSet rs,
+                              QueryEngine().Execute(q, table, 0));
+    EXPECT_EQ(rs.num_rows(), 1u) << expr_text;
+    return rs.at(0, 0);
+  }
+
   Value Eval(const std::string& expr_text) {
-    ExprPtr expr = ParseExpression(expr_text).value();
-    BoundExpr bound = Bind(*expr, table_.schema()).value();
-    return EvalScalar(bound, table_, 0).value();
+    return TryEval(expr_text, table_).value();
   }
 
   Table table_;
@@ -71,9 +80,7 @@ TEST_F(ScalarFunctionTest, NullPropagates) {
   Table nulls("n",
               Schema::Make({{"f", DataType::kFloat64, true}}).value());
   nulls.Append({Value::Null()}, 0).value();
-  ExprPtr expr = ParseExpression("floor(f)").value();
-  BoundExpr bound = Bind(*expr, nulls.schema()).value();
-  EXPECT_TRUE(EvalScalar(bound, nulls, 0).value().is_null());
+  EXPECT_TRUE(TryEval("floor(f)", nulls).value().is_null());
 }
 
 TEST_F(ScalarFunctionTest, TypeErrorsCaughtAtBind) {
@@ -85,15 +92,14 @@ TEST_F(ScalarFunctionTest, TypeErrorsCaughtAtBind) {
   EXPECT_EQ(bind("lower(f)").code(), StatusCode::kTypeMismatch);
   EXPECT_EQ(bind("time_bucket(__ts, 1.5)").code(),
             StatusCode::kTypeMismatch);
+  EXPECT_EQ(bind("time_bucket(f, 10)").code(), StatusCode::kTypeMismatch);
   EXPECT_EQ(bind("abs(i, f)").code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(bind("time_bucket(__ts)").code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(ScalarFunctionTest, ZeroWidthBucketIsRuntimeError) {
-  ExprPtr expr = ParseExpression("time_bucket(__ts, 0)").value();
-  BoundExpr bound = Bind(*expr, table_.schema()).value();
-  EXPECT_FALSE(EvalScalar(bound, table_, 0).ok());
+  EXPECT_FALSE(TryEval("time_bucket(__ts, 0)", table_).ok());
 }
 
 TEST_F(ScalarFunctionTest, UnknownFunctionStillFailsAtParse) {

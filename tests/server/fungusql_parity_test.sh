@@ -4,7 +4,8 @@
 # through `fungusql --connect` against a fresh fungusd, and the two
 # outputs must be identical. \metrics and \trace describe the process
 # rather than the database, so they run in a second script that only
-# has to succeed in both modes.
+# has to succeed in both modes. Last, `SELECT x % -1` over INT64_MIN
+# must answer 0 over --connect, and fungusd must keep serving.
 #
 #   tests/server/fungusql_parity_test.sh <build-dir>
 set -eu
@@ -109,6 +110,31 @@ grep -q '^attached retention(1d) to t every 1h$' "$workdir/remote.out" || {
 "$fungusql" --connect "127.0.0.1:$port" < "$workdir/process.sql" \
   > /dev/null 2>&1 || {
   echo "FAIL: \\metrics / \\trace failed over --connect" >&2
+  exit 1
+}
+
+# int64 arithmetic is defined for every input: INT64_MIN % -1 answers
+# 0 (it once killed fungusd with SIGFPE), and the daemon keeps serving.
+cat > "$workdir/int64.sql" <<'EOF'
+\create m (x int64)
+\insert m -9223372036854775808
+SELECT x % -1 AS r FROM m
+\quit
+EOF
+"$fungusql" --connect "127.0.0.1:$port" < "$workdir/int64.sql" \
+  > "$workdir/int64.out" 2>&1 || {
+  echo "FAIL: SELECT x % -1 over INT64_MIN failed over --connect" >&2
+  cat "$workdir/int64.out" >&2
+  exit 1
+}
+printf '| r |\n|---|\n| 0 |\n(1 rows)\n' > "$workdir/int64.want"
+if ! tail -n 4 "$workdir/int64.out" | diff -u "$workdir/int64.want" -; then
+  echo "FAIL: INT64_MIN % -1 did not answer 0" >&2
+  exit 1
+fi
+echo 'SELECT count(*) AS n FROM m' |
+  "$fungusql" --connect "127.0.0.1:$port" > /dev/null 2>&1 || {
+  echo "FAIL: fungusd stopped serving after INT64_MIN % -1" >&2
   exit 1
 }
 

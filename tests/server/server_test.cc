@@ -60,6 +60,11 @@ TEST(ServerTest, ErrorsCarryStableCodesAcrossTheWire) {
 
   const Status parse = client.ExecuteOne("SELEC oops").status();
   EXPECT_EQ(parse.code(), StatusCode::kParseError);
+
+  ASSERT_TRUE(client.ExecuteOne("\\create t (x int64)").ok());
+  const Status column = client.ExecuteOne("SELECT bogus FROM t").status();
+  EXPECT_EQ(column.error_code(), ErrorCode::kColumnNotFound);
+  EXPECT_EQ(column.ErrorLabel(), "E:1204 ColumnNotFound");
 }
 
 TEST(ServerTest, MetaCommandsRunRemotely) {
